@@ -22,11 +22,11 @@ from .core import (
     HNPolygon,
     HNType,
     HodgeSummand,
+    InvalidHNType,
     LimitOutcome,
     Min,
     PolystableSum,
     Rank2,
-    Rational,
     StrataError,
     Type12,
     Type21,
@@ -35,6 +35,7 @@ from .core import (
     format_hn_type,
     format_label,
     format_rational,
+    parse_hn_steps,
     parse_hn_type,
     parse_label,
     parse_rational,

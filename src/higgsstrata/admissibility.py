@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Genus, HNType, StrataError, polygon_of
 
@@ -31,6 +32,15 @@ class Rank2BoundViolated(AdmissibilityError):
 
 class Rank3BoundViolated(AdmissibilityError):
     pass
+
+
+class CaseFamily(Enum):
+    """Position of mu2 relative to the total slope decides the free datum."""
+
+    CASE1_I = "1-I"
+    CASE2_N = "2-N"
+    CASE3_FLAG = "3-flag"
+    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -56,6 +66,44 @@ class AdmissibleStratum:
     @property
     def is_semistable(self) -> bool:
         return self.hn.is_semistable
+
+    # Slopes scaled by 6, as integers.  Every step of a rank-2 or rank-3
+    # type has rank 1, 2 or 3, so 6*mu_i = 6*d_i/r_i is an integer, and
+    # so is 6*mu = 6*d/r.  Comparing 6*v with these decides exactly what
+    # comparing v with the slopes decides.
+
+    @cached_property
+    def mu6_vector(self) -> tuple[int, ...]:
+        """6 * mu_vector, as integers."""
+        return tuple(6 * d // r for r, d in self.hn.steps for _ in range(r))
+
+    @cached_property
+    def mu6(self) -> int:
+        """6 * mu, as an integer."""
+        return 6 * self.hn.total_degree // self.hn.total_rank
+
+    @cached_property
+    def threshold6(self) -> int:
+        """6 * t for the case-1 threshold t = (-mu1 + 2*mu2 + 2*mu3)/3.
+
+        3t has denominator at most 2 (each mu_i has denominator 1 or 2
+        in rank 3), so 6t is an integer and the division is exact.
+        """
+        m1, m2, m3 = self.mu6_vector
+        return (-m1 + 2 * m2 + 2 * m3) // 3
+
+    @cached_property
+    def case_family(self) -> CaseFamily:
+        if self.is_semistable:
+            return CaseFamily.NONE
+        if self.hn.total_rank != 3:
+            raise RankUnsupported("case families are defined for rank 3 only")
+        m2 = self.mu6_vector[1]
+        if m2 < self.mu6:
+            return CaseFamily.CASE1_I
+        if m2 > self.mu6:
+            return CaseFamily.CASE2_N
+        return CaseFamily.CASE3_FLAG
 
     def __str__(self) -> str:
         return str(self.hn)
@@ -129,26 +177,9 @@ def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStr
     return strata
 
 
-class CaseFamily(Enum):
-    """Position of mu2 relative to the total slope decides the free datum."""
-
-    CASE1_I = "1-I"
-    CASE2_N = "2-N"
-    CASE3_FLAG = "3-flag"
-    NONE = "none"
-
-
 def case_family(stratum: AdmissibleStratum) -> CaseFamily:
-    if stratum.is_semistable:
-        return CaseFamily.NONE
-    if stratum.hn.total_rank != 3:
-        raise RankUnsupported("case families are defined for rank 3 only")
-    mu2 = stratum.mu_vector[1]
-    if mu2 < stratum.mu:
-        return CaseFamily.CASE1_I
-    if mu2 > stratum.mu:
-        return CaseFamily.CASE2_N
-    return CaseFamily.CASE3_FLAG
+    """The stratum's case family, computed once per stratum."""
+    return stratum.case_family
 
 
 @dataclass(frozen=True)

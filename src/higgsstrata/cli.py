@@ -23,7 +23,16 @@ from .admissibility import (
     invariant_range,
     validate,
 )
-from .core import Genus, StrataError, format_hn_type, format_label, format_rational, parse_hn_type
+from .core import (
+    Genus,
+    HNType,
+    InvalidHNType,
+    StrataError,
+    format_hn_type,
+    format_label,
+    format_rational,
+    parse_hn_steps,
+)
 from .fixed_points import enumerate_fixed_components
 from .limit_classifier import (
     Aligned,
@@ -138,7 +147,11 @@ def _run_limit(config: RunConfig) -> str:
     if config.hn is None:
         raise UsageError("limit requires --hn")
     genus = Genus(config.genus)
-    hn = parse_hn_type(config.hn)
+    try:
+        steps = parse_hn_steps(config.hn)
+    except InvalidHNType as exc:
+        raise UsageError(str(exc)) from None
+    hn = HNType(steps)
     if config.degree is not None and hn.total_degree != config.degree:
         raise UsageError(
             f"--degree {config.degree} contradicts the HN type's degree "
@@ -350,8 +363,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {config.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -12,16 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
-
-#: Exact rational number used for every slope and threshold.  The
-#: stdlib type already maintains the needed invariants: lowest terms,
-#: positive denominator, exact total order.
-Rational = Fraction
 
 
 class StrataError(Exception):
     """Base class for every domain error raised by this package."""
+
+
+class InvalidHNType(StrataError, ValueError):
+    """Malformed HN-type text, or steps that do not form an HN type."""
 
 
 def slope(rank: int, degree: int) -> Fraction:
@@ -71,30 +71,35 @@ class HNType:
     def __post_init__(self) -> None:
         raw = tuple((int(r), int(d)) for r, d in self.steps)
         if not raw:
-            raise ValueError("HN type needs at least one step")
+            raise InvalidHNType("HN type needs at least one step")
         if any(r < 1 for r, _ in raw):
-            raise ValueError(f"step ranks must be positive: {raw}")
+            raise InvalidHNType(f"step ranks must be positive: {raw}")
+        # Ranks are positive, so d/r against pd/pr compares as d*pr
+        # against pd*r: exact without building rationals.
         merged: list[tuple[int, int]] = []
         for r, d in raw:
-            if merged and Fraction(d, r) == Fraction(merged[-1][1], merged[-1][0]):
+            if merged and d * merged[-1][0] == merged[-1][1] * r:
                 pr, pd = merged.pop()
                 merged.append((pr + r, pd + d))
             else:
                 merged.append((r, d))
-        slopes = [Fraction(d, r) for r, d in merged]
-        if any(nxt >= prev for prev, nxt in zip(slopes, slopes[1:])):
-            raise ValueError(f"subquotient slopes must be strictly decreasing: {raw}")
+        if any(d1 * r0 >= d0 * r1 for (r0, d0), (r1, d1) in zip(merged, merged[1:])):
+            raise InvalidHNType(f"subquotient slopes must be strictly decreasing: {raw}")
         object.__setattr__(self, "steps", tuple(merged))
 
-    @property
+    # Derived values are computed once per instance; cached_property
+    # stores them in the instance __dict__, which the frozen dataclass's
+    # __eq__ and __hash__ never look at.
+
+    @cached_property
     def total_rank(self) -> int:
         return sum(r for r, _ in self.steps)
 
-    @property
+    @cached_property
     def total_degree(self) -> int:
         return sum(d for _, d in self.steps)
 
-    @property
+    @cached_property
     def slope(self) -> Fraction:
         return Fraction(self.total_degree, self.total_rank)
 
@@ -102,7 +107,7 @@ class HNType:
     def is_semistable(self) -> bool:
         return len(self.steps) == 1
 
-    @property
+    @cached_property
     def mu_vector(self) -> tuple[Fraction, ...]:
         """Subquotient slopes repeated with multiplicity, non-increasing."""
         out: list[Fraction] = []
@@ -119,14 +124,20 @@ def format_hn_type(hn: HNType) -> str:
     return ",".join(f"{r}:{d}" for r, d in hn.steps)
 
 
-def parse_hn_type(text: str) -> HNType:
+def parse_hn_steps(text: str) -> tuple[tuple[int, int], ...]:
+    """The (rank, degree) pairs of "rank:degree,..." text, unvalidated."""
     steps = []
     for part in text.strip().split(","):
         rank_s, _, deg_s = part.partition(":")
-        if not deg_s:
-            raise ValueError(f"bad HN step {part!r}, expected rank:degree")
-        steps.append((int(rank_s), int(deg_s)))
-    return HNType(tuple(steps))
+        try:
+            steps.append((int(rank_s), int(deg_s)))
+        except ValueError:
+            raise InvalidHNType(f"bad HN step {part!r}, expected rank:degree") from None
+    return tuple(steps)
+
+
+def parse_hn_type(text: str) -> HNType:
+    return HNType(parse_hn_steps(text))
 
 
 @dataclass(frozen=True)
@@ -370,7 +381,7 @@ class LimitOutcome:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "graded_degrees", tuple(int(d) for d in self.graded_degrees)
+            self, "graded_degrees", tuple(map(int, self.graded_degrees))
         )
         if self.strictly_polystable != (self.case_tag in STRICTLY_POLYSTABLE_TAGS):
             raise ValueError(

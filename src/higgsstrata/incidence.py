@@ -94,9 +94,11 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
                     f"of stratum {stratum.hn}"
                 )
             entries.append((_invariant_key(datum), outcome))
-            reaching.setdefault(outcome.component, [])
-            if stratum.hn not in reaching[outcome.component]:
-                reaching[outcome.component].append(stratum.hn)
+            # Rows are distinct strata, so a stratum already listed for
+            # this component is the last one listed.
+            reached = reaching.setdefault(outcome.component, [])
+            if not reached or reached[-1] is not stratum.hn:
+                reached.append(stratum.hn)
         rows.append(IncidenceRow(stratum, tuple(entries)))
     bb_index = tuple(
         (label, tuple(reaching[label]))
@@ -174,20 +176,16 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[Type111]:
 # Serialization
 
 
-def _json_invariant(key: InvariantKey):
-    return key
-
-
 def table_to_records(table: IncidenceTable) -> list[dict]:
     """Flat outcome records, one per (stratum, invariant) pair."""
     records = []
     for row in table.rows:
-        feasible = [_json_invariant(k) for k in row.feasible_set if k is not None]
+        feasible = [k for k in row.feasible_set if k is not None]
         for key, outcome in row.entries:
             records.append(
                 {
                     "stratum": format_hn_type(row.stratum.hn),
-                    "invariant": _json_invariant(key),
+                    "invariant": key,
                     "case": outcome.case_tag.value,
                     "component": format_label(outcome.component),
                     "graded_degrees": list(outcome.graded_degrees),
@@ -240,13 +238,11 @@ def table_to_dot(table: IncidenceTable) -> str:
         lines.append(f'  "hn:{hn_text}" [shape=box];')
     for label, _ in table.bb_index:
         lines.append(f'  "bb:{format_label(label)}" [shape=ellipse];')
-    edges = []
+    edges: dict[str, None] = {}  # insertion-ordered set
     for row in table.rows:
         hn_text = format_hn_type(row.stratum.hn)
         for _, outcome in row.entries:
-            edge = f'  "hn:{hn_text}" -> "bb:{format_label(outcome.component)}";'
-            if edge not in edges:
-                edges.append(edge)
+            edges[f'  "hn:{hn_text}" -> "bb:{format_label(outcome.component)}";'] = None
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .admissibility import (
-    AdmissibleStratum,
-    CaseFamily,
-    case_family,
-    invariant_range,
-)
+from .admissibility import AdmissibleStratum, CaseFamily, invariant_range
 from .core import (
     CaseTag,
     HNType,
@@ -152,32 +147,39 @@ def classify_rank2(stratum: AdmissibleStratum) -> LimitOutcome:
 
 
 def _classify_case1(stratum: AdmissibleStratum, v: int) -> LimitOutcome:
-    mu1, mu2, mu3 = stratum.mu_vector
+    # Integer comparisons of 6*v with the slopes scaled by 6; Fraction
+    # values are built only for refusal messages.
+    m1, m2, m3 = stratum.mu6_vector
+    v6 = 6 * v
     k = stratum.genus.canonical_degree
     d = stratum.hn.total_degree
     d1 = stratum.hn.steps[0][1]  # E1 is a line bundle here
-    if v > mu2:
+    if v6 > m2:
+        mu2 = stratum.mu_vector[1]
         raise SlopeOutOfBounds(f"mu(I) = {v} > mu2 = {format_rational(mu2)}")
-    if mu3 < v < mu2:
+    if m3 < v6 < m2:
+        _, mu2, mu3 = stratum.mu_vector
         raise InfeasibleBySpecialization(
             f"mu(I) = {v} lies strictly between mu3 = {format_rational(mu3)} "
             f"and mu2 = {format_rational(mu2)}"
         )
-    if v == mu2 and mu2 > mu3:
+    if v6 == m2 and m2 > m3:
         # I is the maximal destabilizing line of E/E1, so I = E2/E1.
+        degrees = (m1 // 6, m2 // 6, m3 // 6)
         return LimitOutcome(
             case_tag=CaseTag.C1_4,
-            component=Type111(*(int(m) for m in (mu1, mu2, mu3))),
-            graded_degrees=tuple(int(m) for m in (mu1, mu2, mu3)),
+            component=Type111(*degrees),
+            graded_degrees=degrees,
             hnt_limit=stratum.hn,
             strictly_polystable=False,
         )
-    if v < mu1 - k:
+    if v6 < m1 - 6 * k:
+        mu1 = stratum.mu_vector[0]
         raise SlopeOutOfBounds(
             f"mu(I) = {v} < mu1 - (2g-2) = {format_rational(mu1 - k)}"
         )
-    t = case1_threshold(stratum)
-    if v < t:
+    t6 = stratum.threshold6
+    if v6 < t6:
         return LimitOutcome(
             case_tag=CaseTag.C1_1,
             component=Type12(d1, d - d1),
@@ -186,7 +188,7 @@ def _classify_case1(stratum: AdmissibleStratum, v: int) -> LimitOutcome:
             strictly_polystable=False,
         )
     qdeg = d - d1 - v  # degree of Q = (E/E1)/I
-    if v == t:
+    if v6 == t6:
         return LimitOutcome(
             case_tag=CaseTag.C1_2,
             component=PolystableSum((coupled_summand(d1, v), line_summand(qdeg))),
@@ -205,34 +207,40 @@ def _classify_case1(stratum: AdmissibleStratum, v: int) -> LimitOutcome:
 
 
 def _classify_case2(stratum: AdmissibleStratum, v: int) -> LimitOutcome:
-    mu1, mu2, mu3 = stratum.mu_vector
-    mu = stratum.mu
+    # Same integer scaling as _classify_case1, with 6*mu as the threshold.
+    m1, m2, m3 = stratum.mu6_vector
+    m = stratum.mu6
+    v6 = 6 * v
     k = stratum.genus.canonical_degree
     d = stratum.hn.total_degree
     d3 = stratum.hn.steps[-1][1]  # E/E2 is a line bundle here
     e2 = d - d3
-    if v > mu1:
+    if v6 > m1:
+        mu1 = stratum.mu_vector[0]
         raise SlopeOutOfBounds(f"mu(N) = {v} > mu1 = {format_rational(mu1)}")
-    if mu2 < v < mu1:
+    if m2 < v6 < m1:
+        mu1, mu2, _ = stratum.mu_vector
         raise InfeasibleBySpecialization(
             f"mu(N) = {v} lies strictly between mu2 = {format_rational(mu2)} "
             f"and mu1 = {format_rational(mu1)}"
         )
-    if v == mu1 and mu1 > mu2:
+    if v6 == m1 and m1 > m2:
         # N is the maximal destabilizing line of E2, so N = E1.
+        degrees = (m1 // 6, m2 // 6, m3 // 6)
         return LimitOutcome(
             case_tag=CaseTag.C2_4,
-            component=Type111(*(int(m) for m in (mu1, mu2, mu3))),
-            graded_degrees=tuple(int(m) for m in (mu1, mu2, mu3)),
+            component=Type111(*degrees),
+            graded_degrees=degrees,
             hnt_limit=stratum.hn,
             strictly_polystable=False,
         )
-    if v < mu1 + mu2 - mu3 - k:
+    if v6 < m1 + m2 - m3 - 6 * k:
+        mu1, mu2, mu3 = stratum.mu_vector
         raise SlopeOutOfBounds(
             f"mu(N) = {v} < mu1 + mu2 - mu3 - (2g-2) = "
             f"{format_rational(mu1 + mu2 - mu3 - k)}"
         )
-    if v < mu:
+    if v6 < m:
         return LimitOutcome(
             case_tag=CaseTag.C2_1,
             component=Type21(e2, d3),
@@ -241,7 +249,7 @@ def _classify_case2(stratum: AdmissibleStratum, v: int) -> LimitOutcome:
             strictly_polystable=False,
         )
     rdeg = e2 - v  # degree of R = E2/N
-    if v == mu:
+    if v6 == m:
         return LimitOutcome(
             case_tag=CaseTag.C2_2,
             component=PolystableSum((line_summand(v), coupled_summand(rdeg, d3))),
@@ -260,7 +268,8 @@ def _classify_case2(stratum: AdmissibleStratum, v: int) -> LimitOutcome:
 
 
 def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
-    mu1, mu2, mu3 = (int(m) for m in stratum.mu_vector)
+    # Balanced strata have three line-bundle steps: integer slopes.
+    mu1, mu2, mu3 = (m // 6 for m in stratum.mu6_vector)
     k = stratum.genus.canonical_degree
     if aligned:
         return LimitOutcome(
@@ -298,7 +307,7 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
         raise ClassificationError(
             f"{stratum.hn} is semistable; use classify_semistable"
         )
-    family = case_family(stratum)
+    family = stratum.case_family
     invariant = inp.invariant
     if family is CaseFamily.CASE1_I:
         if not isinstance(invariant, SlopeI):
@@ -344,7 +353,7 @@ def feasible_inputs(stratum: AdmissibleStratum) -> list[InvariantDatum]:
     """Every invariant datum the stratum admits, in sweep order."""
     if stratum.is_semistable or stratum.hn.total_rank == 2:
         return [NotApplicable()]
-    family = case_family(stratum)
+    family = stratum.case_family
     if family is CaseFamily.CASE1_I:
         rng = invariant_range(stratum)
         return [SlopeI(v) for v in rng.feasible_integers]
@@ -363,7 +372,7 @@ def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:
     if stratum.is_semistable or stratum.hn.total_rank != 3:
         return []
     mu1, mu2, mu3 = stratum.mu_vector
-    family = case_family(stratum)
+    family = stratum.case_family
     if family is CaseFamily.CASE1_I:
         low, high = mu3, mu2
     elif family is CaseFamily.CASE2_N:

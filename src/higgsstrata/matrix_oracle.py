@@ -133,17 +133,22 @@ def _full_higgs(n: int, zero: set[tuple[int, int]] = frozenset()) -> Grid:
     return _grid(n, all_blocks - set(zero))
 
 
-# For each case: the block pattern the limit computation uses, the
-# nonzero set of the limiting Higgs field as stated for that case, and
-# (in the strictly polystable cases) the coupling that S-equivalence
-# zeroes out of the configuration-space limit.
-_CASE_TABLE: dict[CaseTag, tuple[BlockPattern, frozenset, frozenset]] = {}
+# For each case: the nonzero set of the limiting Higgs field computed
+# from the block pattern the limit computation uses (None when that
+# pattern diverges), the nonzero set of the limiting Higgs field as stated for that
+# case, and (in the strictly polystable cases) the coupling that
+# S-equivalence zeroes out of the configuration-space limit.  The
+# gauge-scaling computation depends only on the case, so it runs once
+# per case, here, instead of once per outcome.
+_CASE_TABLE: dict[CaseTag, tuple[frozenset | None, frozenset, frozenset]] = {}
 
 
 def _register(tag, weights, higgs_zero, stated, zeroed=frozenset()):
     n = len(weights)
     pattern = BlockPattern(weights, _full_higgs(n, higgs_zero), _upper_dbar(n))
-    _CASE_TABLE[tag] = (pattern, frozenset(stated), frozenset(zeroed))
+    limit = take_limit(pattern)
+    computed = nonzero_set(limit.limit_higgs) if limit.converges else None
+    _CASE_TABLE[tag] = (computed, frozenset(stated), frozenset(zeroed))
 
 
 _register(CaseTag.SEMISTABLE, (0,), set(), set())
@@ -163,8 +168,8 @@ _register(CaseTag.C3_2, (0, 0, 1), set(), {(3, 1)}, zeroed={(3, 2)})
 
 
 def oracle_check(outcome: LimitOutcome) -> bool:
-    """Replay the gauge-scaling computation for the outcome's case and
-    compare with the stated limiting Higgs pattern.
+    """Compare the outcome's stated limiting Higgs pattern with the
+    gauge-scaling limit computed for its case.
 
     For stable limits the patterns must match exactly.  For strictly
     polystable limits the stated pattern must be contained in the
@@ -172,13 +177,11 @@ def oracle_check(outcome: LimitOutcome) -> bool:
     exponent-zero coupling that S-equivalence removes.
     """
     try:
-        pattern, stated, zeroed = _CASE_TABLE[outcome.case_tag]
+        computed, stated, zeroed = _CASE_TABLE[outcome.case_tag]
     except KeyError:
         raise ValueError(f"unknown case tag {outcome.case_tag!r}") from None
-    limit = take_limit(pattern)
-    if not limit.converges:
+    if computed is None:
         return False
-    computed = nonzero_set(limit.limit_higgs)
     if not outcome.strictly_polystable:
         return computed == stated
     return stated < computed and computed - stated == zeroed and len(zeroed) == 1

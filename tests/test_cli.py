@@ -174,3 +174,34 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "genus" in err
+
+
+class TestBadInput:
+    """Bad input yields a named error and an exit code, never a traceback."""
+
+    def test_malformed_hn_text_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(["limit", "--genus", "2", "--hn", "1:a"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: bad HN step '1:a', expected rank:degree\n"
+
+    def test_increasing_slopes_are_an_invalid_hn_type(self, capsys):
+        code, out, err = run_cli(["limit", "--genus", "2", "--hn", "1:0,1:1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: InvalidHNType: subquotient slopes must be strictly "
+            "decreasing: ((1, 0), (1, 1))\n"
+        )
+
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_cli(
+            ["strata", "--genus", "2", "--rank", "3", "--degree", "0",
+             "--output", str(target)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.exists()
