@@ -108,8 +108,7 @@ class ClassifierInput:
 def case1_threshold(stratum: AdmissibleStratum) -> Fraction:
     """Slope threshold t = -mu1/3 + 2*mu2/3 + 2*mu3/3 separating the
     type-(1,2) limits from the type-(1,1,1) limits in case family 1."""
-    mu1, mu2, mu3 = stratum.mu_vector
-    return Fraction(-mu1 + 2 * mu2 + 2 * mu3, 3)
+    return Fraction(stratum.threshold6, 6)
 
 
 def classify_semistable(stratum: AdmissibleStratum) -> LimitOutcome:

@@ -26,7 +26,6 @@ from higgsstrata import (
     Type21,
     Type111,
     build_table,
-    case1_threshold,
     classify,
     enumerate_strata,
     matrix_oracle,
@@ -153,7 +152,7 @@ def check_stratum(stratum) -> None:
     mu1, mu2, mu3 = stratum.mu_vector
     assert stratum.mu6_vector == tuple(6 * m for m in stratum.mu_vector)
     assert stratum.mu6 == 6 * stratum.mu
-    assert stratum.threshold6 == 6 * case1_threshold(stratum)
+    assert stratum.threshold6 == 2 * (-mu1 + 2 * mu2 + 2 * mu3)
     k = stratum.genus.canonical_degree
     family = stratum.case_family
     if family is CaseFamily.CASE3_FLAG:
