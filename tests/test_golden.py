@@ -33,3 +33,9 @@ def test_output_matches_golden_file(command, rank, degree, genus, fmt):
     assert code == 0
     expected = (GOLDEN / f"{command}_r{rank}_d{degree}_g{genus}.{fmt}").read_bytes()
     assert text.encode("utf-8") == expected
+
+
+def test_verify_output_matches_golden_file():
+    code, text = cli.run(cli.RunConfig(command="verify", genus=2, format="json"))
+    assert code == 0
+    assert text.encode("utf-8") == (GOLDEN / "verify.json").read_bytes()
