@@ -164,16 +164,7 @@ def _run_limit(config: RunConfig) -> str:
         feasible = list(invariant_range(stratum).feasible_integers)
     else:
         feasible = []
-    record = {
-        "stratum": format_hn_type(hn),
-        "invariant": config.invariant,
-        "case": outcome.case_tag.value,
-        "component": format_label(outcome.component),
-        "graded_degrees": list(outcome.graded_degrees),
-        "hnt_limit": format_hn_type(outcome.hnt_limit),
-        "strictly_polystable": outcome.strictly_polystable,
-        "feasible_set": feasible,
-    }
+    record = incidence_mod.outcome_record(hn, config.invariant, outcome, feasible)
     if config.format == "json":
         query = {
             "command": "limit",

@@ -139,20 +139,22 @@ def enumerate_fixed_111(degree: int, genus: Genus) -> list[Type111]:
 
 def _reachable_pair_labels(degree: int, genus: Genus) -> tuple[list[Type12], list[Type21]]:
     # Type-(1,2) and (2,1) labels are exactly the images of the limit map
-    # in the sub-threshold branches of case families 1 and 2.
+    # in the sub-threshold branches of case families 1 and 2.  Those
+    # branches take a stratum's smallest feasible values, and their label
+    # depends on the stratum alone, so classifying the smallest decides.
     t12: set[Type12] = set()
     t21: set[Type21] = set()
     for stratum in enumerate_strata(3, degree, genus):
         if stratum.is_semistable:
             continue
-        for invariant in limit_classifier.feasible_inputs(stratum):
-            outcome = limit_classifier.classify_rank3(
-                limit_classifier.ClassifierInput(stratum, invariant)
-            )
-            if outcome.case_tag is CaseTag.C1_1:
-                t12.add(outcome.component)
-            elif outcome.case_tag is CaseTag.C2_1:
-                t21.add(outcome.component)
+        smallest = limit_classifier.feasible_inputs(stratum)[0]
+        outcome = limit_classifier.classify_rank3(
+            limit_classifier.ClassifierInput(stratum, smallest)
+        )
+        if outcome.case_tag is CaseTag.C1_1:
+            t12.add(outcome.component)
+        elif outcome.case_tag is CaseTag.C2_1:
+            t21.add(outcome.component)
     return (
         sorted(t12, key=lambda c: c.deg_sub),
         sorted(t21, key=lambda c: c.deg_sub_pair),

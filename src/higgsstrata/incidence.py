@@ -176,24 +176,30 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[Type111]:
 # Serialization
 
 
+def outcome_record(
+    hn: HNType, invariant: InvariantKey, outcome: LimitOutcome, feasible: list
+) -> dict:
+    """The output record of one classified limit, for ``limit`` and
+    ``incidence`` alike."""
+    return {
+        "stratum": format_hn_type(hn),
+        "invariant": invariant,
+        "case": outcome.case_tag.value,
+        "component": format_label(outcome.component),
+        "graded_degrees": list(outcome.graded_degrees),
+        "hnt_limit": format_hn_type(outcome.hnt_limit),
+        "strictly_polystable": outcome.strictly_polystable,
+        "feasible_set": feasible,
+    }
+
+
 def table_to_records(table: IncidenceTable) -> list[dict]:
     """Flat outcome records, one per (stratum, invariant) pair."""
     records = []
     for row in table.rows:
         feasible = [k for k in row.feasible_set if k is not None]
         for key, outcome in row.entries:
-            records.append(
-                {
-                    "stratum": format_hn_type(row.stratum.hn),
-                    "invariant": key,
-                    "case": outcome.case_tag.value,
-                    "component": format_label(outcome.component),
-                    "graded_degrees": list(outcome.graded_degrees),
-                    "hnt_limit": format_hn_type(outcome.hnt_limit),
-                    "strictly_polystable": outcome.strictly_polystable,
-                    "feasible_set": feasible,
-                }
-            )
+            records.append(outcome_record(row.stratum.hn, key, outcome, feasible))
     return records
 
 

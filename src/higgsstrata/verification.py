@@ -8,12 +8,13 @@ pass/fail summary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import fixed_points, incidence, limit_classifier, matrix_oracle
-from .admissibility import CaseFamily, case_family, enumerate_strata
+from .admissibility import CaseFamily, case_family
 from .core import CaseTag, Genus, Type111, dominates, polygon_of
 
 GENERA = (2, 3, 4, 5)
@@ -50,7 +51,10 @@ def criterion_rank2_coincidence(genera=GENERA, degrees=DEGREES) -> CriterionResu
         table = incidence.build_table(2, d, genus)
         if not incidence.check_rank2_coincidence(table):
             failures.append(f"coincidence fails at rank 2, d={d}, g={genus.g}")
-        by_bound = sum(1 for d1 in range(d - 10, d + 10) if d < 2 * d1 <= d + genus.canonical_degree)
+        k = genus.canonical_degree
+        # One d1 beyond each end of the bound, so the inequality decides.
+        window = range(d // 2, (d + k) // 2 + 2)
+        by_bound = sum(1 for d1 in window if d < 2 * d1 <= d + k)
         count = len(fixed_points.enumerate_fixed_components(2, d, genus))
         if count != 1 + by_bound or count != genus.g:
             failures.append(
@@ -90,131 +94,159 @@ def _independent_case_matches(stratum, v: int) -> list[CaseTag]:
     return matches
 
 
-def sweep_outcomes(genera=GENERA, degrees=DEGREES):
-    """Yield (genus, degree, stratum, datum, outcome) over every
-    feasible rank-3 classification in the grid."""
+def _check_gap_value(stratum, v: int, failures: list[str]) -> None:
+    # Criterion 2 on one integer inside the excluded gap.
+    if _independent_case_matches(stratum, v):
+        failures.append(f"{stratum.hn} gap value {v} matches a case")
+    inv = (
+        limit_classifier.SlopeI(v)
+        if case_family(stratum) is CaseFamily.CASE1_I
+        else limit_classifier.SlopeN(v)
+    )
+    try:
+        limit_classifier.classify_rank3(limit_classifier.ClassifierInput(stratum, inv))
+        failures.append(f"{stratum.hn} gap value {v} did not raise")
+    except limit_classifier.InfeasibleBySpecialization:
+        pass
+    except limit_classifier.ClassificationError as exc:
+        failures.append(f"{stratum.hn} gap value {v}: wrong error {exc!r}")
+
+
+def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
+    # Criterion 5 on one table; returns the number of labels verified.
+    try:
+        verified = incidence.check_hn_bb_theorem(table)
+    except AssertionError as exc:
+        failures.append(str(exc))
+        return 0
+    if (table.genus.g, table.degree) == (2, 0):
+        if Type111(2, 0, -2) not in verified:
+            failures.append("(2,0,-2) not verified at g=2, d=0")
+        if Type111(1, 0, -1) in verified:
+            failures.append("(1,0,-1) wrongly in scope at g=2, d=0")
+        if Type111(1, 0, -1) not in table.bb_map():
+            failures.append("(1,0,-1) missing from the g=2, d=0 table")
+    return len(verified)
+
+
+# Criterion 7's two anchored block-scaling computations: block pattern,
+# then the limit's exponents and nonzero Higgs blocks, and their shape.
+_ANCHORED_LIMITS = (
+    # Weights (0,1), everything nonzero.
+    ("two-piece", "w:0,1\n**\n**\n.*\n..",
+     ((1, 2), (0, 1)), {(2, 1)}, "the single subdiagonal block"),
+    # Weights (0,1,2), bottom-left block zero.
+    ("three-piece", "w:0,1,2\n***\n***\n.**\n.**\n..*\n...",
+     ((1, 2, 3), (0, 1, 2), (-1, 0, 1)), {(2, 1), (3, 2)}, "the subdiagonal chain"),
+)
+
+
+@functools.cache
+def _rank3_grid_pass(
+    genera: tuple[int, ...], degrees: tuple[int, ...]
+) -> tuple[CriterionResult, ...]:
+    """Criteria 2, 3, 4, 5, 7 and 8 from one pass over the rank-3 grid.
+
+    Each grid point's table is built once, checked by all six criteria
+    and dropped before the next one is built, so the pass holds one table
+    at a time.  build_table classifies each unstable stratum's
+    feasible_inputs in order, which pairs every entry with its datum.
+    The results are kept per grid, so each criterion can run alone or
+    after the others at the cost of one pass.
+    """
+    failures: dict[int, list[str]] = {n: [] for n in (2, 3, 4, 5, 7, 8)}
+    classified = gap_checked = coprime_count = verified_total = 0
     for genus, d in _grid(genera, degrees):
-        for stratum in enumerate_strata(3, d, genus):
+        table = incidence.build_table(3, d, genus)
+        coprime = gcd(3, d) == 1
+        for row in table.rows:
+            stratum = row.stratum
             if stratum.is_semistable:
                 continue
-            for datum in limit_classifier.feasible_inputs(stratum):
-                outcome = limit_classifier.classify_rank3(
-                    limit_classifier.ClassifierInput(stratum, datum)
+            if coprime and case_family(stratum) is CaseFamily.CASE3_FLAG:
+                failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
+            data = limit_classifier.feasible_inputs(stratum)
+            for datum, (_, outcome) in zip(data, row.entries, strict=True):
+                classified += 1
+                if isinstance(datum, limit_classifier.Aligned):
+                    expected = CaseTag.C3_1 if datum.flag else CaseTag.C3_2
+                    if outcome.case_tag is not expected:
+                        failures[2].append(f"{stratum.hn} flag={datum.flag}: {outcome.case_tag}")
+                else:
+                    matches = _independent_case_matches(stratum, datum.value)
+                    if len(matches) != 1 or matches[0] is not outcome.case_tag:
+                        failures[2].append(
+                            f"{stratum.hn} v={datum.value}: classifier says "
+                            f"{outcome.case_tag.value}, inequalities match {matches}"
+                        )
+                if not dominates(polygon_of(outcome.hnt_limit), polygon_of(stratum.hn)):
+                    failures[3].append(f"{stratum.hn} -> {outcome.hnt_limit} fails to rise")
+                if coprime:
+                    coprime_count += 1
+                    if outcome.strictly_polystable:
+                        failures[4].append(f"polystable limit for {stratum.hn} at d={d}")
+                if not matrix_oracle.oracle_check(outcome):
+                    failures[7].append(
+                        f"oracle rejects {outcome.case_tag.value} of {stratum.hn}"
+                    )
+                checks = limit_classifier.stability_audit(
+                    outcome, limit_classifier.ClassifierInput(stratum, datum)
                 )
-                yield genus, d, stratum, datum, outcome
+                if not all(c.holds for c in checks):
+                    failures[8].append(f"audit fails for {outcome.case_tag.value} of {stratum.hn}")
+                equalities = sum(1 for c in checks if c.is_equality)
+                if equalities != (1 if outcome.strictly_polystable else 0):
+                    failures[8].append(
+                        f"{stratum.hn} case {outcome.case_tag.value}: {equalities} equalities"
+                    )
+            for v in limit_classifier.excluded_gap_integers(stratum):
+                gap_checked += 1
+                _check_gap_value(stratum, v, failures[2])
+        verified_total += _check_hn_bb(table, failures[5])
+    for name, pattern, exponents, higgs, shape in _ANCHORED_LIMITS:
+        lim = matrix_oracle.take_limit(matrix_oracle.parse_block_pattern(pattern))
+        if lim.exponents != exponents:
+            failures[7].append(f"{name} exponents {lim.exponents}")
+        if not lim.converges or matrix_oracle.nonzero_set(lim.limit_higgs) != higgs:
+            failures[7].append(f"{name} limit is not {shape}")
+        if matrix_oracle.nonzero_set(lim.limit_dbar):
+            failures[7].append(f"{name} limit dbar did not diagonalize")
+    return (
+        _result(2, "exhaustive-classification", failures[2],
+                f"{classified} classifications unique, {gap_checked} gap values excluded"),
+        _result(3, "specialization-monotonicity", failures[3], f"{classified} outcomes dominate"),
+        _result(4, "coprime-degrees", failures[4], f"{coprime_count} coprime outcomes all stable"),
+        _result(5, "hn-bb-coincidence", failures[5], f"{verified_total} labels verified"),
+        _result(7, "oracle-equivalence", failures[7], f"{classified} outcomes confirmed"),
+        _result(8, "stability-audit", failures[8], f"{classified} audits with exact strictness"),
+    )
+
+
+def _grid_result(number: int, genera, degrees) -> CriterionResult:
+    return next(r for r in _rank3_grid_pass(tuple(genera), tuple(degrees)) if r.number == number)
 
 
 def criterion_exhaustive_classification(genera=GENERA, degrees=DEGREES) -> CriterionResult:
     """Every feasible invariant fires exactly one case (checked against
     an independent inequality evaluation); every integer in the excluded
     gaps raises InfeasibleBySpecialization."""
-    failures = []
-    classified = gap_checked = 0
-    for genus, d in _grid(genera, degrees):
-        for stratum in enumerate_strata(3, d, genus):
-            if stratum.is_semistable:
-                continue
-            for datum in limit_classifier.feasible_inputs(stratum):
-                outcome = limit_classifier.classify_rank3(
-                    limit_classifier.ClassifierInput(stratum, datum)
-                )
-                classified += 1
-                if isinstance(datum, limit_classifier.Aligned):
-                    expected = CaseTag.C3_1 if datum.flag else CaseTag.C3_2
-                    if outcome.case_tag is not expected:
-                        failures.append(f"{stratum.hn} flag={datum.flag}: {outcome.case_tag}")
-                    continue
-                matches = _independent_case_matches(stratum, datum.value)
-                if len(matches) != 1 or matches[0] is not outcome.case_tag:
-                    failures.append(
-                        f"{stratum.hn} v={datum.value}: classifier says "
-                        f"{outcome.case_tag.value}, inequalities match {matches}"
-                    )
-            for v in limit_classifier.excluded_gap_integers(stratum):
-                gap_checked += 1
-                if _independent_case_matches(stratum, v):
-                    failures.append(f"{stratum.hn} gap value {v} matches a case")
-                inv = (
-                    limit_classifier.SlopeI(v)
-                    if case_family(stratum) is CaseFamily.CASE1_I
-                    else limit_classifier.SlopeN(v)
-                )
-                try:
-                    limit_classifier.classify_rank3(
-                        limit_classifier.ClassifierInput(stratum, inv)
-                    )
-                    failures.append(f"{stratum.hn} gap value {v} did not raise")
-                except limit_classifier.InfeasibleBySpecialization:
-                    pass
-                except limit_classifier.ClassificationError as exc:
-                    failures.append(f"{stratum.hn} gap value {v}: wrong error {exc!r}")
-    return _result(
-        2,
-        "exhaustive-classification",
-        failures,
-        f"{classified} classifications unique, {gap_checked} gap values excluded",
-    )
+    return _grid_result(2, genera, degrees)
 
 
 def criterion_specialization_monotonicity(genera=GENERA, degrees=DEGREES) -> CriterionResult:
     """The HN polygon of the limit dominates the input polygon."""
-    failures = []
-    count = 0
-    for genus, d, stratum, datum, outcome in sweep_outcomes(genera, degrees):
-        count += 1
-        if not dominates(polygon_of(outcome.hnt_limit), polygon_of(stratum.hn)):
-            failures.append(f"{stratum.hn} -> {outcome.hnt_limit} fails to rise")
-    return _result(3, "specialization-monotonicity", failures, f"{count} outcomes dominate")
+    return _grid_result(3, genera, degrees)
 
 
 def criterion_coprime_degrees(genera=GENERA, degrees=DEGREES) -> CriterionResult:
     """gcd(3, d) = 1 forbids strictly polystable limits and balanced strata."""
-    failures = []
-    count = 0
-    coprime = [d for d in degrees if gcd(3, d) == 1]
-    for genus, d in _grid(genera, coprime):
-        for stratum in enumerate_strata(3, d, genus):
-            if stratum.is_semistable:
-                continue
-            if case_family(stratum) is CaseFamily.CASE3_FLAG:
-                failures.append(f"balanced stratum {stratum.hn} at coprime d={d}")
-            for datum in limit_classifier.feasible_inputs(stratum):
-                outcome = limit_classifier.classify_rank3(
-                    limit_classifier.ClassifierInput(stratum, datum)
-                )
-                count += 1
-                if outcome.strictly_polystable:
-                    failures.append(f"polystable limit for {stratum.hn} at d={d}")
-    return _result(4, "coprime-degrees", failures, f"{count} coprime outcomes all stable")
+    return _grid_result(4, genera, degrees)
 
 
 def criterion_hn_bb_theorem(genera=GENERA, degrees=DEGREES) -> CriterionResult:
     """Sufficiently spread type-(1,1,1) labels have singleton preimage;
     the (g=2, d=0) instance verifies (2,0,-2) and excludes (1,0,-1)."""
-    failures = []
-    verified_total = 0
-    for genus, d in _grid(genera, degrees):
-        table = incidence.build_table(3, d, genus)
-        try:
-            verified = incidence.check_hn_bb_theorem(table)
-        except AssertionError as exc:
-            failures.append(str(exc))
-            continue
-        verified_total += len(verified)
-        if (genus.g, d) == (2, 0):
-            labels = {
-                outcome.component
-                for row in table.rows
-                for _, outcome in row.entries
-                if isinstance(outcome.component, Type111)
-            }
-            if Type111(2, 0, -2) not in verified:
-                failures.append("(2,0,-2) not verified at g=2, d=0")
-            if Type111(1, 0, -1) in verified:
-                failures.append("(1,0,-1) wrongly in scope at g=2, d=0")
-            if Type111(1, 0, -1) not in labels:
-                failures.append("(1,0,-1) missing from the g=2, d=0 table")
-    return _result(5, "hn-bb-coincidence", failures, f"{verified_total} labels verified")
+    return _grid_result(5, genera, degrees)
 
 
 def criterion_fixed_point_enumeration(genera=GENERA, degrees=DEGREES) -> CriterionResult:
@@ -243,51 +275,13 @@ def criterion_fixed_point_enumeration(genera=GENERA, degrees=DEGREES) -> Criteri
 def criterion_oracle_equivalence(genera=GENERA, degrees=DEGREES) -> CriterionResult:
     """The gauge-scaling engine confirms 100% of sweep outcomes and
     reproduces the two anchored block-scaling computations exactly."""
-    failures = []
-    count = 0
-    for genus, d, stratum, datum, outcome in sweep_outcomes(genera, degrees):
-        count += 1
-        if not matrix_oracle.oracle_check(outcome):
-            failures.append(f"oracle rejects {outcome.case_tag.value} of {stratum.hn}")
-    # Two-piece computation: weights (0,1), everything nonzero.
-    pat_a = matrix_oracle.parse_block_pattern("w:0,1\n**\n**\n.*\n..")
-    lim_a = matrix_oracle.take_limit(pat_a)
-    if lim_a.exponents != ((1, 2), (0, 1)):
-        failures.append(f"two-piece exponents {lim_a.exponents}")
-    if not lim_a.converges or matrix_oracle.nonzero_set(lim_a.limit_higgs) != {(2, 1)}:
-        failures.append("two-piece limit is not the single subdiagonal block")
-    if matrix_oracle.nonzero_set(lim_a.limit_dbar):
-        failures.append("two-piece limit dbar did not diagonalize")
-    # Three-piece computation: weights (0,1,2), bottom-left block zero.
-    pat_b = matrix_oracle.parse_block_pattern("w:0,1,2\n***\n***\n.**\n.**\n..*\n...")
-    lim_b = matrix_oracle.take_limit(pat_b)
-    if lim_b.exponents != ((1, 2, 3), (0, 1, 2), (-1, 0, 1)):
-        failures.append(f"three-piece exponents {lim_b.exponents}")
-    if not lim_b.converges or matrix_oracle.nonzero_set(lim_b.limit_higgs) != {(2, 1), (3, 2)}:
-        failures.append("three-piece limit is not the subdiagonal chain")
-    if matrix_oracle.nonzero_set(lim_b.limit_dbar):
-        failures.append("three-piece limit dbar did not diagonalize")
-    return _result(7, "oracle-equivalence", failures, f"{count} outcomes confirmed")
+    return _grid_result(7, genera, degrees)
 
 
 def criterion_stability_audit(genera=GENERA, degrees=DEGREES) -> CriterionResult:
     """Every audited inequality holds, strictly except for exactly one
     equality in each strictly polystable case."""
-    failures = []
-    count = 0
-    for genus, d, stratum, datum, outcome in sweep_outcomes(genera, degrees):
-        checks = limit_classifier.stability_audit(
-            outcome, limit_classifier.ClassifierInput(stratum, datum)
-        )
-        count += 1
-        if not all(c.holds for c in checks):
-            failures.append(f"audit fails for {outcome.case_tag.value} of {stratum.hn}")
-        equalities = sum(1 for c in checks if c.is_equality)
-        if equalities != (1 if outcome.strictly_polystable else 0):
-            failures.append(
-                f"{stratum.hn} case {outcome.case_tag.value}: {equalities} equalities"
-            )
-    return _result(8, "stability-audit", failures, f"{count} audits with exact strictness")
+    return _grid_result(8, genera, degrees)
 
 
 def criterion_determinism() -> CriterionResult:

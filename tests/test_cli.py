@@ -67,6 +67,21 @@ class TestLimitCommand:
         assert result["case"] == "ss"
         assert result["component"] == "min"
 
+    def test_record_is_the_incidence_record(self, capsys):
+        # Both commands build their records with incidence.outcome_record.
+        _, out, _ = run_cli(
+            ["limit", "--genus", "3", "--hn", "1:1,2:0", "--inv", "0",
+             "--format", "json"],
+            capsys,
+        )
+        (record,) = json.loads(out)["results"]
+        _, out, _ = run_cli(
+            ["incidence", "--genus", "3", "--rank", "3", "--degree", "1",
+             "--format", "json"],
+            capsys,
+        )
+        assert record in json.loads(out)["results"]
+
     def test_degree_contradiction_rejected(self, capsys):
         code, _, err = run_cli(
             ["limit", "--genus", "2", "--degree", "5", "--hn", "3:0"], capsys

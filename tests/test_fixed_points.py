@@ -20,6 +20,9 @@ from higgsstrata import (
     m_to_l,
     validate_fixed_111,
 )
+from higgsstrata import limit_classifier
+from higgsstrata.admissibility import enumerate_strata
+from higgsstrata.core import CaseTag
 from higgsstrata.fixed_points import validate_component_label, validate_m_invariants
 
 
@@ -40,6 +43,24 @@ def naive_fixed_111(degree: int, g: int) -> set[tuple[int, int, int]]:
             ):
                 out.add((l1, l2, l3))
     return out
+
+
+def reference_pair_labels(degree: int, genus: Genus) -> tuple[list[Type12], list[Type21]]:
+    """Every-value reference: classify each feasible value of each
+    unstable rank-3 stratum and keep the sub-threshold labels."""
+    t12, t21 = set(), set()
+    for stratum in enumerate_strata(3, degree, genus):
+        if stratum.is_semistable:
+            continue
+        for invariant in limit_classifier.feasible_inputs(stratum):
+            outcome = limit_classifier.classify_rank3(
+                limit_classifier.ClassifierInput(stratum, invariant)
+            )
+            if outcome.case_tag is CaseTag.C1_1:
+                t12.add(outcome.component)
+            elif outcome.case_tag is CaseTag.C2_1:
+                t21.add(outcome.component)
+    return sorted(t12, key=lambda c: c.deg_sub), sorted(t21, key=lambda c: c.deg_sub_pair)
 
 
 class TestMToL:
@@ -127,6 +148,30 @@ class TestEnumeration:
     def test_unsupported_rank(self):
         with pytest.raises(ValueError):
             enumerate_fixed_components(4, 0, Genus(2))
+
+    def test_rank3_pair_labels_match_every_value_reference(self):
+        for g in range(2, 13):
+            genus = Genus(g)
+            for d in range(-12, 13):
+                t12, t21 = reference_pair_labels(d, genus)
+                got = enumerate_fixed_components(3, d, genus)
+                pairs = [label for label in got if not isinstance(label, Type111)]
+                assert pairs == [Min(3, d), *t12, *t21], (g, d)
+
+    def test_rank3_classifies_one_datum_per_unstable_stratum(self, monkeypatch):
+        genus = Genus(12)
+        unstable = [s for s in enumerate_strata(3, 1, genus) if not s.is_semistable]
+        calls = []
+        classify_rank3 = limit_classifier.classify_rank3
+
+        def counting(inp):
+            calls.append(inp.stratum.hn)
+            return classify_rank3(inp)
+
+        monkeypatch.setattr(limit_classifier, "classify_rank3", counting)
+        enumerate_fixed_components(3, 1, genus)
+        assert len(calls) <= len(unstable)
+        assert len(set(calls)) == len(calls)
 
 
 class TestValidateComponentLabel:
