@@ -11,7 +11,6 @@ from .admissibility import (
     Rank2BoundViolated,
     Rank3BoundViolated,
     RankUnsupported,
-    case_family,
     enumerate_strata,
     invariant_range,
     validate,
@@ -22,6 +21,7 @@ from .core import (
     HNPolygon,
     HNType,
     HodgeSummand,
+    InvalidGenus,
     InvalidHNType,
     LimitOutcome,
     Min,
@@ -70,6 +70,7 @@ from .limit_classifier import (
     ClassificationError,
     ClassifierInput,
     InfeasibleBySpecialization,
+    InvalidInvariant,
     NotApplicable,
     SlopeI,
     SlopeN,

@@ -9,13 +9,13 @@ and sweep in this package relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
-from .core import Genus, HNType, StrataError, polygon_of
+from .core import Genus, HNType, StrataError
 
 
 class AdmissibilityError(StrataError):
@@ -105,6 +105,27 @@ class AdmissibleStratum:
             return CaseFamily.CASE2_N
         return CaseFamily.CASE3_FLAG
 
+    @cached_property
+    def window6(self) -> tuple[int, int, int, int] | None:
+        """6 * (low, gap_low, gap_high, threshold) for the slope invariant
+        of case families 1 and 2; None for the other families.
+
+        The invariant's a-priori interval is [low, gap_low]; the open gap
+        (gap_low, gap_high) is excluded, and gap_high is the isolated
+        point when it lies above gap_low.  The threshold separates cases
+        x.1 (below it), x.2 (at it) and x.3: it is t in family 1 and mu
+        in family 2.  Family 2 is family 1 on the dual bundle, which is
+        why the two windows mirror each other.
+        """
+        family = self.case_family
+        if family not in (CaseFamily.CASE1_I, CaseFamily.CASE2_N):
+            return None
+        k6 = 6 * self.genus.canonical_degree
+        m1, m2, m3 = self.mu6_vector
+        if family is CaseFamily.CASE1_I:
+            return (m1 - k6, m3, m2, self.threshold6)
+        return (m1 + m2 - m3 - k6, m2, m1, self.mu6)
+
     def __str__(self) -> str:
         return str(self.hn)
 
@@ -135,9 +156,8 @@ def validate(hn: HNType, genus: Genus) -> AdmissibleStratum:
 def _sort_key(stratum: AdmissibleStratum):
     # Ascending polygon height profile is a linear extension of dominance
     # (semistable first, most unstable last); step tuples break ties.
-    poly = polygon_of(stratum.hn)
-    heights = tuple(poly.height_at(x) for x in range(1, stratum.hn.total_rank))
-    return (heights, stratum.hn.steps)
+    # The height at rank x is mu1 + ... + mux, here scaled by 6.
+    return (tuple(accumulate(stratum.mu6_vector[:-1])), stratum.hn.steps)
 
 
 def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStratum]:
@@ -177,11 +197,6 @@ def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStr
     return strata
 
 
-def case_family(stratum: AdmissibleStratum) -> CaseFamily:
-    """The stratum's case family, computed once per stratum."""
-    return stratum.case_family
-
-
 @dataclass(frozen=True)
 class InvariantRange:
     """Feasible values of the auxiliary slope invariant of a stratum.
@@ -200,31 +215,20 @@ class InvariantRange:
     feasible_integers: tuple[int, ...]
 
 
-def _integers_in(low: Fraction, high: Fraction) -> list[int]:
-    if low > high:
-        return []
-    return list(range(math.ceil(low), math.floor(high) + 1))
-
-
 def invariant_range(stratum: AdmissibleStratum) -> InvariantRange:
     """Interval, isolated point and feasible integers for mu(I) or mu(N)."""
     if stratum.hn.total_rank != 3:
         raise RankUnsupported("invariant ranges are defined for rank 3 only")
-    if stratum.is_semistable:
-        return InvariantRange(CaseFamily.NONE, None, None, None, ())
-    family = case_family(stratum)
-    k = stratum.genus.canonical_degree
-    mu1, mu2, mu3 = stratum.mu_vector
-    if family is CaseFamily.CASE1_I:
-        low, high = mu1 - k, mu3
-        isolated = mu2 if mu2 > mu3 else None
-    elif family is CaseFamily.CASE2_N:
-        low, high = mu1 + mu2 - mu3 - k, mu2
-        isolated = mu1 if mu1 > mu2 else None
-    else:
-        # Case 3: the free datum is the alignment flag, not a slope.
-        return InvariantRange(family, None, None, None, ())
-    feasible = _integers_in(low, high)
-    if isolated is not None and isolated.denominator == 1:
-        feasible.append(int(isolated))
-    return InvariantRange(family, low, high, isolated, tuple(sorted(set(feasible))))
+    if stratum.window6 is None:
+        # Semistable, or case 3: the free datum is the alignment flag.
+        return InvariantRange(stratum.case_family, None, None, None, ())
+    low6, gap_low6, gap_high6, _ = stratum.window6
+    feasible = tuple(range(-(-low6 // 6), gap_low6 // 6 + 1))
+    isolated = None
+    if gap_high6 > gap_low6:
+        isolated = Fraction(gap_high6, 6)
+        if gap_high6 % 6 == 0:
+            feasible += (gap_high6 // 6,)
+    return InvariantRange(
+        stratum.case_family, Fraction(low6, 6), Fraction(gap_low6, 6), isolated, feasible
+    )

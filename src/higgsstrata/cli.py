@@ -18,7 +18,6 @@ from . import incidence as incidence_mod
 from . import verification
 from .admissibility import (
     CaseFamily,
-    case_family,
     enumerate_strata,
     invariant_range,
     validate,
@@ -128,7 +127,7 @@ def _limit_invariant(config: RunConfig, stratum) -> SlopeI | SlopeN | Aligned | 
         if config.invariant is not None:
             raise UsageError(f"{stratum.hn} takes no invariant; drop --inv/--aligned")
         return NotApplicable()
-    family = case_family(stratum)
+    family = stratum.case_family
     if family is CaseFamily.CASE3_FLAG:
         if not isinstance(config.invariant, bool):
             raise UsageError(

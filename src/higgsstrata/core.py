@@ -24,6 +24,10 @@ class InvalidHNType(StrataError, ValueError):
     """Malformed HN-type text, or steps that do not form an HN type."""
 
 
+class InvalidGenus(StrataError, ValueError):
+    """A genus below 2."""
+
+
 def slope(rank: int, degree: int) -> Fraction:
     """Slope degree/rank of a bundle, in lowest terms."""
     if rank < 1:
@@ -48,7 +52,7 @@ class Genus:
 
     def __post_init__(self) -> None:
         if self.g < 2:
-            raise ValueError(f"genus must be >= 2, got {self.g}")
+            raise InvalidGenus(f"genus must be >= 2, got {self.g}")
 
     @property
     def canonical_degree(self) -> int:

@@ -10,7 +10,6 @@ thresholds involve thirds, so rounding anywhere would misclassify.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -50,6 +49,10 @@ class CaseFamilyMismatch(ClassificationError):
     """Invariant kind does not match the stratum's case family."""
 
 
+class InvalidInvariant(ClassificationError, ValueError):
+    """A slope invariant that is not an integer."""
+
+
 class AlignmentImpossible(ClassificationError):
     """Aligned(False) needs a nonzero map E1 -> (E/E2) (x) K, which forces
     mu1 - mu3 <= 2g-2."""
@@ -61,7 +64,7 @@ def _require_integer(value) -> int:
         return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
-    raise ValueError(f"slope invariant must be an integer, got {value!r}")
+    raise InvalidInvariant(f"slope invariant must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -145,124 +148,91 @@ def classify_rank2(stratum: AdmissibleStratum) -> LimitOutcome:
     )
 
 
-def _classify_case1(stratum: AdmissibleStratum, v: int) -> LimitOutcome:
-    # Integer comparisons of 6*v with the slopes scaled by 6; Fraction
-    # values are built only for refusal messages.
-    m1, m2, m3 = stratum.mu6_vector
-    v6 = 6 * v
-    k = stratum.genus.canonical_degree
-    d = stratum.hn.total_degree
-    d1 = stratum.hn.steps[0][1]  # E1 is a line bundle here
-    if v6 > m2:
-        mu2 = stratum.mu_vector[1]
-        raise SlopeOutOfBounds(f"mu(I) = {v} > mu2 = {format_rational(mu2)}")
-    if m3 < v6 < m2:
-        _, mu2, mu3 = stratum.mu_vector
-        raise InfeasibleBySpecialization(
-            f"mu(I) = {v} lies strictly between mu3 = {format_rational(mu3)} "
-            f"and mu2 = {format_rational(mu2)}"
-        )
-    if v6 == m2 and m2 > m3:
-        # I is the maximal destabilizing line of E/E1, so I = E2/E1.
-        degrees = (m1 // 6, m2 // 6, m3 // 6)
-        return LimitOutcome(
-            case_tag=CaseTag.C1_4,
-            component=Type111(*degrees),
-            graded_degrees=degrees,
-            hnt_limit=stratum.hn,
-            strictly_polystable=False,
-        )
-    if v6 < m1 - 6 * k:
-        mu1 = stratum.mu_vector[0]
-        raise SlopeOutOfBounds(
-            f"mu(I) = {v} < mu1 - (2g-2) = {format_rational(mu1 - k)}"
-        )
-    t6 = stratum.threshold6
-    if v6 < t6:
-        return LimitOutcome(
-            case_tag=CaseTag.C1_1,
-            component=Type12(d1, d - d1),
-            graded_degrees=(d1, d - d1),
-            hnt_limit=stratum.hn,
-            strictly_polystable=False,
-        )
-    qdeg = d - d1 - v  # degree of Q = (E/E1)/I
-    if v6 == t6:
-        return LimitOutcome(
-            case_tag=CaseTag.C1_2,
-            component=PolystableSum((coupled_summand(d1, v), line_summand(qdeg))),
-            graded_degrees=(d1, v, qdeg),
-            hnt_limit=HNType(((1, d1), (1, qdeg), (1, v))),
-            strictly_polystable=True,
-        )
-    # t < v <= mu3: honest type-(1,1,1) limit E1 -> I -> Q.
-    return LimitOutcome(
-        case_tag=CaseTag.C1_3,
-        component=Type111(d1, v, qdeg),
-        graded_degrees=(d1, v, qdeg),
-        hnt_limit=HNType(((1, d1), (1, qdeg), (1, v))),
-        strictly_polystable=False,
-    )
+@dataclass(frozen=True)
+class _SlopeFamily:
+    """What tells case family 2 from case family 1.
+
+    Both read the window AdmissibleStratum.window6.  Below the threshold
+    the limit keeps a two-piece filtration (sub, quotient): E1 in E for
+    family 1, E2 in E for family 2.  From the threshold on, the datum
+    line refines one piece into two lines: I refines E/E1 into I and
+    Q = (E/E1)/I, N refines E2 into N and R = E2/N.  Family 2 is family 1
+    on the dual bundle, which swaps sub and quotient; the table holds
+    the names and positions that swap.
+    """
+
+    kind: type  # SlopeI or SlopeN
+    relation: str  # how mu2 compares with mu
+    datum: str  # the line the invariant measures
+    ends: tuple[str, str, str]  # names of the window's low, gap_low, gap_high
+    tags: tuple[CaseTag, CaseTag, CaseTag, CaseTag]  # cases x.1 to x.4
+    x1_label: type  # component of case x.1, from (sub, quotient) degrees
+    refined: int  # the rank-2 piece, which the datum line refines: 0 sub, 1 quotient
+    split: int  # the line, in weight order, that splits off in case x.2
 
 
-def _classify_case2(stratum: AdmissibleStratum, v: int) -> LimitOutcome:
-    # Same integer scaling as _classify_case1, with 6*mu as the threshold.
-    m1, m2, m3 = stratum.mu6_vector
-    m = stratum.mu6
+_FAMILIES = {
+    CaseFamily.CASE1_I: _SlopeFamily(
+        kind=SlopeI, relation="<", datum="I", ends=("mu1 - (2g-2)", "mu3", "mu2"),
+        tags=(CaseTag.C1_1, CaseTag.C1_2, CaseTag.C1_3, CaseTag.C1_4),
+        x1_label=Type12, refined=1, split=2,
+    ),
+    CaseFamily.CASE2_N: _SlopeFamily(
+        kind=SlopeN, relation=">", datum="N", ends=("mu1 + mu2 - mu3 - (2g-2)", "mu2", "mu1"),
+        tags=(CaseTag.C2_1, CaseTag.C2_2, CaseTag.C2_3, CaseTag.C2_4),
+        x1_label=Type21, refined=0, split=0,
+    ),
+}
+
+
+def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> LimitOutcome:
+    # Integer comparisons of 6*v with the stratum's window; Fraction
+    # values are built only for refusal messages (str gives p/q or p).
+    low6, gap_low6, gap_high6, threshold6 = stratum.window6
     v6 = 6 * v
-    k = stratum.genus.canonical_degree
-    d = stratum.hn.total_degree
-    d3 = stratum.hn.steps[-1][1]  # E/E2 is a line bundle here
-    e2 = d - d3
-    if v6 > m1:
-        mu1 = stratum.mu_vector[0]
-        raise SlopeOutOfBounds(f"mu(N) = {v} > mu1 = {format_rational(mu1)}")
-    if m2 < v6 < m1:
-        mu1, mu2, _ = stratum.mu_vector
-        raise InfeasibleBySpecialization(
-            f"mu(N) = {v} lies strictly between mu2 = {format_rational(mu2)} "
-            f"and mu1 = {format_rational(mu1)}"
-        )
-    if v6 == m1 and m1 > m2:
-        # N is the maximal destabilizing line of E2, so N = E1.
-        degrees = (m1 // 6, m2 // 6, m3 // 6)
-        return LimitOutcome(
-            case_tag=CaseTag.C2_4,
-            component=Type111(*degrees),
-            graded_degrees=degrees,
-            hnt_limit=stratum.hn,
-            strictly_polystable=False,
-        )
-    if v6 < m1 + m2 - m3 - 6 * k:
-        mu1, mu2, mu3 = stratum.mu_vector
+    low_name, gap_low_name, gap_high_name = fam.ends
+    if v6 > gap_high6:
         raise SlopeOutOfBounds(
-            f"mu(N) = {v} < mu1 + mu2 - mu3 - (2g-2) = "
-            f"{format_rational(mu1 + mu2 - mu3 - k)}"
+            f"mu({fam.datum}) = {v} > {gap_high_name} = {Fraction(gap_high6, 6)}"
         )
-    if v6 < m:
-        return LimitOutcome(
-            case_tag=CaseTag.C2_1,
-            component=Type21(e2, d3),
-            graded_degrees=(e2, d3),
-            hnt_limit=stratum.hn,
-            strictly_polystable=False,
+    if gap_low6 < v6 < gap_high6:
+        raise InfeasibleBySpecialization(
+            f"mu({fam.datum}) = {v} lies strictly between {gap_low_name} = "
+            f"{Fraction(gap_low6, 6)} and {gap_high_name} = {Fraction(gap_high6, 6)}"
         )
-    rdeg = e2 - v  # degree of R = E2/N
-    if v6 == m:
-        return LimitOutcome(
-            case_tag=CaseTag.C2_2,
-            component=PolystableSum((line_summand(v), coupled_summand(rdeg, d3))),
-            graded_degrees=(rdeg, d3, v),
-            hnt_limit=HNType(((1, rdeg), (1, v), (1, d3))),
-            strictly_polystable=True,
-        )
-    # mu < v <= mu2: honest type-(1,1,1) limit N -> R -> E/E2.
+    if v6 < low6:  # low <= gap_high by the slope bounds
+        raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} < {low_name} = {Fraction(low6, 6)}")
+    d = stratum.hn.total_degree
+    sub = sum(stratum.mu6_vector[: 2 - fam.refined]) // 6  # degree of E1 or E2
+    pair = (sub, d - sub)
+    hnt_limit = stratum.hn
+    if v6 > gap_low6:
+        # The isolated point: I = E2/E1 in family 1, N = E1 in family 2,
+        # so the limit keeps the HN filtration.
+        tag, graded = fam.tags[3], tuple(m // 6 for m in stratum.mu6_vector)
+        component = Type111(*graded)
+    elif v6 < threshold6:
+        tag, graded, component = fam.tags[0], pair, fam.x1_label(*pair)
+    else:
+        i = fam.refined
+        rest = pair[i] - v  # degree of Q or R
+        graded = pair[:i] + (v, rest) + pair[i + 1 :]  # weight order
+        high, middle, low = pair[:i] + (rest, v) + pair[i + 1 :]  # slope order
+        hnt_limit = HNType(((1, high), (1, middle), (1, low)))
+        if v6 == threshold6:
+            split = fam.split
+            line = graded[split]
+            coupled = graded[:split] + graded[split + 1 :]
+            tag, graded = fam.tags[1], coupled + (line,)
+            component = PolystableSum((coupled_summand(*coupled), line_summand(line)))
+        else:
+            tag, component = fam.tags[2], Type111(*graded)
     return LimitOutcome(
-        case_tag=CaseTag.C2_3,
-        component=Type111(v, rdeg, d3),
-        graded_degrees=(v, rdeg, d3),
-        hnt_limit=HNType(((1, rdeg), (1, v), (1, d3))),
-        strictly_polystable=False,
+        case_tag=tag,
+        component=component,
+        graded_degrees=graded,
+        hnt_limit=hnt_limit,
+        strictly_polystable=tag is fam.tags[1],
     )
 
 
@@ -306,27 +276,16 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
         raise ClassificationError(
             f"{stratum.hn} is semistable; use classify_semistable"
         )
-    family = stratum.case_family
     invariant = inp.invariant
-    if family is CaseFamily.CASE1_I:
-        if not isinstance(invariant, SlopeI):
-            raise CaseFamilyMismatch(
-                f"{stratum.hn} has mu2 < mu; it needs SlopeI, got "
-                f"{type(invariant).__name__}"
-            )
-        return _classify_case1(stratum, invariant.value)
-    if family is CaseFamily.CASE2_N:
-        if not isinstance(invariant, SlopeN):
-            raise CaseFamilyMismatch(
-                f"{stratum.hn} has mu2 > mu; it needs SlopeN, got "
-                f"{type(invariant).__name__}"
-            )
-        return _classify_case2(stratum, invariant.value)
-    if not isinstance(invariant, Aligned):
+    fam = _FAMILIES.get(stratum.case_family)
+    kind, relation = (Aligned, "=") if fam is None else (fam.kind, fam.relation)
+    if not isinstance(invariant, kind):
         raise CaseFamilyMismatch(
-            f"{stratum.hn} has mu2 = mu; it needs Aligned, got "
+            f"{stratum.hn} has mu2 {relation} mu; it needs {kind.__name__}, got "
             f"{type(invariant).__name__}"
         )
+    if fam is not None:
+        return _classify_slope(stratum, fam, invariant.value)
     return _classify_case3(stratum, invariant.flag)
 
 
@@ -352,33 +311,22 @@ def feasible_inputs(stratum: AdmissibleStratum) -> list[InvariantDatum]:
     """Every invariant datum the stratum admits, in sweep order."""
     if stratum.is_semistable or stratum.hn.total_rank == 2:
         return [NotApplicable()]
-    family = stratum.case_family
-    if family is CaseFamily.CASE1_I:
-        rng = invariant_range(stratum)
-        return [SlopeI(v) for v in rng.feasible_integers]
-    if family is CaseFamily.CASE2_N:
-        rng = invariant_range(stratum)
-        return [SlopeN(v) for v in rng.feasible_integers]
-    mu1, _, mu3 = stratum.mu_vector
+    fam = _FAMILIES.get(stratum.case_family)
+    if fam is not None:
+        return [fam.kind(v) for v in invariant_range(stratum).feasible_integers]
+    m1, _, m3 = stratum.mu6_vector
     flags: list[InvariantDatum] = [Aligned(True)]
-    if mu1 - mu3 <= stratum.genus.canonical_degree:
+    if m1 - m3 <= 6 * stratum.genus.canonical_degree:
         flags.append(Aligned(False))
     return flags
 
 
 def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:
     """Integers strictly inside the specialization-excluded gap."""
-    if stratum.is_semistable or stratum.hn.total_rank != 3:
+    if stratum.hn.total_rank != 3 or stratum.window6 is None:
         return []
-    mu1, mu2, mu3 = stratum.mu_vector
-    family = stratum.case_family
-    if family is CaseFamily.CASE1_I:
-        low, high = mu3, mu2
-    elif family is CaseFamily.CASE2_N:
-        low, high = mu2, mu1
-    else:
-        return []
-    return list(range(math.floor(low) + 1, math.ceil(high)))
+    _, gap_low6, gap_high6, _ = stratum.window6
+    return list(range(gap_low6 // 6 + 1, -(-gap_high6 // 6)))
 
 
 # ---------------------------------------------------------------------------

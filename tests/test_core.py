@@ -12,10 +12,12 @@ from higgsstrata import (
     HNPolygon,
     HNType,
     HodgeSummand,
+    InvalidGenus,
     LimitOutcome,
     Min,
     PolystableSum,
     Rank2,
+    StrataError,
     Type12,
     Type21,
     Type111,
@@ -71,6 +73,12 @@ def test_genus():
     assert Genus(5).canonical_degree == 8
     with pytest.raises(ValueError):
         Genus(1)
+
+
+def test_genus_below_two_is_a_named_error():
+    with pytest.raises(InvalidGenus, match="genus must be >= 2, got 1") as info:
+        Genus(1)
+    assert isinstance(info.value, StrataError)
 
 
 class TestHNType:

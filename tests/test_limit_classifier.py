@@ -11,6 +11,7 @@ from higgsstrata import (
     Genus,
     HodgeSummand,
     InfeasibleBySpecialization,
+    InvalidInvariant,
     Min,
     NotApplicable,
     PolystableSum,
@@ -19,6 +20,7 @@ from higgsstrata import (
     SlopeI,
     SlopeN,
     SlopeOutOfBounds,
+    StrataError,
     Type12,
     Type111,
     Type21,
@@ -230,6 +232,14 @@ class TestInvariantData:
             SlopeI(Fraction(1, 2))
         with pytest.raises(ValueError):
             SlopeN(True)
+
+    def test_non_integer_invariant_is_a_named_error(self):
+        from fractions import Fraction
+
+        for make in (SlopeI, SlopeN):
+            with pytest.raises(InvalidInvariant, match="must be an integer") as info:
+                make(Fraction(1, 2))
+            assert isinstance(info.value, StrataError)
 
 
 def test_graded_bundle_preserving_cases_keep_the_input_type():

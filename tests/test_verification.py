@@ -3,7 +3,7 @@ rank-3 grid, and the rank-2 component count beyond the default grid."""
 
 import pytest
 
-from higgsstrata import limit_classifier, verification
+from higgsstrata import limit_classifier, matrix_oracle, verification
 
 GRID_CRITERIA = (
     verification.criterion_exhaustive_classification,
@@ -62,3 +62,17 @@ def test_rank2_coincidence_over_a_wider_grid():
     )
     assert result.passed, result.details
     assert result.details == "275 tables bijective"
+
+
+def test_oracle_rejection_fails_criterion_7_without_raising(monkeypatch):
+    # build_table raises AssertionError when the oracle rejects an
+    # outcome; verify must report that as a failed criterion.
+    monkeypatch.setattr(matrix_oracle, "oracle_check", lambda outcome: False)
+    verification._rank3_grid_pass.cache_clear()
+    try:
+        results = verification.run_all()
+    finally:
+        verification._rank3_grid_pass.cache_clear()
+    oracle = next(r for r in results if r.number == 7)
+    assert not oracle.passed
+    assert oracle.details.startswith("g=2, d=-6: gauge-scaling check failed")
