@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of CLI output with committed golden files.
 
-The files under tests/golden/ hold the exact output of ``cli.run`` for
-a fixed set of queries.  An intended output change replaces the golden
-file in the same change and is recorded in CHANGES.md.
+The files under tests/golden/ hold the exact output of ``cli.run`` or
+``cli.main`` for a fixed set of queries.  An intended output change
+replaces the golden file in the same change and is recorded in
+CHANGES.md.
 """
 
 from pathlib import Path
@@ -39,3 +40,55 @@ def test_verify_output_matches_golden_file():
     code, text = cli.run(cli.RunConfig(command="verify", genus=2, format="json"))
     assert code == 0
     assert text.encode("utf-8") == (GOLDEN / "verify.json").read_bytes()
+
+
+def test_verify_table_output_matches_golden_file(capsys):
+    assert cli.main(["verify"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "verify.table").read_bytes()
+
+
+TABLE_CASES = [
+    ("strata", 3, 0, 4),
+    ("strata", 2, 1, 2),
+    ("fixed", 3, 0, 4),
+    ("fixed", 2, 1, 2),
+    ("incidence", 3, 1, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "command,rank,degree,genus",
+    TABLE_CASES,
+    ids=[f"{c}_r{r}_d{d}_g{g}.table" for c, r, d, g in TABLE_CASES],
+)
+def test_table_output_matches_golden_file(command, rank, degree, genus, capsys):
+    argv = [command, "--rank", str(rank), "--degree", str(degree),
+            "--genus", str(genus), "--format", "table"]
+    assert cli.main(argv) == 0
+    expected = (GOLDEN / f"{command}_r{rank}_d{degree}_g{genus}.table").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+# One datum per case tag; tests/golden/limit/<tag>.<format> holds its output.
+LIMIT_CASES = {
+    "1.1": ["--genus", "2", "--hn", "1:0,2:-2", "--inv", "-2"],
+    "1.2": ["--genus", "2", "--degree", "0", "--hn", "1:1,2:-1", "--inv", "-1"],
+    "1.3": ["--genus", "2", "--hn", "1:0,2:-2", "--inv", "-1"],
+    "1.4": ["--genus", "2", "--hn", "1:1,1:-1,1:-2", "--inv", "-1"],
+    "2.1": ["--genus", "2", "--hn", "2:-1,1:-1", "--inv", "-2"],
+    "2.2": ["--genus", "2", "--degree", "0", "--hn", "2:1,1:-1", "--inv", "0"],
+    "2.3": ["--genus", "2", "--hn", "2:0,1:-2", "--inv", "0"],
+    "2.4": ["--genus", "2", "--hn", "1:1,1:0,1:-2", "--inv", "1"],
+    "3.1": ["--genus", "2", "--hn", "1:1,1:0,1:-1", "--aligned", "true"],
+    "3.2": ["--genus", "2", "--hn", "1:1,1:0,1:-1", "--aligned", "false"],
+    "rk2": ["--genus", "2", "--hn", "1:0,1:-2"],
+    "ss": ["--genus", "2", "--degree", "-2", "--hn", "3:-2"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("tag", sorted(LIMIT_CASES))
+def test_limit_output_matches_golden_file(tag, fmt, capsys):
+    assert cli.main(["limit", *LIMIT_CASES[tag], "--format", fmt]) == 0
+    expected = (GOLDEN / "limit" / f"{tag}.{fmt}").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
