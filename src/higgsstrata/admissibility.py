@@ -22,8 +22,8 @@ class AdmissibilityError(StrataError):
     """An HN type violates the semistability bounds."""
 
 
-class RankUnsupported(AdmissibilityError):
-    pass
+class RankUnsupported(AdmissibilityError, ValueError):
+    """A rank the query is not defined for."""
 
 
 class Rank2BoundViolated(AdmissibilityError):

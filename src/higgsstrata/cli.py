@@ -5,11 +5,16 @@ component labels), ``limit`` (classify one downward-flow limit),
 ``incidence`` (the full table, exportable as JSON/CSV/DOT), and
 ``verify`` (the acceptance suite).  All degree-like flags take integers;
 slopes are always derived, never accepted raw.
+
+One parser serves every ``main`` call of a process, one table maps each
+command to its handler, and one renderer writes every command's JSON
+envelope or text lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -25,6 +30,7 @@ from .admissibility import (
 from .core import (
     Genus,
     HNType,
+    InvalidGenus,
     InvalidHNType,
     StrataError,
     format_hn_type,
@@ -59,15 +65,35 @@ class UsageError(StrataError):
     """A flag combination violates a command precondition."""
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _render(config: RunConfig, query: dict, records: list, meta: dict, text) -> str:
+    """A command's output: the JSON envelope of its query, records and
+    meta data, or the lines ``text()`` yields (called only for text)."""
+    if config.format == "json":
+        doc = {"query": {"command": config.command, **query}, "results": records, "meta": meta}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "\n".join(text()) + "\n"
 
 
-def _envelope(query: dict, results: list, meta: dict) -> dict:
-    return {"query": query, "results": results, "meta": meta}
+def _render_grid(config: RunConfig, header: str, records: list, meta: dict, row) -> str:
+    """Render a strata, fixed or incidence run: the query is its (rank,
+    degree, genus) point, the text a header line over one ``row`` per
+    record.  ``header`` names the point ``{where}`` and the count ``{count}``."""
+    query = {"genus": config.genus, "rank": config.rank, "degree": config.degree}
+    where = f"rank {config.rank}, degree {config.degree}, genus {config.genus}"
+    return _render(
+        config, query, records, meta,
+        lambda: [header.format(where=where, count=len(records)), *map(row, records)],
+    )
 
 
-def _run_strata(config: RunConfig) -> str:
+def _strata_row(record: dict) -> str:
+    line = f"  {record['hn']:<16} mu=({', '.join(record['mu_vector'])})"
+    if "case_family" in record:
+        line += f"  family={record['case_family']}  feasible={record['feasible_set']}"
+    return line
+
+
+def _run_strata(config: RunConfig) -> tuple[int, str]:
     genus = Genus(config.genus)
     strata = enumerate_strata(config.rank, config.degree, genus)
     records = []
@@ -81,45 +107,20 @@ def _run_strata(config: RunConfig) -> str:
             record["case_family"] = rng.case_family.value
             record["feasible_set"] = list(rng.feasible_integers)
         records.append(record)
-    if config.format == "json":
-        query = {
-            "command": "strata",
-            "genus": config.genus,
-            "rank": config.rank,
-            "degree": config.degree,
-        }
-        return _json_text(_envelope(query, records, {"genus": config.genus}))
-    lines = [
-        f"admissible strata for rank {config.rank}, degree {config.degree}, "
-        f"genus {config.genus}: {len(records)}"
-    ]
-    for record in records:
-        line = f"  {record['hn']:<16} mu=({', '.join(record['mu_vector'])})"
-        if "case_family" in record:
-            line += f"  family={record['case_family']}"
-            line += f"  feasible={record['feasible_set']}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    return 0, _render_grid(
+        config, "admissible strata for {where}: {count}", records,
+        {"genus": config.genus}, _strata_row,
+    )
 
 
-def _run_fixed(config: RunConfig) -> str:
+def _run_fixed(config: RunConfig) -> tuple[int, str]:
     genus = Genus(config.genus)
     labels = enumerate_fixed_components(config.rank, config.degree, genus)
     records = [{"component": format_label(label)} for label in labels]
-    if config.format == "json":
-        query = {
-            "command": "fixed",
-            "genus": config.genus,
-            "rank": config.rank,
-            "degree": config.degree,
-        }
-        return _json_text(_envelope(query, records, {"genus": config.genus}))
-    lines = [
-        f"fixed components for rank {config.rank}, degree {config.degree}, "
-        f"genus {config.genus}: {len(records)}"
-    ]
-    lines.extend(f"  {record['component']}" for record in records)
-    return "\n".join(lines) + "\n"
+    return 0, _render_grid(
+        config, "fixed components for {where}: {count}", records,
+        {"genus": config.genus}, lambda record: f"  {record['component']}",
+    )
 
 
 def _limit_invariant(config: RunConfig, stratum) -> SlopeI | SlopeN | Aligned | NotApplicable:
@@ -142,7 +143,7 @@ def _limit_invariant(config: RunConfig, stratum) -> SlopeI | SlopeN | Aligned | 
     return SlopeN(config.invariant)
 
 
-def _run_limit(config: RunConfig) -> str:
+def _run_limit(config: RunConfig) -> tuple[int, str]:
     if config.hn is None:
         raise UsageError("limit requires --hn")
     genus = Genus(config.genus)
@@ -164,21 +165,18 @@ def _run_limit(config: RunConfig) -> str:
     else:
         feasible = []
     record = incidence_mod.outcome_record(hn, config.invariant, outcome, feasible)
-    if config.format == "json":
-        query = {
-            "command": "limit",
-            "genus": config.genus,
-            "degree": hn.total_degree,
-            "hn": format_hn_type(hn),
-            "invariant": config.invariant,
-        }
-        meta = {
-            "genus": config.genus,
-            "case_tags": [outcome.case_tag.value],
-            "realizability": "assumed",
-        }
-        return _json_text(_envelope(query, [record], meta))
-    lines = [
+    query = {
+        "genus": config.genus,
+        "degree": hn.total_degree,
+        "hn": format_hn_type(hn),
+        "invariant": config.invariant,
+    }
+    meta = {
+        "genus": config.genus,
+        "case_tags": [outcome.case_tag.value],
+        "realizability": "assumed",
+    }
+    return 0, _render(config, query, [record], meta, lambda: [
         f"stratum:             {record['stratum']}",
         f"invariant:           {record['invariant']}",
         f"case:                {record['case']}",
@@ -187,84 +185,68 @@ def _run_limit(config: RunConfig) -> str:
         f"HN type of limit:    {record['hnt_limit']}",
         f"strictly polystable: {record['strictly_polystable']}",
         f"feasible set:        {record['feasible_set']}",
-    ]
-    return "\n".join(lines) + "\n"
+    ])
 
 
-def _run_incidence(config: RunConfig) -> str:
+def _incidence_row(record: dict) -> str:
+    inv = record["invariant"]
+    inv_text = "-" if inv is None else str(inv).lower()
+    return (
+        f"  {record['stratum']:<16} inv={inv_text:<6} case={record['case']:<4} "
+        f"-> {record['component']}"
+    )
+
+
+def _run_incidence(config: RunConfig) -> tuple[int, str]:
     genus = Genus(config.genus)
     table = incidence_mod.build_table(config.rank, config.degree, genus)
     if config.format == "csv":
-        return incidence_mod.table_to_csv(table)
+        return 0, incidence_mod.table_to_csv(table)
     if config.format == "dot":
-        return incidence_mod.table_to_dot(table)
-    records = incidence_mod.table_to_records(table)
-    if config.format == "json":
-        query = {
-            "command": "incidence",
-            "genus": config.genus,
-            "rank": config.rank,
-            "degree": config.degree,
-        }
-        meta = {
-            "genus": config.genus,
-            "case_tags": incidence_mod.table_case_tags(table),
-            "realizability": "assumed",
-        }
-        return _json_text(_envelope(query, records, meta))
-    lines = [
-        f"incidence for rank {config.rank}, degree {config.degree}, "
-        f"genus {config.genus}"
-    ]
-    for record in records:
-        inv = record["invariant"]
-        inv_text = "-" if inv is None else str(inv).lower()
-        lines.append(
-            f"  {record['stratum']:<16} inv={inv_text:<6} case={record['case']:<4} "
-            f"-> {record['component']}"
-        )
-    return "\n".join(lines) + "\n"
+        return 0, incidence_mod.table_to_dot(table)
+    meta = {
+        "genus": config.genus,
+        "case_tags": incidence_mod.table_case_tags(table),
+        "realizability": "assumed",
+    }
+    return 0, _render_grid(
+        config, "incidence for {where}", incidence_mod.table_to_records(table),
+        meta, _incidence_row,
+    )
 
 
 def _run_verify(config: RunConfig) -> tuple[int, str]:
     results = verification.run_all()
-    lines = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status} {res.number}. {res.name}: {res.details}")
     passed = sum(1 for r in results if r.passed)
-    lines.append(f"{passed}/{len(results)} criteria passed")
-    if config.format == "json":
-        doc = {
-            "query": {"command": "verify"},
-            "results": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "details": r.details,
-                }
-                for r in results
-            ],
-            "meta": {"passed": passed, "total": len(results)},
-        }
-        return (0 if passed == len(results) else 1), _json_text(doc)
-    return (0 if passed == len(results) else 1), "\n".join(lines) + "\n"
+    records = [
+        {"number": r.number, "name": r.name, "passed": r.passed, "details": r.details}
+        for r in results
+    ]
+
+    def text():
+        for r in results:
+            yield f"{'PASS' if r.passed else 'FAIL'} {r.number}. {r.name}: {r.details}"
+        yield f"{passed}/{len(results)} criteria passed"
+
+    meta = {"passed": passed, "total": len(results)}
+    return (0 if passed == len(results) else 1), _render(config, {}, records, meta, text)
+
+
+_COMMANDS = {
+    "strata": _run_strata,
+    "fixed": _run_fixed,
+    "limit": _run_limit,
+    "incidence": _run_incidence,
+    "verify": _run_verify,
+}
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit status, serialized output)."""
-    if config.command == "verify":
-        return _run_verify(config)
-    if config.command == "strata":
-        return 0, _run_strata(config)
-    if config.command == "fixed":
-        return 0, _run_fixed(config)
-    if config.command == "limit":
-        return 0, _run_limit(config)
-    if config.command == "incidence":
-        return 0, _run_incidence(config)
-    raise UsageError(f"unknown command {config.command!r}")
+    handler = _COMMANDS.get(config.command)
+    if handler is None:
+        raise UsageError(f"unknown command {config.command!r}")
+    return handler(config)
 
 
 def _parse_aligned(text: str) -> bool:
@@ -276,11 +258,16 @@ def _parse_aligned(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="higgsstrata",
         description="Exact stratification calculator for rank-2/3 Higgs bundle moduli.",
     )
+    # Every RunConfig field has a value whichever subcommand runs; verify
+    # takes no --genus and runs at the default.
+    parser.set_defaults(**vars(RunConfig(command=None, genus=2)))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *, rank: bool, degree_required: bool):
@@ -302,9 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_limit, rank=False, degree_required=False)
     p_limit.add_argument("--hn", required=True, help='HN type, e.g. "1:1,2:0"')
     group = p_limit.add_mutually_exclusive_group()
-    group.add_argument("--inv", type=int, help="integer slope of I or N")
     group.add_argument(
-        "--aligned", type=_parse_aligned, help="alignment flag for balanced strata"
+        "--inv", dest="invariant", metavar="INV", type=int, help="integer slope of I or N"
+    )
+    group.add_argument(
+        "--aligned", dest="invariant", metavar="ALIGNED", type=_parse_aligned,
+        help="alignment flag for balanced strata",
     )
     p_limit.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -320,33 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    invariant: int | bool | None = None
-    if getattr(args, "aligned", None) is not None:
-        invariant = args.aligned
-    elif getattr(args, "inv", None) is not None:
-        invariant = args.inv
-    genus = getattr(args, "genus", 2)
-    if genus < 2:
-        raise UsageError(f"genus must be >= 2, got {genus}")
-    return RunConfig(
-        command=args.command,
-        genus=genus,
-        rank=getattr(args, "rank", None),
-        degree=getattr(args, "degree", None),
-        hn=getattr(args, "hn", None),
-        invariant=invariant,
-        format=getattr(args, "format", "table"),
-        output=getattr(args, "output", None),
-    )
+    return RunConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    config = config_from_args(build_parser().parse_args(argv))
     try:
-        config = config_from_args(args)
         code, text = run(config)
-    except UsageError as exc:
+    except (UsageError, InvalidGenus) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except StrataError as exc:

@@ -157,8 +157,9 @@ class HNPolygon:
         segs = list(zip(v, v[1:]))
         if any(r1 <= r0 for (r0, _), (r1, _) in segs):
             raise ValueError(f"cumulative ranks must strictly increase: {v}")
-        slopes = [Fraction(d1 - d0, r1 - r0) for (r0, d0), (r1, d1) in segs]
-        if any(b >= a for a, b in zip(slopes, slopes[1:])):
+        # Segment slopes compared by cross-multiplying, as in HNType.
+        runs = [(r1 - r0, d1 - d0) for (r0, d0), (r1, d1) in segs]
+        if any(d1 * r0 >= d0 * r1 for (r0, d0), (r1, d1) in zip(runs, runs[1:])):
             raise ValueError(f"polygon is not strictly convex: {v}")
         object.__setattr__(self, "vertices", v)
 
@@ -172,10 +173,14 @@ class HNPolygon:
 
     def height_at(self, x: int | Fraction) -> Fraction:
         """Exact height of the piecewise-linear upper boundary at rank x."""
-        x = Fraction(x)
+        return Fraction(*self._height(Fraction(x)))
+
+    def _height(self, x: int | Fraction) -> tuple[int | Fraction, int]:
+        """Height at rank x as (numerator, segment length): integers at an
+        integer rank, and the length is positive."""
         for (r0, d0), (r1, d1) in zip(self.vertices, self.vertices[1:]):
             if r0 <= x <= r1:
-                return d0 + Fraction(d1 - d0, r1 - r0) * (x - r0)
+                return d0 * (r1 - r0) + (d1 - d0) * (x - r0), r1 - r0
         raise ValueError(f"rank {x} outside polygon range 0..{self.total_rank}")
 
 
@@ -199,7 +204,11 @@ def dominates(p: HNPolygon, q: HNPolygon) -> bool:
         raise ValueError(
             f"polygons have different endpoints: {p.vertices[-1]} vs {q.vertices[-1]}"
         )
-    return all(p.height_at(x) >= q.height_at(x) for x in range(1, p.total_rank))
+    for x in range(1, p.total_rank):
+        (p_num, p_len), (q_num, q_len) = p._height(x), q._height(x)
+        if p_num * q_len < q_num * p_len:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

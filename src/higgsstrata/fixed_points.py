@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limit_classifier
-from .admissibility import enumerate_strata
+from .admissibility import RankUnsupported, enumerate_strata
 from .core import (
     CaseTag,
     FixedComponentLabel,
@@ -186,7 +186,7 @@ def enumerate_fixed_components(
         labels.extend(t21)
         labels.extend(enumerate_fixed_111(degree, genus))
         return labels
-    raise ValueError(f"only ranks 2 and 3 are supported, got {rank}")
+    raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
 
 
 def validate_component_label(

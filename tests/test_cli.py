@@ -1,6 +1,10 @@
 """Command-line behaviour: the documented queries, formats and exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -220,3 +224,74 @@ class TestBadInput:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert not target.exists()
+
+
+class TestSharedParser:
+    """``main`` builds the parser once per process, and reusing it
+    changes no call's exit status, output or error text."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import higgsstrata.cli\n"
+            "assert not built, built\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+    def test_one_parser_across_calls(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        self.outcome(["strata", "--genus", "2", "--rank", "3", "--degree", "0"], capsys)
+        one_build = len(built)
+        assert one_build > 0
+        for argv in (
+            ["limit", "--genus", "2", "--hn", "3:0"],
+            ["fixed", "--genus", "2", "--rank", "2", "--degree", "1"],
+            ["strata", "--genus", "1", "--rank", "3", "--degree", "0"],
+        ):
+            self.outcome(argv, capsys)
+        assert len(built) == one_build
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        sequence = [
+            ["limit", "--genus", "2", "--hn", "1:1,1:0,1:-1", "--aligned", "false"],
+            ["limit", "--genus", "3", "--hn", "1:1,2:0", "--inv", "0", "--format", "json"],
+            ["strata", "--genus", "2", "--rank", "3", "--degree", "0"],
+            ["limit", "--genus", "2", "--hn", "1:1,1:0,1:-1", "--inv", "0"],
+            ["limit", "--genus", "2", "--hn", "3:0", "--inv", "0", "--aligned", "true"],
+            ["limit", "--genus", "2", "--hn", "1:1,1:0,1:-1", "--aligned", "true"],
+        ]
+        cli.build_parser.cache_clear()
+        shared = [self.outcome(argv, capsys) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(self.outcome(argv, capsys))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 2, 0]
+        assert shared[4][2].endswith(
+            "error: argument --aligned: not allowed with argument --inv\n"
+        )

@@ -173,6 +173,47 @@ class TestDominates:
                             assert dominates(p, r)
 
 
+def fraction_height(vertices, x):
+    """Reference: the height at rank x by Fraction slopes."""
+    for (r0, d0), (r1, d1) in zip(vertices, vertices[1:]):
+        if r0 <= x <= r1:
+            return d0 + Fraction(d1 - d0, r1 - r0) * (x - r0)
+    raise AssertionError(f"rank {x} outside the polygon")
+
+
+class TestIntegerPolygonArithmetic:
+    """Convexity, heights and dominance agree with Fraction references."""
+
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-9, 9)), min_size=1, max_size=4))
+    def test_convexity_and_heights(self, steps):
+        vertices = [(0, 0)]
+        for r, d in steps:
+            vertices.append((vertices[-1][0] + r, vertices[-1][1] + d))
+        slopes = [Fraction(d, r) for r, d in steps]
+        if any(b >= a for a, b in zip(slopes, slopes[1:])):
+            with pytest.raises(ValueError, match="not strictly convex"):
+                HNPolygon(tuple(vertices))
+            return
+        poly = HNPolygon(tuple(vertices))
+        for half_ranks in range(2 * poly.total_rank + 1):
+            x = Fraction(half_ranks, 2)
+            assert poly.height_at(x) == fraction_height(vertices, x)
+            assert isinstance(poly.height_at(x), Fraction)
+
+    def test_dominance_on_admissible_types(self):
+        from higgsstrata import enumerate_strata
+
+        for rank, degree, g in ((3, 0, 4), (3, 1, 3), (3, -2, 3), (2, 1, 4)):
+            polys = [polygon_of(s.hn) for s in enumerate_strata(rank, degree, Genus(g))]
+            for p in polys:
+                for q in polys:
+                    expected = all(
+                        fraction_height(p.vertices, x) >= fraction_height(q.vertices, x)
+                        for x in range(1, rank)
+                    )
+                    assert dominates(p, q) == expected
+
+
 class TestLabels:
     @pytest.mark.parametrize(
         "label,text",

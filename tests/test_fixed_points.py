@@ -21,8 +21,8 @@ from higgsstrata import (
     validate_fixed_111,
 )
 from higgsstrata import limit_classifier
-from higgsstrata.admissibility import enumerate_strata
-from higgsstrata.core import CaseTag
+from higgsstrata.admissibility import RankUnsupported, enumerate_strata
+from higgsstrata.core import CaseTag, StrataError
 from higgsstrata.fixed_points import validate_component_label, validate_m_invariants
 
 
@@ -148,6 +148,11 @@ class TestEnumeration:
     def test_unsupported_rank(self):
         with pytest.raises(ValueError):
             enumerate_fixed_components(4, 0, Genus(2))
+
+    def test_unsupported_rank_is_a_named_error(self):
+        with pytest.raises(RankUnsupported, match="got 4") as exc:
+            enumerate_fixed_components(4, 0, Genus(2))
+        assert isinstance(exc.value, StrataError)
 
     def test_rank3_pair_labels_match_every_value_reference(self):
         for g in range(2, 13):
