@@ -16,7 +16,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     ("incidence", rank, degree, genus, fmt)
-    for rank, degree, genus in ((3, 0, 2), (3, 1, 3), (3, 2, 5), (2, 1, 2))
+    for rank, degree, genus in ((3, 0, 2), (3, 0, 3), (3, 1, 3), (3, 2, 5), (2, 1, 2))
     for fmt in ("json", "csv", "dot")
 ] + [("strata", 3, 0, 4, "json"), ("fixed", 3, 0, 4, "json")]
 
@@ -52,6 +52,7 @@ TABLE_CASES = [
     ("strata", 2, 1, 2),
     ("fixed", 3, 0, 4),
     ("fixed", 2, 1, 2),
+    ("incidence", 3, 0, 3),
     ("incidence", 3, 1, 3),
 ]
 
