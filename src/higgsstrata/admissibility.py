@@ -126,6 +126,19 @@ class AdmissibleStratum:
             return (m1 - k6, m3, m2, self.threshold6)
         return (m1 + m2 - m3 - k6, m2, m1, self.mu6)
 
+    @cached_property
+    def feasible_integers(self) -> tuple[int, ...]:
+        """Feasible integer values of the slope invariant, ascending: every
+        integer in [low, gap_low], then gap_high if it is an integer above
+        gap_low.  Empty for the families that take no slope invariant."""
+        if self.window6 is None:
+            return ()
+        low6, gap_low6, gap_high6, _ = self.window6
+        feasible = tuple(range(-(-low6 // 6), gap_low6 // 6 + 1))
+        if gap_high6 > gap_low6 and gap_high6 % 6 == 0:
+            feasible += (gap_high6 // 6,)
+        return feasible
+
     def __str__(self) -> str:
         return str(self.hn)
 
@@ -223,12 +236,11 @@ def invariant_range(stratum: AdmissibleStratum) -> InvariantRange:
         # Semistable, or case 3: the free datum is the alignment flag.
         return InvariantRange(stratum.case_family, None, None, None, ())
     low6, gap_low6, gap_high6, _ = stratum.window6
-    feasible = tuple(range(-(-low6 // 6), gap_low6 // 6 + 1))
-    isolated = None
-    if gap_high6 > gap_low6:
-        isolated = Fraction(gap_high6, 6)
-        if gap_high6 % 6 == 0:
-            feasible += (gap_high6 // 6,)
+    isolated = Fraction(gap_high6, 6) if gap_high6 > gap_low6 else None
     return InvariantRange(
-        stratum.case_family, Fraction(low6, 6), Fraction(gap_low6, 6), isolated, feasible
+        stratum.case_family,
+        Fraction(low6, 6),
+        Fraction(gap_low6, 6),
+        isolated,
+        stratum.feasible_integers,
     )

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 from . import incidence as incidence_mod
 from . import verification
-from .admissibility import (
-    CaseFamily,
-    enumerate_strata,
-    invariant_range,
-    validate,
-)
+from .admissibility import CaseFamily, enumerate_strata, validate
 from .core import (
     Genus,
     HNType,
@@ -65,11 +60,18 @@ class UsageError(StrataError):
     """A flag combination violates a command precondition."""
 
 
-def _render(config: RunConfig, query: dict, records: list, meta: dict, text) -> str:
+def _render(config: RunConfig, query: dict, records: list | str, meta: dict, text) -> str:
     """A command's output: the JSON envelope of its query, records and
-    meta data, or the lines ``text()`` yields (called only for text)."""
+    meta data, or the lines ``text()`` yields (called only for text).
+    ``records`` may be JSON text already, indented for the envelope
+    (``incidence.records_json``)."""
     if config.format == "json":
-        doc = {"query": {"command": config.command, **query}, "results": records, "meta": meta}
+        doc = {"query": {"command": config.command, **query}, "meta": meta}
+        if isinstance(records, str):
+            # "results" sorts after "meta" and "query": it is the last key.
+            head = json.dumps(doc, indent=2, sort_keys=True)
+            return f'{head[:-2]},\n  "results": {records}\n}}\n'
+        doc["results"] = records
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return "\n".join(text()) + "\n"
 
@@ -103,9 +105,8 @@ def _run_strata(config: RunConfig) -> tuple[int, str]:
             "mu_vector": [format_rational(m) for m in stratum.mu_vector],
         }
         if config.rank == 3:
-            rng = invariant_range(stratum)
-            record["case_family"] = rng.case_family.value
-            record["feasible_set"] = list(rng.feasible_integers)
+            record["case_family"] = stratum.case_family.value
+            record["feasible_set"] = list(stratum.feasible_integers)
         records.append(record)
     return 0, _render_grid(
         config, "admissible strata for {where}: {count}", records,
@@ -160,10 +161,7 @@ def _run_limit(config: RunConfig) -> tuple[int, str]:
     stratum = validate(hn, genus)
     datum = _limit_invariant(config, stratum)
     outcome = classify(ClassifierInput(stratum, datum))
-    if stratum.hn.total_rank == 3 and not stratum.is_semistable:
-        feasible = list(invariant_range(stratum).feasible_integers)
-    else:
-        feasible = []
+    feasible = list(stratum.feasible_integers) if stratum.hn.total_rank == 3 else []
     record = incidence_mod.outcome_record(hn, config.invariant, outcome, feasible)
     query = {
         "genus": config.genus,
@@ -209,10 +207,11 @@ def _run_incidence(config: RunConfig) -> tuple[int, str]:
         "case_tags": incidence_mod.table_case_tags(table),
         "realizability": "assumed",
     }
-    return 0, _render_grid(
-        config, "incidence for {where}", incidence_mod.table_to_records(table),
-        meta, _incidence_row,
-    )
+    if config.format == "json":
+        records = incidence_mod.records_json(table)
+    else:
+        records = incidence_mod.table_to_records(table)
+    return 0, _render_grid(config, "incidence for {where}", records, meta, _incidence_row)
 
 
 def _run_verify(config: RunConfig) -> tuple[int, str]:

@@ -185,12 +185,19 @@ class HNPolygon:
 
 
 def polygon_of(hn: HNType) -> HNPolygon:
-    """Polygon of partial (rank, degree) sums; convex by the HN invariant."""
+    """Polygon of partial (rank, degree) sums; convex by the HN invariant.
+
+    HNType has already checked what HNPolygon's constructor would: integer
+    steps of positive rank with strictly decreasing slopes.  So the
+    polygon is built without re-running those checks.
+    """
     vertices = [(0, 0)]
     for r, d in hn.steps:
         pr, pd = vertices[-1]
         vertices.append((pr + r, pd + d))
-    return HNPolygon(tuple(vertices))
+    polygon = object.__new__(HNPolygon)
+    object.__setattr__(polygon, "vertices", tuple(vertices))
+    return polygon
 
 
 def dominates(p: HNPolygon, q: HNPolygon) -> bool:

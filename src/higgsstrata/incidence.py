@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import fixed_points, limit_classifier, matrix_oracle
 from .admissibility import AdmissibleStratum, RankUnsupported, enumerate_strata
@@ -77,10 +78,18 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     reaching: dict[FixedComponentLabel, list[HNType]] = {}
     for stratum in enumerate_strata(rank, degree, genus):
         entries = []
+        previous = None
         for datum in limit_classifier.feasible_inputs(stratum):
             outcome = limit_classifier.classify(
                 limit_classifier.ClassifierInput(stratum, datum)
             )
+            entries.append((_invariant_key(datum), outcome))
+            # The classifier shares one outcome among a stratum's x.1
+            # data, which come first and in one run.  The checks depend
+            # on the outcome alone, so each outcome object is checked once.
+            if outcome is previous:
+                continue
+            previous = outcome
             if not fixed_points.validate_component_label(
                 outcome.component, rank, degree, genus
             ):
@@ -93,7 +102,6 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
                     f"gauge-scaling check failed for case {outcome.case_tag.value} "
                     f"of stratum {stratum.hn}"
                 )
-            entries.append((_invariant_key(datum), outcome))
             # Rows are distinct strata, so a stratum already listed for
             # this component is the last one listed.
             reached = reaching.setdefault(outcome.component, [])
@@ -203,6 +211,69 @@ def table_to_records(table: IncidenceTable) -> list[dict]:
     return records
 
 
+def _json_scalar(value: InvariantKey) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _json_list(values, line: str) -> str:
+    """A list of scalars as json.dumps(indent=2) writes it, its key on
+    the line that ``line`` begins."""
+    if not values:
+        return "[]"
+    item = "," + line + "  "
+    return "[" + line + "  " + item.join(map(_json_scalar, values)) + line + "]"
+
+
+def records_json(table: IncidenceTable) -> str:
+    """``json.dumps(table_to_records(table), indent=2, sort_keys=True)``
+    as the ``results`` of an output envelope: one level deeper, so every
+    line after the first is indented by two more spaces.
+
+    A record is written as six fragments between its sorted keys: the
+    outcome's case and component, the row's feasible set, the outcome's
+    graded degrees and HN type, the invariant, the row's stratum, and the
+    outcome's polystability.  Outcome fragments are formatted once per
+    outcome object (x.1 data of a row share one), row fragments once per
+    row.
+    """
+    record = "\n    "  # a record's first and last line
+    field = record + "  "  # a field's line
+    parts = ["["]
+    separator = record
+    for row in table.rows:
+        feasible = _json_list([k for k in row.feasible_set if k is not None], field)
+        row_feasible = f'{feasible},{field}"graded_degrees": '
+        row_stratum = (
+            f',{field}"stratum": {_json_string(format_hn_type(row.stratum.hn))},'
+            f'{field}"strictly_polystable": '
+        )
+        previous = None
+        for key, outcome in row.entries:
+            if outcome is not previous:
+                previous = outcome
+                head = (
+                    f'{{{field}"case": {_json_string(outcome.case_tag.value)},'
+                    f'{field}"component": {_json_string(format_label(outcome.component))},'
+                    f'{field}"feasible_set": '
+                )
+                middle = (
+                    f"{_json_list(outcome.graded_degrees, field)},"
+                    f'{field}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
+                    f'{field}"invariant": '
+                )
+                tail = ("true" if outcome.strictly_polystable else "false") + record + "}"
+            parts += (separator, head, row_feasible, middle, _json_scalar(key), row_stratum, tail)
+            separator = "," + record
+    if len(parts) == 1:
+        return "[]"
+    parts.append("\n  ]")
+    return "".join(parts)
+
+
 CSV_HEADER = ("stratum", "invariant", "case", "component", "hnt_limit")
 
 
@@ -212,22 +283,23 @@ def table_to_csv(table: IncidenceTable) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in table.rows:
+        hn_text = format_hn_type(row.stratum.hn)
+        previous = None
         for key, outcome in row.entries:
+            if outcome is not previous:
+                previous = outcome
+                fields = (
+                    outcome.case_tag.value,
+                    format_label(outcome.component),
+                    format_hn_type(outcome.hnt_limit),
+                )
             if key is None:
                 inv = ""
             elif isinstance(key, bool):
                 inv = "true" if key else "false"
             else:
                 inv = str(key)
-            writer.writerow(
-                (
-                    format_hn_type(row.stratum.hn),
-                    inv,
-                    outcome.case_tag.value,
-                    format_label(outcome.component),
-                    format_hn_type(outcome.hnt_limit),
-                )
-            )
+            writer.writerow((hn_text, inv, *fields))
     return buf.getvalue()
 
 
@@ -245,10 +317,12 @@ def table_to_dot(table: IncidenceTable) -> str:
     for label, _ in table.bb_index:
         lines.append(f'  "bb:{format_label(label)}" [shape=ellipse];')
     edges: dict[str, None] = {}  # insertion-ordered set
-    for row in table.rows:
-        hn_text = format_hn_type(row.stratum.hn)
+    for hn_text, row in zip(strata, table.rows):
+        previous = None
         for _, outcome in row.entries:
-            edges[f'  "hn:{hn_text}" -> "bb:{format_label(outcome.component)}";'] = None
+            if outcome is not previous:  # an outcome object has one edge
+                previous = outcome
+                edges[f'  "hn:{hn_text}" -> "bb:{format_label(outcome.component)}";'] = None
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

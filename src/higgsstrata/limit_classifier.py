@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .admissibility import AdmissibleStratum, CaseFamily, invariant_range
+from .admissibility import AdmissibleStratum, CaseFamily
 from .core import (
     CaseTag,
     HNType,
@@ -185,6 +185,23 @@ _FAMILIES = {
 }
 
 
+def _x1_outcome(stratum: AdmissibleStratum, fam: _SlopeFamily, pair: tuple[int, int]) -> LimitOutcome:
+    # Case x.1 keeps the (sub, quotient) filtration, so its limit depends
+    # on the stratum alone: build it once and share it among the data of
+    # the stratum.  Like a cached_property, it lives in the instance
+    # __dict__, which the frozen dataclass's __eq__ and __hash__ ignore.
+    outcome = stratum.__dict__.get("x1_outcome")
+    if outcome is None:
+        outcome = stratum.__dict__["x1_outcome"] = LimitOutcome(
+            case_tag=fam.tags[0],
+            component=fam.x1_label(*pair),
+            graded_degrees=pair,
+            hnt_limit=stratum.hn,
+            strictly_polystable=False,
+        )
+    return outcome
+
+
 def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> LimitOutcome:
     # Integer comparisons of 6*v with the stratum's window; Fraction
     # values are built only for refusal messages (str gives p/q or p).
@@ -212,7 +229,7 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
         tag, graded = fam.tags[3], tuple(m // 6 for m in stratum.mu6_vector)
         component = Type111(*graded)
     elif v6 < threshold6:
-        tag, graded, component = fam.tags[0], pair, fam.x1_label(*pair)
+        return _x1_outcome(stratum, fam, pair)
     else:
         i = fam.refined
         rest = pair[i] - v  # degree of Q or R
@@ -313,7 +330,7 @@ def feasible_inputs(stratum: AdmissibleStratum) -> list[InvariantDatum]:
         return [NotApplicable()]
     fam = _FAMILIES.get(stratum.case_family)
     if fam is not None:
-        return [fam.kind(v) for v in invariant_range(stratum).feasible_integers]
+        return [fam.kind(v) for v in stratum.feasible_integers]
     m1, _, m3 = stratum.mu6_vector
     flags: list[InvariantDatum] = [Aligned(True)]
     if m1 - m3 <= 6 * stratum.genus.canonical_degree:

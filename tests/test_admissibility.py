@@ -154,6 +154,34 @@ class TestInvariantRange:
             invariant_range(validate(parse_hn_type("1:1,1:0"), Genus(2)))
 
 
+class TestFeasibleIntegers:
+    def test_matches_invariant_range(self):
+        for g in (2, 3, 4, 5):
+            for d in range(-6, 7):
+                for stratum in enumerate_strata(3, d, Genus(g)):
+                    integers = stratum.feasible_integers
+                    assert integers == invariant_range(stratum).feasible_integers
+                    assert all(type(v) is int for v in integers)
+
+    def test_cached_and_shared_with_invariant_range(self):
+        stratum = validate(parse_hn_type("1:1,2:0"), Genus(3))
+        assert stratum.feasible_integers is stratum.feasible_integers
+        assert invariant_range(stratum).feasible_integers is stratum.feasible_integers
+
+    def test_feasible_inputs_build_no_fraction(self, monkeypatch):
+        from higgsstrata import admissibility, feasible_inputs
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        strata = enumerate_strata(3, 1, Genus(4))
+        monkeypatch.setattr(admissibility, "Fraction", refuse)
+        for stratum in strata:
+            data = feasible_inputs(stratum)
+            if stratum.window6 is not None:
+                assert [x.value for x in data] == list(stratum.feasible_integers)
+
+
 def test_threshold_below_mu3_iff_case1():
     # mu2 < mu is equivalent to mu3 > t, in both directions, across all
     # admissible unstable strata of the desk-scale grid.

@@ -137,6 +137,47 @@ def test_polygon_rejects_non_convex():
         HNPolygon(((0, 0), (1, 1), (2, 2)))  # collinear is not strictly convex
 
 
+class TestTrustedPolygons:
+    """polygon_of skips HNPolygon's checks, which HNType has already made;
+    direct construction keeps every check and its message."""
+
+    def test_polygon_of_equals_checked_construction(self):
+        from higgsstrata import enumerate_strata
+
+        for rank, degree, g in ((3, 0, 4), (3, -2, 3), (2, 1, 4)):
+            for stratum in enumerate_strata(rank, degree, Genus(g)):
+                trusted = polygon_of(stratum.hn)
+                checked = HNPolygon(trusted.vertices)
+                assert trusted == checked
+                assert all(type(x) is int for vertex in trusted.vertices for x in vertex)
+
+    def test_polygon_of_runs_no_check(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("HNPolygon checks ran")
+
+        monkeypatch.setattr(HNPolygon, "__post_init__", refuse)
+        assert polygon_of(HNType(((1, 2), (1, 0), (1, -2)))).vertices == (
+            (0, 0), (1, 2), (2, 2), (3, 0),
+        )
+
+    @pytest.mark.parametrize(
+        "vertices,message",
+        [
+            (((1, 0), (2, 1)), "polygon must start at (0,0): ((1, 0), (2, 1))"),
+            (((0, 0),), "polygon must start at (0,0): ((0, 0),)"),
+            (((0, 0), (1, 1), (1, 0)), "cumulative ranks must strictly increase: ((0, 0), (1, 1), (1, 0))"),
+            (((0, 0), (1, 0), (2, 1)), "polygon is not strictly convex: ((0, 0), (1, 0), (2, 1))"),
+        ],
+    )
+    def test_direct_construction_keeps_its_checks(self, vertices, message):
+        with pytest.raises(ValueError) as info:
+            HNPolygon(vertices)
+        assert str(info.value) == message
+
+    def test_direct_construction_converts_to_int(self):
+        assert HNPolygon(((0, 0), (Fraction(1), 2.0))).vertices == ((0, 0), (1, 2))
+
+
 def test_polygon_heights_are_exact():
     poly = polygon_of(HNType(((1, 1), (2, -1))))
     assert poly.height_at(2) == Fraction(1, 2)

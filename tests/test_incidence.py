@@ -2,8 +2,13 @@
 
 import csv
 import io
+import json
+from copy import copy
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higgsstrata import (
     Genus,
@@ -20,8 +25,12 @@ from higgsstrata import (
     table_to_dot,
     table_to_records,
 )
+from higgsstrata import fixed_points, matrix_oracle
 from higgsstrata.core import CaseTag
-from higgsstrata.incidence import CSV_HEADER, table_case_tags
+from higgsstrata.incidence import CSV_HEADER, records_json, table_case_tags
+
+GOLDEN = Path(__file__).parent / "golden"
+X1_TAGS = (CaseTag.C1_1, CaseTag.C2_1)
 
 
 def row_for(table, hn_text):
@@ -180,3 +189,93 @@ class TestSerialization:
             "3.2",
             "ss",
         ]
+
+
+def golden_incidence_points():
+    """(rank, degree, genus) of every golden incidence file."""
+    points = set()
+    for path in GOLDEN.glob("incidence_r*_d*_g*.*"):
+        rank, degree, genus = path.stem.split("_")[1:]
+        points.add((int(rank[1:]), int(degree[1:]), int(genus[1:])))
+    return sorted(points)
+
+
+def reference_json(table):
+    """json.dumps's text for the records, nested one level deep."""
+    text = json.dumps(table_to_records(table), indent=2, sort_keys=True)
+    return text.replace("\n", "\n  ")
+
+
+class TestRecordsJson:
+    """The fragment writer gives json.dumps's bytes for table_to_records."""
+
+    @pytest.mark.parametrize("rank,degree,genus", golden_incidence_points())
+    def test_golden_points(self, rank, degree, genus):
+        table = build_table(rank, degree, Genus(genus))
+        assert records_json(table) == reference_json(table)
+
+    def test_golden_points_are_found(self):
+        assert (3, 0, 3) in golden_incidence_points()
+        assert len(golden_incidence_points()) >= 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rank=st.sampled_from((2, 3)),
+        degree=st.integers(-10, 10),
+        genus=st.integers(2, 10),
+    )
+    def test_drawn_points(self, rank, degree, genus):
+        table = build_table(rank, degree, Genus(genus))
+        assert records_json(table) == reference_json(table)
+
+    def test_empty_table(self):
+        table = build_table(3, 0, Genus(2))
+        empty = type(table)(table.rank, table.degree, table.genus, (), ())
+        assert records_json(empty) == json.dumps([], indent=2) == "[]"
+
+
+class TestSharedOutcomes:
+    def test_x1_entries_of_a_row_share_one_object(self):
+        table = build_table(3, 0, Genus(10))
+        shared_rows = 0
+        for row in table.rows:
+            tags = [outcome.case_tag for _, outcome in row.entries]
+            x1 = [outcome for _, outcome in row.entries if outcome.case_tag in X1_TAGS]
+            # x.1 values are the row's lowest: they come first, in one run.
+            assert tags[: len(x1)] == [outcome.case_tag for outcome in x1]
+            assert all(outcome is x1[0] for outcome in x1)
+            shared_rows += len(x1) > 1
+        assert shared_rows > 0
+
+    def test_each_outcome_object_is_checked_once(self, monkeypatch):
+        calls = {"validate": 0, "oracle": 0}
+        validate = fixed_points.validate_component_label
+        oracle = matrix_oracle.oracle_check
+
+        def counting_validate(*args):
+            calls["validate"] += 1
+            return validate(*args)
+
+        def counting_oracle(outcome):
+            calls["oracle"] += 1
+            return oracle(outcome)
+
+        monkeypatch.setattr(fixed_points, "validate_component_label", counting_validate)
+        monkeypatch.setattr(matrix_oracle, "oracle_check", counting_oracle)
+        table = build_table(3, 0, Genus(10))
+        outcomes = [outcome for row in table.rows for _, outcome in row.entries]
+        distinct = len({id(outcome) for outcome in outcomes})
+        assert calls == {"validate": distinct, "oracle": distinct}
+        assert distinct < len(outcomes)
+
+    def test_shared_outcomes_serialize_like_separate_ones(self):
+        table = build_table(3, 1, Genus(6))
+        rows = tuple(
+            type(row)(row.stratum, tuple((key, copy(out)) for key, out in row.entries))
+            for row in table.rows
+        )
+        unshared = type(table)(table.rank, table.degree, table.genus, rows, table.bb_index)
+        assert unshared == table
+        assert table_to_csv(unshared) == table_to_csv(table)
+        assert table_to_dot(unshared) == table_to_dot(table)
+        assert records_json(unshared) == records_json(table)
