@@ -240,34 +240,35 @@ def records_json(table: IncidenceTable) -> str:
     outcome object (x.1 data of a row share one), row fragments once per
     row.
     """
-    record = "\n    "  # a record's first and last line
-    field = record + "  "  # a field's line
+    # Line breaks with the indent of a record's braces and of its fields.
+    record_line = "\n    "
+    field_line = record_line + "  "
     parts = ["["]
-    separator = record
+    separator = record_line
     for row in table.rows:
-        feasible = _json_list([k for k in row.feasible_set if k is not None], field)
-        row_feasible = f'{feasible},{field}"graded_degrees": '
+        feasible = _json_list([k for k in row.feasible_set if k is not None], field_line)
+        row_feasible = f'{feasible},{field_line}"graded_degrees": '
         row_stratum = (
-            f',{field}"stratum": {_json_string(format_hn_type(row.stratum.hn))},'
-            f'{field}"strictly_polystable": '
+            f',{field_line}"stratum": {_json_string(format_hn_type(row.stratum.hn))},'
+            f'{field_line}"strictly_polystable": '
         )
         previous = None
         for key, outcome in row.entries:
             if outcome is not previous:
                 previous = outcome
                 head = (
-                    f'{{{field}"case": {_json_string(outcome.case_tag.value)},'
-                    f'{field}"component": {_json_string(format_label(outcome.component))},'
-                    f'{field}"feasible_set": '
+                    f'{{{field_line}"case": {_json_string(outcome.case_tag.value)},'
+                    f'{field_line}"component": {_json_string(format_label(outcome.component))},'
+                    f'{field_line}"feasible_set": '
                 )
                 middle = (
-                    f"{_json_list(outcome.graded_degrees, field)},"
-                    f'{field}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
-                    f'{field}"invariant": '
+                    f"{_json_list(outcome.graded_degrees, field_line)},"
+                    f'{field_line}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
+                    f'{field_line}"invariant": '
                 )
-                tail = ("true" if outcome.strictly_polystable else "false") + record + "}"
+                tail = ("true" if outcome.strictly_polystable else "false") + record_line + "}"
             parts += (separator, head, row_feasible, middle, _json_scalar(key), row_stratum, tail)
-            separator = "," + record
+            separator = "," + record_line
     if len(parts) == 1:
         return "[]"
     parts.append("\n  ]")

@@ -185,7 +185,9 @@ _FAMILIES = {
 }
 
 
-def _x1_outcome(stratum: AdmissibleStratum, fam: _SlopeFamily, pair: tuple[int, int]) -> LimitOutcome:
+def _x1_outcome(
+    stratum: AdmissibleStratum, fam: _SlopeFamily, pair: tuple[int, int]
+) -> LimitOutcome:
     # Case x.1 keeps the (sub, quotient) filtration, so its limit depends
     # on the stratum alone: build it once and share it among the data of
     # the stratum.  Like a cached_property, it lives in the instance

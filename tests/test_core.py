@@ -165,7 +165,10 @@ class TestTrustedPolygons:
         [
             (((1, 0), (2, 1)), "polygon must start at (0,0): ((1, 0), (2, 1))"),
             (((0, 0),), "polygon must start at (0,0): ((0, 0),)"),
-            (((0, 0), (1, 1), (1, 0)), "cumulative ranks must strictly increase: ((0, 0), (1, 1), (1, 0))"),
+            (
+                ((0, 0), (1, 1), (1, 0)),
+                "cumulative ranks must strictly increase: ((0, 0), (1, 1), (1, 0))",
+            ),
             (((0, 0), (1, 0), (2, 1)), "polygon is not strictly convex: ((0, 0), (1, 0), (2, 1))"),
         ],
     )
