@@ -64,16 +64,13 @@ from .incidence import (
     table_to_records,
 )
 from .limit_classifier import (
-    Aligned,
     AlignmentImpossible,
     CaseFamilyMismatch,
     ClassificationError,
     ClassifierInput,
     InfeasibleBySpecialization,
     InvalidInvariant,
-    NotApplicable,
-    SlopeI,
-    SlopeN,
+    Invariant,
     SlopeOutOfBounds,
     case1_threshold,
     classify,

@@ -34,14 +34,7 @@ from .core import (
     parse_hn_steps,
 )
 from .fixed_points import enumerate_fixed_components
-from .limit_classifier import (
-    Aligned,
-    ClassifierInput,
-    NotApplicable,
-    SlopeI,
-    SlopeN,
-    classify,
-)
+from .limit_classifier import ClassifierInput, Invariant, classify
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,7 @@ class RunConfig:
     rank: int | None = None
     degree: int | None = None
     hn: str | None = None
-    invariant: int | bool | None = None
+    invariant: Invariant = None
     format: str = "table"
     output: str | None = None
 
@@ -124,24 +117,19 @@ def _run_fixed(config: RunConfig) -> tuple[int, str]:
     )
 
 
-def _limit_invariant(config: RunConfig, stratum) -> SlopeI | SlopeN | Aligned | NotApplicable:
+def _limit_invariant(config: RunConfig, stratum) -> Invariant:
     if stratum.is_semistable or stratum.hn.total_rank == 2:
         if config.invariant is not None:
             raise UsageError(f"{stratum.hn} takes no invariant; drop --inv/--aligned")
-        return NotApplicable()
-    family = stratum.case_family
-    if family is CaseFamily.CASE3_FLAG:
+    elif stratum.case_family is CaseFamily.CASE3_FLAG:
         if not isinstance(config.invariant, bool):
             raise UsageError(
                 f"{stratum.hn} has mu2 = mu; pass --aligned true|false, not --inv"
             )
-        return Aligned(config.invariant)
-    if isinstance(config.invariant, bool) or config.invariant is None:
-        need = "I" if family is CaseFamily.CASE1_I else "N"
+    elif isinstance(config.invariant, bool) or config.invariant is None:
+        need = "I" if stratum.case_family is CaseFamily.CASE1_I else "N"
         raise UsageError(f"{stratum.hn} needs an integer --inv (slope of {need})")
-    if family is CaseFamily.CASE1_I:
-        return SlopeI(config.invariant)
-    return SlopeN(config.invariant)
+    return config.invariant
 
 
 def _run_limit(config: RunConfig) -> tuple[int, str]:
@@ -159,8 +147,7 @@ def _run_limit(config: RunConfig) -> tuple[int, str]:
             f"{hn.total_degree}"
         )
     stratum = validate(hn, genus)
-    datum = _limit_invariant(config, stratum)
-    outcome = classify(ClassifierInput(stratum, datum))
+    outcome = classify(ClassifierInput(stratum, _limit_invariant(config, stratum)))
     feasible = list(stratum.feasible_integers) if stratum.hn.total_rank == 3 else []
     record = incidence_mod.outcome_record(hn, config.invariant, outcome, feasible)
     query = {

@@ -51,8 +51,15 @@ class Genus:
     g: int
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise InvalidGenus(f"genus must be >= 2, got {self.g}")
+        try:
+            g = int(self.g)
+        except (TypeError, ValueError, OverflowError):
+            g = None
+        if g is None or g != self.g:
+            raise InvalidGenus(f"genus must be an integer, got {self.g!r}")
+        if g < 2:
+            raise InvalidGenus(f"genus must be >= 2, got {g}")
+        object.__setattr__(self, "g", g)
 
     @property
     def canonical_degree(self) -> int:
@@ -73,7 +80,15 @@ class HNType:
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        raw = tuple((int(r), int(d)) for r, d in self.steps)
+        steps = self.steps
+        try:
+            raw = tuple((int(r), int(d)) for r, d in steps)
+        except (TypeError, ValueError, OverflowError):
+            raw = None
+        # Integral values such as Fraction(2) normalise to int; anything
+        # int() would change, or cannot convert, is refused.
+        if raw != steps and (raw is None or raw != tuple(map(tuple, steps))):
+            raise InvalidHNType(f"steps must be pairs of integers (rank, degree): {steps!r}")
         if not raw:
             raise InvalidHNType("HN type needs at least one step")
         if any(r < 1 for r, _ in raw):

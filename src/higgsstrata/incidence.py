@@ -27,19 +27,15 @@ from .core import (
     format_hn_type,
     format_label,
 )
-
-#: Invariant key of one classified entry: the integer slope of I or N,
-#: the alignment flag, or None for semistable and rank-2 strata.
-InvariantKey = int | bool | None
-
+from .limit_classifier import Invariant
 
 @dataclass(frozen=True)
 class IncidenceRow:
     stratum: AdmissibleStratum
-    entries: tuple[tuple[InvariantKey, LimitOutcome], ...]
+    entries: tuple[tuple[Invariant, LimitOutcome], ...]
 
     @property
-    def feasible_set(self) -> tuple[InvariantKey, ...]:
+    def feasible_set(self) -> tuple[Invariant, ...]:
         return tuple(key for key, _ in self.entries)
 
 
@@ -57,14 +53,6 @@ class IncidenceTable:
         return dict(self.bb_index)
 
 
-def _invariant_key(datum: limit_classifier.InvariantDatum) -> InvariantKey:
-    if isinstance(datum, (limit_classifier.SlopeI, limit_classifier.SlopeN)):
-        return datum.value
-    if isinstance(datum, limit_classifier.Aligned):
-        return datum.flag
-    return None
-
-
 def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     """Classify every (stratum, feasible invariant) pair and index the
     outcomes.
@@ -79,11 +67,11 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     for stratum in enumerate_strata(rank, degree, genus):
         entries = []
         previous = None
-        for datum in limit_classifier.feasible_inputs(stratum):
+        for invariant in limit_classifier.feasible_inputs(stratum):
             outcome = limit_classifier.classify(
-                limit_classifier.ClassifierInput(stratum, datum)
+                limit_classifier.ClassifierInput(stratum, invariant)
             )
-            entries.append((_invariant_key(datum), outcome))
+            entries.append((invariant, outcome))
             # The classifier shares one outcome among a stratum's x.1
             # data, which come first and in one run.  The checks depend
             # on the outcome alone, so each outcome object is checked once.
@@ -153,7 +141,7 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[Type111]:
     if table.rank != 3:
         raise RankUnsupported("the coincidence theorem check needs a rank-3 table")
     k = table.genus.canonical_degree
-    preimages: dict[Type111, list[tuple[AdmissibleStratum, InvariantKey]]] = {}
+    preimages: dict[Type111, list[tuple[AdmissibleStratum, Invariant]]] = {}
     for row in table.rows:
         for key, outcome in row.entries:
             if isinstance(outcome.component, Type111):
@@ -185,7 +173,7 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[Type111]:
 
 
 def outcome_record(
-    hn: HNType, invariant: InvariantKey, outcome: LimitOutcome, feasible: list
+    hn: HNType, invariant: Invariant, outcome: LimitOutcome, feasible: list
 ) -> dict:
     """The output record of one classified limit, for ``limit`` and
     ``incidence`` alike."""
@@ -211,7 +199,7 @@ def table_to_records(table: IncidenceTable) -> list[dict]:
     return records
 
 
-def _json_scalar(value: InvariantKey) -> str:
+def _json_scalar(value: Invariant) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .admissibility import AdmissibleStratum, CaseFamily
 from .core import (
@@ -54,58 +53,20 @@ class InvalidInvariant(ClassificationError, ValueError):
 
 
 class AlignmentImpossible(ClassificationError):
-    """Aligned(False) needs a nonzero map E1 -> (E/E2) (x) K, which forces
-    mu1 - mu3 <= 2g-2."""
+    """The alignment flag False needs a nonzero map E1 -> (E/E2) (x) K,
+    which forces mu1 - mu3 <= 2g-2."""
 
 
-def _require_integer(value) -> int:
-    # I and N are line bundles; their slopes are honest integers.
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    raise InvalidInvariant(f"slope invariant must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SlopeI:
-    """Slope (= degree) of the line bundle I in E/E1 saturating Phi(E1)."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _require_integer(self.value))
-
-
-@dataclass(frozen=True)
-class SlopeN:
-    """Slope (= degree) of the line bundle N = ker(E2 -> (E/E2) (x) K)."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _require_integer(self.value))
-
-
-@dataclass(frozen=True)
-class Aligned:
-    """Whether N = E1 (equivalently I = E2/E1) in the balanced case."""
-
-    flag: bool
-
-
-@dataclass(frozen=True)
-class NotApplicable:
-    """Placeholder for strata whose limit needs no auxiliary datum."""
-
-
-InvariantDatum = Union[SlopeI, SlopeN, Aligned, NotApplicable]
+#: The auxiliary invariant of a stratum, as the classifier takes it: the
+#: integer slope of I (case family 1) or of N (case family 2), the
+#: alignment flag (case family 3), or None for semistable and rank-2 strata.
+Invariant = int | bool | None
 
 
 @dataclass(frozen=True)
 class ClassifierInput:
     stratum: AdmissibleStratum
-    invariant: InvariantDatum
+    invariant: Invariant
 
 
 def case1_threshold(stratum: AdmissibleStratum) -> Fraction:
@@ -161,7 +122,6 @@ class _SlopeFamily:
     the names and positions that swap.
     """
 
-    kind: type  # SlopeI or SlopeN
     relation: str  # how mu2 compares with mu
     datum: str  # the line the invariant measures
     ends: tuple[str, str, str]  # names of the window's low, gap_low, gap_high
@@ -173,12 +133,12 @@ class _SlopeFamily:
 
 _FAMILIES = {
     CaseFamily.CASE1_I: _SlopeFamily(
-        kind=SlopeI, relation="<", datum="I", ends=("mu1 - (2g-2)", "mu3", "mu2"),
+        relation="<", datum="I", ends=("mu1 - (2g-2)", "mu3", "mu2"),
         tags=(CaseTag.C1_1, CaseTag.C1_2, CaseTag.C1_3, CaseTag.C1_4),
         x1_label=Type12, refined=1, split=2,
     ),
     CaseFamily.CASE2_N: _SlopeFamily(
-        kind=SlopeN, relation=">", datum="N", ends=("mu1 + mu2 - mu3 - (2g-2)", "mu2", "mu1"),
+        relation=">", datum="N", ends=("mu1 + mu2 - mu3 - (2g-2)", "mu2", "mu1"),
         tags=(CaseTag.C2_1, CaseTag.C2_2, CaseTag.C2_3, CaseTag.C2_4),
         x1_label=Type21, refined=0, split=0,
     ),
@@ -287,6 +247,11 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
     the excluded gap raise InfeasibleBySpecialization, values beyond the
     a-priori bounds raise SlopeOutOfBounds, and the two are never
     conflated because they encode different impossibility arguments.
+
+    The case family fixes the invariant's kind: an integer (an int, or a
+    Fraction with denominator 1) in families 1 and 2, a bool in family 3.
+    A wrong kind raises CaseFamilyMismatch; a slope value that is not an
+    integer (a float, a string, a proper fraction) raises InvalidInvariant.
     """
     stratum = inp.stratum
     if stratum.hn.total_rank != 3:
@@ -297,28 +262,35 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
         )
     invariant = inp.invariant
     fam = _FAMILIES.get(stratum.case_family)
-    kind, relation = (Aligned, "=") if fam is None else (fam.kind, fam.relation)
-    if not isinstance(invariant, kind):
-        raise CaseFamilyMismatch(
-            f"{stratum.hn} has mu2 {relation} mu; it needs {kind.__name__}, got "
-            f"{type(invariant).__name__}"
-        )
-    if fam is not None:
-        return _classify_slope(stratum, fam, invariant.value)
-    return _classify_case3(stratum, invariant.flag)
+    if fam is None:
+        if isinstance(invariant, bool):
+            return _classify_case3(stratum, invariant)
+        relation, need = "=", "an alignment flag"
+    elif invariant is None or isinstance(invariant, bool):
+        relation, need = fam.relation, f"an integer mu({fam.datum})"
+    elif isinstance(invariant, int):
+        return _classify_slope(stratum, fam, invariant)
+    elif isinstance(invariant, Fraction) and invariant.denominator == 1:
+        # I and N are line bundles; their slopes are honest integers.
+        return _classify_slope(stratum, fam, int(invariant))
+    else:
+        raise InvalidInvariant(f"slope invariant must be an integer, got {invariant!r}")
+    raise CaseFamilyMismatch(
+        f"{stratum.hn} has mu2 {relation} mu; it needs {need}, got {invariant!r}"
+    )
 
 
 def classify(inp: ClassifierInput) -> LimitOutcome:
     """Dispatch on rank and semistability; the one entry point the CLI uses."""
     stratum = inp.stratum
     if stratum.is_semistable:
-        if not isinstance(inp.invariant, NotApplicable):
+        if inp.invariant is not None:
             raise CaseFamilyMismatch(
                 f"{stratum.hn} is semistable and takes no invariant"
             )
         return classify_semistable(stratum)
     if stratum.hn.total_rank == 2:
-        if not isinstance(inp.invariant, NotApplicable):
+        if inp.invariant is not None:
             raise CaseFamilyMismatch(
                 f"{stratum.hn} is a rank-2 type and takes no invariant"
             )
@@ -326,18 +298,14 @@ def classify(inp: ClassifierInput) -> LimitOutcome:
     return classify_rank3(inp)
 
 
-def feasible_inputs(stratum: AdmissibleStratum) -> list[InvariantDatum]:
-    """Every invariant datum the stratum admits, in sweep order."""
+def feasible_inputs(stratum: AdmissibleStratum) -> list[Invariant]:
+    """Every invariant the stratum admits, in sweep order."""
     if stratum.is_semistable or stratum.hn.total_rank == 2:
-        return [NotApplicable()]
-    fam = _FAMILIES.get(stratum.case_family)
-    if fam is not None:
-        return [fam.kind(v) for v in stratum.feasible_integers]
+        return [None]
+    if stratum.case_family is not CaseFamily.CASE3_FLAG:
+        return list(stratum.feasible_integers)
     m1, _, m3 = stratum.mu6_vector
-    flags: list[InvariantDatum] = [Aligned(True)]
-    if m1 - m3 <= 6 * stratum.genus.canonical_degree:
-        flags.append(Aligned(False))
-    return flags
+    return [True, False] if m1 - m3 <= 6 * stratum.genus.canonical_degree else [True]
 
 
 def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:
@@ -391,7 +359,7 @@ def stability_audit(outcome: LimitOutcome, inp: ClassifierInput) -> list[AuditCh
 
     mu1, mu2, mu3 = stratum.mu_vector
     d = stratum.hn.total_degree
-    v = inp.invariant.value if isinstance(inp.invariant, (SlopeI, SlopeN)) else None
+    v = inp.invariant
 
     if tag is CaseTag.C1_1:
         d1 = stratum.hn.steps[0][1]

@@ -109,13 +109,8 @@ def _check_gap_value(stratum, v: int, failures: list[str]) -> None:
     # Criterion 2 on one integer inside the excluded gap.
     if _independent_case_matches(stratum, v):
         failures.append(f"{stratum.hn} gap value {v} matches a case")
-    inv = (
-        limit_classifier.SlopeI(v)
-        if stratum.case_family is CaseFamily.CASE1_I
-        else limit_classifier.SlopeN(v)
-    )
     try:
-        limit_classifier.classify_rank3(limit_classifier.ClassifierInput(stratum, inv))
+        limit_classifier.classify_rank3(limit_classifier.ClassifierInput(stratum, v))
         failures.append(f"{stratum.hn} gap value {v} did not raise")
     except limit_classifier.InfeasibleBySpecialization:
         pass
@@ -160,10 +155,10 @@ def _rank3_grid_pass(
 
     Each grid point's table is built once, checked by all six criteria
     and dropped before the next one is built, so the pass holds one table
-    at a time.  build_table classifies each unstable stratum's
-    feasible_inputs in order, which pairs every entry with its datum.
-    It has also put every entry through the oracle, so a rejection shows
-    up here as a table that could not be built (criterion 7).
+    at a time.  Each entry of a table row pairs an invariant with its
+    outcome.  build_table has also put every entry through the oracle, so
+    a rejection shows up here as a table that could not be built
+    (criterion 7).
     The results are kept per grid, so each criterion can run alone or
     after the others at the cost of one pass.
     """
@@ -177,18 +172,17 @@ def _rank3_grid_pass(
                 continue
             if coprime and stratum.case_family is CaseFamily.CASE3_FLAG:
                 failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
-            data = limit_classifier.feasible_inputs(stratum)
-            for datum, (_, outcome) in zip(data, row.entries, strict=True):
+            for datum, outcome in row.entries:
                 classified += 1
-                if isinstance(datum, limit_classifier.Aligned):
-                    expected = CaseTag.C3_1 if datum.flag else CaseTag.C3_2
+                if isinstance(datum, bool):
+                    expected = CaseTag.C3_1 if datum else CaseTag.C3_2
                     if outcome.case_tag is not expected:
-                        failures[2].append(f"{stratum.hn} flag={datum.flag}: {outcome.case_tag}")
+                        failures[2].append(f"{stratum.hn} flag={datum}: {outcome.case_tag}")
                 else:
-                    matches = _independent_case_matches(stratum, datum.value)
+                    matches = _independent_case_matches(stratum, datum)
                     if len(matches) != 1 or matches[0] is not outcome.case_tag:
                         failures[2].append(
-                            f"{stratum.hn} v={datum.value}: classifier says "
+                            f"{stratum.hn} v={datum}: classifier says "
                             f"{outcome.case_tag.value}, inequalities match {matches}"
                         )
                 if not dominates(polygon_of(outcome.hnt_limit), polygon_of(stratum.hn)):

@@ -179,7 +179,7 @@ class TestFeasibleIntegers:
         for stratum in strata:
             data = feasible_inputs(stratum)
             if stratum.window6 is not None:
-                assert [x.value for x in data] == list(stratum.feasible_integers)
+                assert data == list(stratum.feasible_integers)
 
 
 def test_threshold_below_mu3_iff_case1():

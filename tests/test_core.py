@@ -13,6 +13,7 @@ from higgsstrata import (
     HNType,
     HodgeSummand,
     InvalidGenus,
+    InvalidHNType,
     LimitOutcome,
     Min,
     PolystableSum,
@@ -22,6 +23,7 @@ from higgsstrata import (
     Type21,
     Type111,
     dominates,
+    enumerate_strata,
     format_hn_type,
     format_label,
     format_rational,
@@ -81,7 +83,42 @@ def test_genus_below_two_is_a_named_error():
     assert isinstance(info.value, StrataError)
 
 
+@pytest.mark.parametrize("g", [2.5, Fraction(5, 2), "3", None, float("nan"), float("inf")])
+def test_non_integer_genus_is_refused(g):
+    with pytest.raises(InvalidGenus, match="genus must be an integer") as info:
+        Genus(g)
+    assert isinstance(info.value, StrataError)
+
+
+def test_integral_genus_normalises_to_int():
+    genus = Genus(Fraction(3))
+    assert type(genus.g) is int and genus == Genus(3)
+    assert enumerate_strata(3, 0, genus) == enumerate_strata(3, 0, Genus(3))
+
+
 class TestHNType:
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            ((1, 0.5), (2, -1)),
+            ((1.5, 1), (2, -1)),
+            ((1, Fraction(1, 2)), (2, -1)),
+            ((1, "1"), (2, -1)),
+            ((1, None),),
+            ((1, float("inf")),),
+            ((1, 2, 3),),
+        ],
+    )
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(InvalidHNType, match="steps must be pairs of integers"):
+            HNType(steps)
+
+    def test_integral_steps_normalise_to_int(self):
+        hn = HNType(((1, Fraction(2)), (Fraction(2), -1)))
+        assert hn == HNType(((1, 2), (2, -1)))
+        assert all(type(x) is int for step in hn.steps for x in step)
+        assert HNType([[1, 1], [2, -1]]).steps == ((1, 1), (2, -1))
+
     def test_merges_equal_consecutive_slopes(self):
         assert HNType(((1, 1), (1, 0), (1, 0))).steps == ((1, 1), (2, 0))
         assert HNType(((1, 2), (1, 2))).steps == ((2, 4),)

@@ -1,9 +1,12 @@
 """The limit decision procedure: all case routes, errors and the audit."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higgsstrata import (
-    Aligned,
     AlignmentImpossible,
     CaseFamilyMismatch,
     ClassificationError,
@@ -12,22 +15,22 @@ from higgsstrata import (
     HodgeSummand,
     InfeasibleBySpecialization,
     InvalidInvariant,
+    LimitOutcome,
     Min,
-    NotApplicable,
     PolystableSum,
     Rank2,
     Rank2BoundViolated,
-    SlopeI,
-    SlopeN,
     SlopeOutOfBounds,
     StrataError,
     Type12,
     Type111,
     Type21,
+    build_table,
     classify,
     classify_rank2,
     classify_rank3,
     classify_semistable,
+    enumerate_strata,
     excluded_gap_integers,
     feasible_inputs,
     parse_hn_type,
@@ -93,67 +96,67 @@ class TestRank2:
 
 class TestRank3Cases:
     def test_case_1_1(self):
-        out = rank3("1:1,2:0", 3, SlopeI(-1))
+        out = rank3("1:1,2:0", 3, -1)
         assert out.case_tag is CaseTag.C1_1
         assert out.component == Type12(1, 0)
         assert out.graded_degrees == (1, 0)
         assert out.hnt_limit == parse_hn_type("1:1,2:0")
 
     def test_case_1_2(self):
-        out = rank3("1:1,2:-1", 2, SlopeI(-1))
+        out = rank3("1:1,2:-1", 2, -1)
         assert out.case_tag is CaseTag.C1_2
         assert out.component == poly((1, -1), (0,))
         assert out.hnt_limit == parse_hn_type("1:1,1:0,1:-1")
         assert out.strictly_polystable
 
     def test_case_1_3(self):
-        out = rank3("1:1,2:0", 3, SlopeI(0))
+        out = rank3("1:1,2:0", 3, 0)
         assert out.case_tag is CaseTag.C1_3
         assert out.component == Type111(1, 0, 0)
         assert out.graded_degrees == (1, 0, 0)
         assert out.hnt_limit == parse_hn_type("1:1,2:0")
 
     def test_case_1_4(self):
-        out = rank3("1:2,1:0,1:-1", 2, SlopeI(0))
+        out = rank3("1:2,1:0,1:-1", 2, 0)
         assert out.case_tag is CaseTag.C1_4
         assert out.component == Type111(2, 0, -1)
         assert out.hnt_limit == parse_hn_type("1:2,1:0,1:-1")
 
     def test_case_2_1(self):
-        out = rank3("2:1,1:0", 2, SlopeN(-1))
+        out = rank3("2:1,1:0", 2, -1)
         assert out.case_tag is CaseTag.C2_1
         assert out.component == Type21(1, 0)
         assert out.graded_degrees == (1, 0)
         assert out.hnt_limit == parse_hn_type("2:1,1:0")
 
     def test_case_2_2(self):
-        out = rank3("2:1,1:-1", 2, SlopeN(0))
+        out = rank3("2:1,1:-1", 2, 0)
         assert out.case_tag is CaseTag.C2_2
         assert out.component == poly((1, -1), (0,))
         assert out.hnt_limit == parse_hn_type("1:1,1:0,1:-1")
         assert out.strictly_polystable
 
     def test_case_2_3_including_tie_with_mu1(self):
-        out = rank3("2:2,1:-1", 2, SlopeN(1))
+        out = rank3("2:2,1:-1", 2, 1)
         assert out.case_tag is CaseTag.C2_3
         assert out.component == Type111(1, 1, -1)
         assert out.graded_degrees == (1, 1, -1)
         assert out.hnt_limit == parse_hn_type("2:2,1:-1")  # merged back
 
     def test_case_2_4(self):
-        out = rank3("1:1,1:0,1:-2", 2, SlopeN(1))
+        out = rank3("1:1,1:0,1:-2", 2, 1)
         assert out.case_tag is CaseTag.C2_4
         assert out.component == Type111(1, 0, -2)
         assert out.hnt_limit == parse_hn_type("1:1,1:0,1:-2")
 
     def test_case_3_1(self):
-        out = rank3("1:2,1:0,1:-2", 2, Aligned(True))
+        out = rank3("1:2,1:0,1:-2", 2, True)
         assert out.case_tag is CaseTag.C3_1
         assert out.component == Type111(2, 0, -2)
         assert out.hnt_limit == parse_hn_type("1:2,1:0,1:-2")
 
     def test_case_3_2(self):
-        out = rank3("1:1,1:0,1:-1", 2, Aligned(False))
+        out = rank3("1:1,1:0,1:-1", 2, False)
         assert out.case_tag is CaseTag.C3_2
         assert out.component == poly((1, -1), (0,))
         assert out.graded_degrees == (1, -1, 0)
@@ -162,60 +165,48 @@ class TestRank3Cases:
 
     def test_alignment_impossible_when_spread_exceeds_bound(self):
         with pytest.raises(AlignmentImpossible):
-            rank3("1:2,1:0,1:-2", 2, Aligned(False))
+            rank3("1:2,1:0,1:-2", 2, False)
 
 
 class TestRank3Errors:
     def test_slope_above_upper_bound(self):
         with pytest.raises(SlopeOutOfBounds):
-            rank3("1:1,2:0", 3, SlopeI(1))
+            rank3("1:1,2:0", 3, 1)
 
     def test_slope_below_lower_bound(self):
         with pytest.raises(SlopeOutOfBounds):
-            rank3("1:1,2:0", 3, SlopeI(-4))
+            rank3("1:1,2:0", 3, -4)
 
     def test_gap_value_infeasible_case1(self):
         # feasible interval is [mu1-(2g-2), mu3] = [1, 0]; the open gap
         # (mu3, mu2) = (0, 2) contains the integer 1
         with pytest.raises(InfeasibleBySpecialization):
-            rank3("1:5,1:2,1:0", 3, SlopeI(1))
+            rank3("1:5,1:2,1:0", 3, 1)
 
     def test_gap_value_infeasible_case2(self):
         with pytest.raises(InfeasibleBySpecialization):
-            rank3("1:0,1:-2,1:-5", 3, SlopeN(-1))
+            rank3("1:0,1:-2,1:-5", 3, -1)
 
     def test_case_family_mismatch(self):
         with pytest.raises(CaseFamilyMismatch):
-            rank3("1:1,2:0", 3, SlopeN(0))
-        with pytest.raises(CaseFamilyMismatch):
-            rank3("2:1,1:-1", 2, SlopeI(0))
-        with pytest.raises(CaseFamilyMismatch):
-            rank3("1:1,1:0,1:-1", 2, SlopeI(0))
+            rank3("1:1,1:0,1:-1", 2, 0)
 
     def test_classify_dispatcher_guards_invariants(self):
         with pytest.raises(CaseFamilyMismatch):
-            classify(ClassifierInput(stratum("3:0", 2), SlopeI(0)))
-        out = classify(ClassifierInput(stratum("3:0", 2), NotApplicable()))
+            classify(ClassifierInput(stratum("3:0", 2), 0))
+        out = classify(ClassifierInput(stratum("3:0", 2), None))
         assert out.case_tag is CaseTag.SEMISTABLE
-        out = classify(ClassifierInput(stratum("1:1,1:0", 2), NotApplicable()))
+        out = classify(ClassifierInput(stratum("1:1,1:0", 2), None))
         assert out.case_tag is CaseTag.RANK2
 
 
 class TestFeasibleInputs:
     def test_case1_sweep(self):
-        assert feasible_inputs(stratum("1:1,2:0", 3)) == [
-            SlopeI(-3),
-            SlopeI(-2),
-            SlopeI(-1),
-            SlopeI(0),
-        ]
+        assert feasible_inputs(stratum("1:1,2:0", 3)) == [-3, -2, -1, 0]
 
     def test_case3_flags_depend_on_spread(self):
-        assert feasible_inputs(stratum("1:1,1:0,1:-1", 2)) == [
-            Aligned(True),
-            Aligned(False),
-        ]
-        assert feasible_inputs(stratum("1:2,1:0,1:-2", 2)) == [Aligned(True)]
+        assert feasible_inputs(stratum("1:1,1:0,1:-1", 2)) == [True, False]
+        assert feasible_inputs(stratum("1:2,1:0,1:-2", 2)) == [True]
 
     def test_gap_integers(self):
         assert excluded_gap_integers(stratum("1:5,1:2,1:0", 3)) == [1]
@@ -225,20 +216,16 @@ class TestFeasibleInputs:
 
 class TestInvariantData:
     def test_slope_invariants_accept_only_integers(self):
-        from fractions import Fraction
-
-        assert SlopeI(Fraction(2)).value == 2
+        assert rank3("1:1,2:0", 3, Fraction(0)) == rank3("1:1,2:0", 3, 0)
         with pytest.raises(ValueError):
-            SlopeI(Fraction(1, 2))
-        with pytest.raises(ValueError):
-            SlopeN(True)
+            rank3("1:1,2:0", 3, Fraction(1, 2))
+        with pytest.raises(CaseFamilyMismatch):
+            rank3("2:1,1:0", 2, True)
 
     def test_non_integer_invariant_is_a_named_error(self):
-        from fractions import Fraction
-
-        for make in (SlopeI, SlopeN):
+        for hn in ("1:1,2:0", "2:1,1:0"):
             with pytest.raises(InvalidInvariant, match="must be an integer") as info:
-                make(Fraction(1, 2))
+                rank3(hn, 3, Fraction(1, 2))
             assert isinstance(info.value, StrataError)
 
 
@@ -295,13 +282,13 @@ def test_wide_spread_strata_keep_their_graded_bundle():
 
 class TestStabilityAudit:
     def test_case_1_1_all_strict(self):
-        inp = ClassifierInput(stratum("1:1,2:0", 3), SlopeI(-1))
+        inp = ClassifierInput(stratum("1:1,2:0", 3), -1)
         checks = stability_audit(classify_rank3(inp), inp)
         assert len(checks) == 3
         assert all(c.holds and not c.is_equality for c in checks)
 
     def test_case_1_2_exactly_one_equality_at_the_split_summand(self):
-        inp = ClassifierInput(stratum("1:1,2:-1", 2), SlopeI(-1))
+        inp = ClassifierInput(stratum("1:1,2:-1", 2), -1)
         checks = stability_audit(classify_rank3(inp), inp)
         assert all(c.holds for c in checks)
         equalities = [c for c in checks if c.is_equality]
@@ -309,17 +296,115 @@ class TestStabilityAudit:
         assert equalities[0].subobject == "Q"
 
     def test_case_2_1_all_strict(self):
-        inp = ClassifierInput(stratum("2:1,1:0", 2), SlopeN(-1))
+        inp = ClassifierInput(stratum("2:1,1:0", 2), -1)
         checks = stability_audit(classify_rank3(inp), inp)
         assert len(checks) == 3
         assert all(c.holds and not c.is_equality for c in checks)
 
     def test_rank2_single_check(self):
-        inp = ClassifierInput(stratum("1:1,1:0", 2), NotApplicable())
+        inp = ClassifierInput(stratum("1:1,1:0", 2), None)
         checks = stability_audit(classify_rank2(inp.stratum), inp)
         assert len(checks) == 1
         assert checks[0].holds and not checks[0].is_equality
 
     def test_semistable_has_nothing_to_audit(self):
-        inp = ClassifierInput(stratum("3:0", 2), NotApplicable())
+        inp = ClassifierInput(stratum("3:0", 2), None)
         assert stability_audit(classify_semistable(inp.stratum), inp) == []
+
+
+# Each stratum's case family decides the kind of invariant classify takes:
+# None for semistable and rank-2 strata, an integer for case families 1
+# and 2, a bool for case family 3.  Expected: a case tag or an error class.
+INVARIANT_RULES = [
+    ("3:0", 2, None, CaseTag.SEMISTABLE),
+    ("3:0", 2, 0, CaseFamilyMismatch),
+    ("3:0", 2, False, CaseFamilyMismatch),
+    ("1:1,1:0", 2, None, CaseTag.RANK2),
+    ("1:1,1:0", 2, 1, CaseFamilyMismatch),
+    ("1:1,1:0", 2, True, CaseFamilyMismatch),
+    ("1:1,2:0", 3, -1, CaseTag.C1_1),
+    ("1:1,2:0", 3, Fraction(0), CaseTag.C1_3),
+    ("1:1,2:0", 3, None, CaseFamilyMismatch),
+    ("1:1,2:0", 3, False, CaseFamilyMismatch),
+    ("1:1,2:0", 3, Fraction(-1, 2), InvalidInvariant),
+    ("1:1,2:0", 3, 2.0, InvalidInvariant),
+    ("1:1,2:0", 3, "3", InvalidInvariant),
+    ("1:2,1:1,1:-1", 3, 2, CaseTag.C2_4),
+    ("1:2,1:1,1:-1", 3, Fraction(2), CaseTag.C2_4),
+    ("1:2,1:1,1:-1", 3, True, CaseFamilyMismatch),
+    ("1:2,1:1,1:-1", 3, None, CaseFamilyMismatch),
+    ("1:2,1:1,1:-1", 3, 2.0, InvalidInvariant),
+    ("1:2,1:1,1:-1", 3, "3", InvalidInvariant),
+    ("1:1,1:0,1:-1", 2, True, CaseTag.C3_1),
+    ("1:1,1:0,1:-1", 2, False, CaseTag.C3_2),
+    ("1:1,1:0,1:-1", 2, 1, CaseFamilyMismatch),
+    ("1:1,1:0,1:-1", 2, Fraction(1), CaseFamilyMismatch),
+    ("1:1,1:0,1:-1", 2, None, CaseFamilyMismatch),
+    ("1:1,1:0,1:-1", 2, "true", CaseFamilyMismatch),
+]
+
+
+@pytest.mark.parametrize(
+    "hn,g,invariant,expected",
+    INVARIANT_RULES,
+    ids=[f"{hn}-g{g}-{invariant!r}" for hn, g, invariant, _ in INVARIANT_RULES],
+)
+def test_invariant_rules(hn, g, invariant, expected):
+    inp = ClassifierInput(stratum(hn, g), invariant)
+    if isinstance(expected, CaseTag):
+        assert classify(inp).case_tag is expected
+    else:
+        with pytest.raises(expected):
+            classify(inp)
+
+
+def test_invariant_refusal_messages():
+    with pytest.raises(CaseFamilyMismatch, match=r"^3:0 is semistable and takes no invariant$"):
+        classify(ClassifierInput(stratum("3:0", 2), 0))
+    with pytest.raises(
+        CaseFamilyMismatch, match=r"^1:1,1:0 is a rank-2 type and takes no invariant$"
+    ):
+        classify(ClassifierInput(stratum("1:1,1:0", 2), False))
+    with pytest.raises(InvalidInvariant, match=r"^slope invariant must be an integer, got 2\.0$"):
+        classify(ClassifierInput(stratum("1:1,2:0", 3), 2.0))
+
+
+def test_table_entries_round_trip_through_classify():
+    entries = 0
+    for rank in (2, 3):
+        for g in (2, 3, 4, 5):
+            for d in range(-6, 7):
+                for row in build_table(rank, d, Genus(g)).rows:
+                    assert feasible_inputs(row.stratum) == list(row.feasible_set)
+                    for invariant, outcome in row.entries:
+                        assert classify(ClassifierInput(row.stratum, invariant)) == outcome
+                        entries += 1
+    assert entries > 2000
+
+
+@st.composite
+def small_strata(draw):
+    rank = draw(st.sampled_from((2, 3)))
+    g = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.integers(min_value=-6, max_value=6))
+    return draw(st.sampled_from(enumerate_strata(rank, d, Genus(g))))
+
+
+invariants = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=6),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_strata(), invariants)
+def test_classify_returns_an_outcome_or_a_classification_error(strat, invariant):
+    try:
+        out = classify(ClassifierInput(strat, invariant))
+    except ClassificationError:
+        return
+    assert isinstance(out, LimitOutcome)

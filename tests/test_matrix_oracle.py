@@ -5,11 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from higgsstrata import (
-    Aligned,
     BlockPattern,
     ClassifierInput,
     Genus,
-    SlopeI,
     classify_rank2,
     classify_rank3,
     classify_semistable,
@@ -107,7 +105,7 @@ class TestTakeLimit:
 class TestOracleCheck:
     def test_type111_case(self):
         stratum = validate(parse_hn_type("1:1,2:0"), Genus(3))
-        out = classify_rank3(ClassifierInput(stratum, SlopeI(0)))
+        out = classify_rank3(ClassifierInput(stratum, 0))
         assert oracle_check(out)
 
     def test_rank2_case(self):
@@ -120,19 +118,17 @@ class TestOracleCheck:
 
     def test_polystable_case12(self):
         stratum = validate(parse_hn_type("1:1,2:-1"), Genus(2))
-        out = classify_rank3(ClassifierInput(stratum, SlopeI(-1)))
+        out = classify_rank3(ClassifierInput(stratum, -1))
         assert out.strictly_polystable and oracle_check(out)
 
     def test_polystable_case22(self):
-        from higgsstrata import SlopeN
-
         stratum = validate(parse_hn_type("2:1,1:-1"), Genus(2))
-        out = classify_rank3(ClassifierInput(stratum, SlopeN(0)))
+        out = classify_rank3(ClassifierInput(stratum, 0))
         assert out.strictly_polystable and oracle_check(out)
 
     def test_polystable_case32(self):
         stratum = validate(parse_hn_type("1:1,1:0,1:-1"), Genus(2))
-        out = classify_rank3(ClassifierInput(stratum, Aligned(False)))
+        out = classify_rank3(ClassifierInput(stratum, False))
         assert out.strictly_polystable and oracle_check(out)
 
 

@@ -16,8 +16,6 @@ from higgsstrata import (
     LimitOutcome,
     Min,
     PolystableSum,
-    SlopeI,
-    SlopeN,
     Type12,
     Type21,
     Type111,
@@ -94,11 +92,11 @@ def test_duality_maps_case_family_2_onto_case_family_1():
                 dual = validate(dual_hn(stratum.hn), genus)
                 assert dual.case_family is CaseFamily.CASE1_I, stratum.hn
                 e2 = d - stratum.hn.steps[-1][1]  # deg E2
-                feasible = [x.value for x in feasible_inputs(stratum)]
-                assert feasible == [x.value + e2 for x in feasible_inputs(dual)]
+                feasible = feasible_inputs(stratum)
+                assert feasible == [x + e2 for x in feasible_inputs(dual)]
                 for w in range(feasible[0] - 3, feasible[-1] + 4):
-                    got, got_exc = _classify(stratum, SlopeN(w))
-                    want, want_exc = _classify(dual, SlopeI(w - e2))
+                    got, got_exc = _classify(stratum, w)
+                    want, want_exc = _classify(dual, w - e2)
                     where = f"{stratum.hn} at g={g}, mu(N) = {w}"
                     assert got_exc is want_exc, where
                     if want is not None:
