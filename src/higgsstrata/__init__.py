@@ -20,7 +20,6 @@ from .core import (
     Genus,
     HNPolygon,
     HNType,
-    HodgeSummand,
     InvalidGenus,
     InvalidHNType,
     LimitOutcome,
@@ -74,9 +73,7 @@ from .limit_classifier import (
     SlopeOutOfBounds,
     case1_threshold,
     classify,
-    classify_rank2,
     classify_rank3,
-    classify_semistable,
     excluded_gap_integers,
     feasible_inputs,
     stability_audit,

@@ -44,6 +44,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def _ints(values) -> tuple[int, ...] | None:
+    """values as a tuple of ints, or None when int() would change a value
+    or cannot convert it.  Integral values such as Fraction(2) become int."""
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == values or ints == tuple(values) else None
+
+
 @dataclass(frozen=True)
 class Genus:
     """Genus of the base curve; the theory requires g >= 2."""
@@ -166,7 +176,9 @@ class HNPolygon:
     vertices: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        v = tuple((int(r), int(d)) for r, d in self.vertices)
+        v = tuple(map(_ints, self.vertices))
+        if any(p is None or len(p) != 2 for p in v):
+            raise ValueError(f"polygon vertices must be pairs of integers: {self.vertices!r}")
         if len(v) < 2 or v[0] != (0, 0):
             raise ValueError(f"polygon must start at (0,0): {v}")
         segs = list(zip(v, v[1:]))
@@ -282,44 +294,24 @@ class Type111:
 
 
 @dataclass(frozen=True)
-class HodgeSummand:
-    """One stable summand of a polystable Hodge bundle: weight-ordered degrees."""
-
-    degrees: tuple[int, ...]
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if len(self.degrees) != len(self.weights):
-            raise ValueError("summand degrees and weights must have equal length")
-
-
-def line_summand(degree: int) -> HodgeSummand:
-    return HodgeSummand((degree,), (0,))
-
-
-def coupled_summand(deg_w0: int, deg_w1: int) -> HodgeSummand:
-    return HodgeSummand((deg_w0, deg_w1), (0, 1))
-
-
-@dataclass(frozen=True)
 class PolystableSum:
     """Strictly polystable limit: an unordered direct sum of stable summands.
 
-    Summands are canonicalized (higher rank first, then by degrees) so
-    that numerically identical limits reached through different cases
-    compare equal.
+    Each summand is the tuple of its pieces' degrees in Hodge-weight
+    order (weights 0, 1, ...).  Summands are canonicalized (higher rank
+    first, then by degrees) so that numerically identical limits reached
+    through different cases compare equal.
     """
 
-    summands: tuple[HodgeSummand, ...]
+    summands: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(
-            sorted(self.summands, key=lambda s: (-len(s.degrees), s.degrees))
-        )
-        if not canon:
+        summands = tuple(map(_ints, self.summands))
+        if not summands:
             raise ValueError("polystable sum needs at least one summand")
+        if None in summands:
+            raise ValueError(f"summand degrees must be integers: {self.summands!r}")
+        canon = tuple(sorted(summands, key=lambda s: (-len(s), s)))
         object.__setattr__(self, "summands", canon)
 
 
@@ -338,9 +330,7 @@ def format_label(label: FixedComponentLabel) -> str:
     if isinstance(label, Type111):
         return f"t111:{label.l1},{label.l2},{label.l3}"
     if isinstance(label, PolystableSum):
-        parts = "+".join(
-            "[" + ",".join(str(d) for d in s.degrees) + "]" for s in label.summands
-        )
+        parts = "+".join("[" + ",".join(map(str, s)) + "]" for s in label.summands)
         return f"poly:{parts}"
     raise TypeError(f"not a fixed-component label: {label!r}")
 
@@ -364,11 +354,9 @@ def parse_label(
         l1, l2, l3 = (int(x) for x in rest.split(","))
         return Type111(l1, l2, l3)
     if kind == "poly":
-        summands = []
-        for part in rest.split("+"):
-            degs = tuple(int(x) for x in part.strip("[]").split(","))
-            summands.append(HodgeSummand(degs, tuple(range(len(degs)))))
-        return PolystableSum(tuple(summands))
+        return PolystableSum(
+            tuple(tuple(map(int, part.strip("[]").split(","))) for part in rest.split("+"))
+        )
     raise ValueError(f"unrecognized component label {text!r}")
 
 
@@ -393,9 +381,6 @@ class CaseTag(Enum):
     C3_2 = "3.2"
 
 
-STRICTLY_POLYSTABLE_TAGS = frozenset({CaseTag.C1_2, CaseTag.C2_2, CaseTag.C3_2})
-
-
 @dataclass(frozen=True)
 class LimitOutcome:
     """Full description of the limiting Hodge bundle of a downward flow.
@@ -412,18 +397,19 @@ class LimitOutcome:
     component: FixedComponentLabel
     graded_degrees: tuple[int, ...]
     hnt_limit: HNType
-    strictly_polystable: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "graded_degrees", tuple(map(int, self.graded_degrees))
-        )
-        if self.strictly_polystable != (self.case_tag in STRICTLY_POLYSTABLE_TAGS):
+        graded = _ints(self.graded_degrees)
+        if graded is None:
+            raise ValueError(f"graded degrees must be integers: {self.graded_degrees!r}")
+        object.__setattr__(self, "graded_degrees", graded)
+        if sum(graded) != self.hnt_limit.total_degree:
             raise ValueError(
-                f"strictly_polystable flag inconsistent with case {self.case_tag.value}"
+                f"graded degrees {graded} do not sum to {self.hnt_limit.total_degree}"
             )
-        if sum(self.graded_degrees) != self.hnt_limit.total_degree:
-            raise ValueError(
-                f"graded degrees {self.graded_degrees} do not sum to "
-                f"{self.hnt_limit.total_degree}"
-            )
+
+    @property
+    def strictly_polystable(self) -> bool:
+        """True exactly for the direct sums of stable summands (cases 1.2,
+        2.2 and 3.2): the component says so."""
+        return isinstance(self.component, PolystableSum)

@@ -207,6 +207,6 @@ def validate_component_label(
         l = LInvariants(label.l1, label.l2, label.l3, genus)
         return rank == 3 and validate_fixed_111(l, degree)
     if isinstance(label, PolystableSum):
-        degrees = [d for s in label.summands for d in s.degrees]
+        degrees = [d for s in label.summands for d in s]
         return len(degrees) == rank and sum(degrees) == degree
     raise TypeError(f"not a fixed-component label: {label!r}")

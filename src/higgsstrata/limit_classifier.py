@@ -25,9 +25,7 @@ from .core import (
     Type12,
     Type21,
     Type111,
-    coupled_summand,
     format_rational,
-    line_summand,
 )
 
 
@@ -73,40 +71,6 @@ def case1_threshold(stratum: AdmissibleStratum) -> Fraction:
     """Slope threshold t = -mu1/3 + 2*mu2/3 + 2*mu3/3 separating the
     type-(1,2) limits from the type-(1,1,1) limits in case family 1."""
     return Fraction(stratum.threshold6, 6)
-
-
-def classify_semistable(stratum: AdmissibleStratum) -> LimitOutcome:
-    """Semistable underlying bundle: the Higgs field flows to zero."""
-    if not stratum.is_semistable:
-        raise ClassificationError(f"{stratum.hn} is not a semistable type")
-    hn = stratum.hn
-    return LimitOutcome(
-        case_tag=CaseTag.SEMISTABLE,
-        component=Min(hn.total_rank, hn.total_degree),
-        graded_degrees=(hn.total_degree,),
-        hnt_limit=hn,
-        strictly_polystable=False,
-    )
-
-
-def classify_rank2(stratum: AdmissibleStratum) -> LimitOutcome:
-    """Unstable rank 2: the limit couples the destabilizing line into the
-    quotient, and the associated graded bundle is unchanged."""
-    if stratum.hn.total_rank != 2:
-        raise ClassificationError(f"{stratum.hn} is not a rank-2 type")
-    if stratum.is_semistable:
-        raise ClassificationError(
-            f"{stratum.hn} is semistable; use classify_semistable"
-        )
-    d1 = stratum.hn.steps[0][1]
-    d = stratum.hn.total_degree
-    return LimitOutcome(
-        case_tag=CaseTag.RANK2,
-        component=Rank2(d1),
-        graded_degrees=(d1, d - d1),
-        hnt_limit=stratum.hn,
-        strictly_polystable=False,
-    )
 
 
 @dataclass(frozen=True)
@@ -159,7 +123,6 @@ def _x1_outcome(
             component=fam.x1_label(*pair),
             graded_degrees=pair,
             hnt_limit=stratum.hn,
-            strictly_polystable=False,
         )
     return outcome
 
@@ -203,7 +166,7 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
             line = graded[split]
             coupled = graded[:split] + graded[split + 1 :]
             tag, graded = fam.tags[1], coupled + (line,)
-            component = PolystableSum((coupled_summand(*coupled), line_summand(line)))
+            component = PolystableSum((coupled, (line,)))
         else:
             tag, component = fam.tags[2], Type111(*graded)
     return LimitOutcome(
@@ -211,7 +174,6 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
         component=component,
         graded_degrees=graded,
         hnt_limit=hnt_limit,
-        strictly_polystable=tag is fam.tags[1],
     )
 
 
@@ -225,7 +187,6 @@ def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
             component=Type111(mu1, mu2, mu3),
             graded_degrees=(mu1, mu2, mu3),
             hnt_limit=stratum.hn,
-            strictly_polystable=False,
         )
     if mu1 - mu3 > k:
         raise AlignmentImpossible(
@@ -233,10 +194,9 @@ def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
         )
     return LimitOutcome(
         case_tag=CaseTag.C3_2,
-        component=PolystableSum((coupled_summand(mu1, mu3), line_summand(mu2))),
+        component=PolystableSum(((mu1, mu3), (mu2,))),
         graded_degrees=(mu1, mu3, mu2),
         hnt_limit=stratum.hn,
-        strictly_polystable=True,
     )
 
 
@@ -257,9 +217,7 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
     if stratum.hn.total_rank != 3:
         raise ClassificationError(f"{stratum.hn} is not a rank-3 type")
     if stratum.is_semistable:
-        raise ClassificationError(
-            f"{stratum.hn} is semistable; use classify_semistable"
-        )
+        raise ClassificationError(f"{stratum.hn} is semistable; use classify")
     invariant = inp.invariant
     fam = _FAMILIES.get(stratum.case_family)
     if fam is None:
@@ -281,20 +239,29 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
 
 
 def classify(inp: ClassifierInput) -> LimitOutcome:
-    """Dispatch on rank and semistability; the one entry point the CLI uses."""
+    """Classify any stratum with its invariant; the one entry point the CLI
+    uses.  Semistable and rank-2 strata take None and are decided here,
+    unstable rank-3 strata go to classify_rank3."""
     stratum = inp.stratum
     if stratum.is_semistable:
         if inp.invariant is not None:
             raise CaseFamilyMismatch(
                 f"{stratum.hn} is semistable and takes no invariant"
             )
-        return classify_semistable(stratum)
+        # The Higgs field flows to zero.
+        hn = stratum.hn
+        return LimitOutcome(
+            CaseTag.SEMISTABLE, Min(hn.total_rank, hn.total_degree), (hn.total_degree,), hn
+        )
     if stratum.hn.total_rank == 2:
         if inp.invariant is not None:
             raise CaseFamilyMismatch(
                 f"{stratum.hn} is a rank-2 type and takes no invariant"
             )
-        return classify_rank2(stratum)
+        # The limit couples the destabilizing line into the quotient, and
+        # the associated graded bundle is unchanged.
+        (_, d1), (_, d2) = stratum.hn.steps
+        return LimitOutcome(CaseTag.RANK2, Rank2(d1), (d1, d2), stratum.hn)
     return classify_rank3(inp)
 
 

@@ -213,6 +213,15 @@ class TestBadInput:
             "decreasing: ((1, 0), (1, 1))\n"
         )
 
+    @pytest.mark.parametrize("hn,rank", [("1:0", 1), ("2:1,2:0", 4)])
+    def test_unsupported_rank_is_a_domain_error(self, hn, rank, capsys):
+        code, out, err = run_cli(["limit", "--genus", "2", "--hn", hn], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: RankUnsupported: only ranks 2 and 3 are supported, got {rank}\n"
+        )
+
     def test_unwritable_output_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"
         code, out, err = run_cli(

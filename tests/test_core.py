@@ -11,7 +11,6 @@ from higgsstrata import (
     Genus,
     HNPolygon,
     HNType,
-    HodgeSummand,
     InvalidGenus,
     InvalidHNType,
     LimitOutcome,
@@ -216,6 +215,14 @@ class TestTrustedPolygons:
 
     def test_direct_construction_converts_to_int(self):
         assert HNPolygon(((0, 0), (Fraction(1), 2.0))).vertices == ((0, 0), (1, 2))
+        assert HNPolygon([[0, 0], [1, Fraction(2)], (3, 3)]).vertices == ((0, 0), (1, 2), (3, 3))
+
+    @pytest.mark.parametrize(
+        "vertex", [(1, 2.5), (1, Fraction(5, 2)), (1, "2"), (1.5, 2), (1, None), (1, 2, 3), (1,)]
+    )
+    def test_direct_construction_refuses_non_integer_vertices(self, vertex):
+        with pytest.raises(ValueError, match="polygon vertices must be pairs of integers"):
+            HNPolygon(((0, 0), vertex, (3, 3)))
 
 
 def test_polygon_heights_are_exact():
@@ -303,10 +310,8 @@ class TestLabels:
             (Type12(1, 0), "t12:1|0"),
             (Type21(2, -1), "t21:2|-1"),
             (Type111(1, 0, -1), "t111:1,0,-1"),
-            (
-                PolystableSum((HodgeSummand((1, -1), (0, 1)), HodgeSummand((0,), (0,)))),
-                "poly:[1,-1]+[0]",
-            ),
+            (PolystableSum(((1, -1), (0,))), "poly:[1,-1]+[0]"),
+            (PolystableSum(((3,), (-1, -2))), "poly:[-1,-2]+[3]"),
         ],
     )
     def test_encoding_round_trip(self, label, text):
@@ -320,23 +325,26 @@ class TestLabels:
             parse_label("min")
 
     def test_polystable_sum_is_unordered(self):
-        a = PolystableSum((HodgeSummand((0,), (0,)), HodgeSummand((1, -1), (0, 1))))
-        b = PolystableSum((HodgeSummand((1, -1), (0, 1)), HodgeSummand((0,), (0,))))
+        a = PolystableSum(((0,), (1, -1)))
+        b = PolystableSum(((1, -1), (0,)))
         assert a == b
-        assert a.summands[0].degrees == (1, -1)
+        assert a.summands == ((1, -1), (0,))
+
+    @pytest.mark.parametrize(
+        "summands",
+        [((1, 0.5), (0,)), ((1, -1), (Fraction(1, 2),)), ((1, "-1"), (0,)), ((1, None),), (1, 0)],
+    )
+    def test_polystable_sum_refuses_non_integer_degrees(self, summands):
+        with pytest.raises(ValueError, match="summand degrees must be integers"):
+            PolystableSum(summands)
+
+    def test_polystable_sum_normalises_integral_degrees(self):
+        label = PolystableSum([[Fraction(1), -1], (Fraction(0),)])
+        assert label == PolystableSum(((1, -1), (0,)))
+        assert all(type(x) is int for s in label.summands for x in s)
 
 
 class TestLimitOutcome:
-    def test_polystable_flag_must_match_case(self):
-        with pytest.raises(ValueError):
-            LimitOutcome(
-                case_tag=CaseTag.C1_1,
-                component=Type12(1, 0),
-                graded_degrees=(1, 0),
-                hnt_limit=HNType(((1, 1), (2, 0))),
-                strictly_polystable=True,
-            )
-
     def test_graded_degrees_must_conserve_degree(self):
         with pytest.raises(ValueError):
             LimitOutcome(
@@ -344,5 +352,24 @@ class TestLimitOutcome:
                 component=Rank2(1),
                 graded_degrees=(1, 1),
                 hnt_limit=HNType(((1, 1), (1, 0))),
-                strictly_polystable=False,
             )
+
+    @pytest.mark.parametrize(
+        "graded", [(1.5, -0.5), (Fraction(3, 2), Fraction(-1, 2)), ("1", 0), (1, None), 1]
+    )
+    def test_graded_degrees_must_be_integers(self, graded):
+        with pytest.raises(ValueError, match="graded degrees must be integers"):
+            LimitOutcome(CaseTag.RANK2, Rank2(1), graded, HNType(((1, 1), (1, 0))))
+
+    def test_integral_graded_degrees_normalise_to_int(self):
+        out = LimitOutcome(CaseTag.RANK2, Rank2(1), [Fraction(1), 0.0], HNType(((1, 1), (1, 0))))
+        assert out.graded_degrees == (1, 0)
+        assert all(type(x) is int for x in out.graded_degrees)
+
+    @pytest.mark.parametrize(
+        "component,polystable",
+        [(PolystableSum(((1, -1), (0,))), True), (Type111(1, 0, -1), False), (Min(3, 0), False)],
+    )
+    def test_polystable_flag_is_read_from_the_component(self, component, polystable):
+        out = LimitOutcome(CaseTag.C1_3, component, (1, 0, -1), HNType(((1, 1), (1, 0), (1, -1))))
+        assert out.strictly_polystable is polystable

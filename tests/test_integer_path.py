@@ -33,9 +33,7 @@ from higgsstrata.core import (
     CaseTag,
     LimitOutcome,
     PolystableSum,
-    coupled_summand,
     format_rational,
-    line_summand,
 )
 
 # ---------------------------------------------------------------------------
@@ -43,7 +41,10 @@ from higgsstrata.core import (
 
 
 def _outcome(tag, component, graded, hnt_limit, polystable=False):
-    return LimitOutcome(tag, component, graded, hnt_limit, polystable)
+    # The flag is derived from the component; the reference states it.
+    outcome = LimitOutcome(tag, component, graded, hnt_limit)
+    assert outcome.strictly_polystable == polystable
+    return outcome
 
 
 def reference_case1(stratum, v: int) -> LimitOutcome:
@@ -71,7 +72,7 @@ def reference_case1(stratum, v: int) -> LimitOutcome:
     qdeg = d - d1 - v
     limit = HNType(((1, d1), (1, qdeg), (1, v)))
     if v == t:
-        component = PolystableSum((coupled_summand(d1, v), line_summand(qdeg)))
+        component = PolystableSum(((d1, v), (qdeg,)))
         return _outcome(CaseTag.C1_2, component, (d1, v, qdeg), limit, True)
     return _outcome(CaseTag.C1_3, Type111(d1, v, qdeg), (d1, v, qdeg), limit)
 
@@ -103,7 +104,7 @@ def reference_case2(stratum, v: int) -> LimitOutcome:
     rdeg = e2 - v
     limit = HNType(((1, rdeg), (1, v), (1, d3)))
     if v == mu:
-        component = PolystableSum((line_summand(v), coupled_summand(rdeg, d3)))
+        component = PolystableSum(((v,), (rdeg, d3)))
         return _outcome(CaseTag.C2_2, component, (rdeg, d3, v), limit, True)
     return _outcome(CaseTag.C2_3, Type111(v, rdeg, d3), (v, rdeg, d3), limit)
 
@@ -115,7 +116,7 @@ def reference_case3(stratum, aligned: bool) -> LimitOutcome:
         return _outcome(CaseTag.C3_1, Type111(mu1, mu2, mu3), (mu1, mu2, mu3), stratum.hn)
     if mu1 - mu3 > k:
         raise AlignmentImpossible(f"mu1 - mu3 = {mu1 - mu3} > 2g-2 = {k} forces N = E1")
-    component = PolystableSum((coupled_summand(mu1, mu3), line_summand(mu2)))
+    component = PolystableSum(((mu1, mu3), (mu2,)))
     return _outcome(CaseTag.C3_2, component, (mu1, mu3, mu2), stratum.hn, True)
 
 

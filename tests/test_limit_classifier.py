@@ -12,7 +12,6 @@ from higgsstrata import (
     ClassificationError,
     ClassifierInput,
     Genus,
-    HodgeSummand,
     InfeasibleBySpecialization,
     InvalidInvariant,
     LimitOutcome,
@@ -27,9 +26,7 @@ from higgsstrata import (
     Type21,
     build_table,
     classify,
-    classify_rank2,
     classify_rank3,
-    classify_semistable,
     enumerate_strata,
     excluded_gap_integers,
     feasible_inputs,
@@ -50,9 +47,11 @@ def rank3(hn_text: str, g: int, invariant):
 
 
 def poly(*summands):
-    return PolystableSum(
-        tuple(HodgeSummand(degs, tuple(range(len(degs)))) for degs in summands)
-    )
+    return PolystableSum(summands)
+
+
+def no_invariant(hn_text: str, g: int):
+    return classify(ClassifierInput(stratum(hn_text, g), None))
 
 
 class TestSemistable:
@@ -60,38 +59,30 @@ class TestSemistable:
         "hn,g,degree", [("3:0", 2, 0), ("2:1", 2, 1), ("3:2", 3, 2)]
     )
     def test_flows_to_zero_higgs_field(self, hn, g, degree):
-        out = classify_semistable(stratum(hn, g))
+        out = no_invariant(hn, g)
         assert out.case_tag is CaseTag.SEMISTABLE
         assert out.component == Min(out.hnt_limit.total_rank, degree)
         assert out.graded_degrees == (degree,)
         assert out.hnt_limit == parse_hn_type(hn)
         assert not out.strictly_polystable
 
-    def test_rejects_unstable(self):
-        with pytest.raises(ClassificationError):
-            classify_semistable(stratum("1:1,1:0", 2))
-
 
 class TestRank2:
     def test_keeps_the_graded_bundle(self):
-        out = classify_rank2(stratum("1:1,1:0", 2))
+        out = no_invariant("1:1,1:0", 2)
         assert out.case_tag is CaseTag.RANK2
         assert out.component == Rank2(1)
         assert out.graded_degrees == (1, 0)
         assert out.hnt_limit == parse_hn_type("1:1,1:0")
 
     def test_higher_genus(self):
-        out = classify_rank2(stratum("1:2,1:0", 3))
+        out = no_invariant("1:2,1:0", 3)
         assert out.component == Rank2(2)
         assert out.graded_degrees == (2, 0)
 
     def test_bound_violation_caught_at_validation(self):
         with pytest.raises(Rank2BoundViolated):
             stratum("1:3,1:0", 2)
-
-    def test_rejects_semistable(self):
-        with pytest.raises(ClassificationError):
-            classify_rank2(stratum("2:0", 2))
 
 
 class TestRank3Cases:
@@ -303,13 +294,13 @@ class TestStabilityAudit:
 
     def test_rank2_single_check(self):
         inp = ClassifierInput(stratum("1:1,1:0", 2), None)
-        checks = stability_audit(classify_rank2(inp.stratum), inp)
+        checks = stability_audit(classify(inp), inp)
         assert len(checks) == 1
         assert checks[0].holds and not checks[0].is_equality
 
     def test_semistable_has_nothing_to_audit(self):
         inp = ClassifierInput(stratum("3:0", 2), None)
-        assert stability_audit(classify_semistable(inp.stratum), inp) == []
+        assert stability_audit(classify(inp), inp) == []
 
 
 # Each stratum's case family decides the kind of invariant classify takes:
@@ -380,6 +371,19 @@ def test_table_entries_round_trip_through_classify():
                         assert classify(ClassifierInput(row.stratum, invariant)) == outcome
                         entries += 1
     assert entries > 2000
+
+
+def test_polystable_flag_follows_the_case_tag():
+    polystable_tags = {CaseTag.C1_2, CaseTag.C2_2, CaseTag.C3_2}
+    seen = set()
+    for rank in (2, 3):
+        for g in (2, 3, 4, 5):
+            for d in range(-6, 7):
+                for row in build_table(rank, d, Genus(g)).rows:
+                    for _, outcome in row.entries:
+                        assert outcome.strictly_polystable == (outcome.case_tag in polystable_tags)
+                        seen.add(outcome.case_tag)
+    assert seen == set(CaseTag)
 
 
 @st.composite

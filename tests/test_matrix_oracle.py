@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from higgsstrata import (
     BlockPattern,
+    CaseTag,
     ClassifierInput,
     Genus,
-    classify_rank2,
+    LimitOutcome,
+    Type111,
+    classify,
     classify_rank3,
-    classify_semistable,
     format_block_pattern,
     nonzero_set,
     oracle_check,
@@ -109,11 +111,11 @@ class TestOracleCheck:
         assert oracle_check(out)
 
     def test_rank2_case(self):
-        out = classify_rank2(validate(parse_hn_type("1:1,1:0"), Genus(2)))
+        out = classify(ClassifierInput(validate(parse_hn_type("1:1,1:0"), Genus(2)), None))
         assert oracle_check(out)
 
     def test_semistable_case(self):
-        out = classify_semistable(validate(parse_hn_type("3:0"), Genus(2)))
+        out = classify(ClassifierInput(validate(parse_hn_type("3:0"), Genus(2)), None))
         assert oracle_check(out)
 
     def test_polystable_case12(self):
@@ -130,6 +132,21 @@ class TestOracleCheck:
         stratum = validate(parse_hn_type("1:1,1:0,1:-1"), Genus(2))
         out = classify_rank3(ClassifierInput(stratum, False))
         assert out.strictly_polystable and oracle_check(out)
+
+    def test_rejects_a_case_tag_that_disagrees_with_the_component(self):
+        # A case-1.3 outcome with a polystable component, and a case-1.2
+        # outcome with a type-(1,1,1) one: the oracle reads whether the
+        # limit is polystable from the component, so neither passes.
+        def outcome(hn_text, g, invariant):
+            stratum = validate(parse_hn_type(hn_text), Genus(g))
+            return classify_rank3(ClassifierInput(stratum, invariant))
+
+        case12, case13 = outcome("1:1,2:-1", 2, -1), outcome("1:1,2:0", 3, 0)
+        assert oracle_check(case12) and oracle_check(case13)
+        for tag, out in ((CaseTag.C1_3, case12), (CaseTag.C1_2, case13)):
+            swapped = LimitOutcome(tag, out.component, out.graded_degrees, out.hnt_limit)
+            assert not oracle_check(swapped)
+        assert isinstance(case13.component, Type111)
 
 
 class TestBlockPatternValidation:

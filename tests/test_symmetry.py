@@ -12,7 +12,6 @@ from higgsstrata import (
     ClassifierInput,
     Genus,
     HNType,
-    HodgeSummand,
     LimitOutcome,
     Min,
     PolystableSum,
@@ -49,12 +48,7 @@ def dual_label(label):
     if isinstance(label, Type111):
         return Type111(-label.l3, -label.l2, -label.l1)
     if isinstance(label, PolystableSum):
-        return PolystableSum(
-            tuple(
-                HodgeSummand(tuple(-x for x in reversed(s.degrees)), s.weights)
-                for s in label.summands
-            )
-        )
+        return PolystableSum(tuple(tuple(-x for x in reversed(s)) for s in label.summands))
     raise AssertionError(f"no family-1 label {label!r}")
 
 
@@ -62,7 +56,7 @@ def dual_outcome(outcome: LimitOutcome) -> LimitOutcome:
     """The family-2 outcome that duality predicts from a family-1 one."""
     component = dual_label(outcome.component)
     if isinstance(component, PolystableSum):
-        graded = tuple(x for s in component.summands for x in s.degrees)
+        graded = tuple(x for s in component.summands for x in s)
     else:
         graded = tuple(-x for x in reversed(outcome.graded_degrees))
     return LimitOutcome(
@@ -70,7 +64,6 @@ def dual_outcome(outcome: LimitOutcome) -> LimitOutcome:
         component,
         graded,
         dual_hn(outcome.hnt_limit),
-        outcome.strictly_polystable,
     )
 
 
@@ -123,12 +116,7 @@ def twist_label(label):
     if isinstance(label, Type111):
         return Type111(label.l1 + 1, label.l2 + 1, label.l3 + 1)
     if isinstance(label, PolystableSum):
-        return PolystableSum(
-            tuple(
-                HodgeSummand(tuple(x + 1 for x in s.degrees), s.weights)
-                for s in label.summands
-            )
-        )
+        return PolystableSum(tuple(tuple(x + 1 for x in s) for s in label.summands))
     raise AssertionError(f"no rank-3 label {label!r}")
 
 
@@ -151,7 +139,6 @@ def twist_outcome(outcome: LimitOutcome) -> LimitOutcome:
         twist_label(outcome.component),
         tuple(x + r for x, r in zip(ranks, outcome.graded_degrees)),
         twist_hn(outcome.hnt_limit),
-        outcome.strictly_polystable,
     )
 
 
