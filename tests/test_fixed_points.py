@@ -9,6 +9,7 @@ from higgsstrata import (
     MInvariants,
     Min,
     NoIntegerSolution,
+    PolystableSum,
     Rank2,
     Type12,
     Type21,
@@ -198,3 +199,76 @@ def test_m_validation_outside_region():
     assert not validate_m_invariants(MInvariants(-1, 1, g, 0))
     assert not validate_m_invariants(MInvariants(2, 2, g, 0))  # stability bound
     assert not validate_m_invariants(MInvariants(1, 1, g, 1))  # mod-3 solvability
+
+
+def _label(ranks, degrees):
+    """The label of Hodge type ranks with these piece degrees."""
+    if len(ranks) == 1:
+        return Min(ranks[0], degrees[0])
+    if ranks == (1, 1):
+        return Rank2(degrees[0])
+    return {(1, 2): Type12, (2, 1): Type21, (1, 1, 1): Type111}[ranks](*degrees)
+
+
+class TestValidateComponentLabelVerdicts:
+    """Every label kind at its right rank and degree, at a wrong rank and
+    at a wrong degree; both ends of the rank-2 bound d < 2*d1 <= d + 2g-2;
+    and polystable sums at ranks 2 and 3."""
+
+    @pytest.mark.parametrize(
+        "ranks,degrees,rank,degree,g,verdict",
+        [
+            ((2,), (1,), 2, 1, 2, True),
+            ((3,), (0,), 3, 0, 2, True),
+            ((3,), (0,), 2, 0, 2, False),
+            ((3,), (0,), 3, 1, 2, False),
+            ((1, 1), (1, -1), 2, 0, 2, True),
+            ((1, 1), (1, -1), 3, 0, 2, False),
+            ((1, 1), (1, -1), 2, 2, 2, False),
+            # The degrees sum to 0, not 1; only d1 was checked.
+            ((1, 1), (1, -1), 2, 1, 2, True),
+            ((1, 1), (0, 0), 2, 0, 3, False),
+            ((1, 1), (1, -1), 2, 0, 3, True),
+            ((1, 1), (2, -2), 2, 0, 3, True),
+            ((1, 1), (3, -3), 2, 0, 3, False),
+            ((1, 1), (0, 1), 2, 1, 2, False),
+            ((1, 1), (1, 0), 2, 1, 2, True),
+            ((1, 1), (2, -1), 2, 1, 2, False),
+            ((1, 2), (1, -1), 3, 0, 2, True),
+            ((1, 2), (1, -1), 2, 0, 2, False),
+            ((1, 2), (1, -1), 3, 1, 2, False),
+            ((2, 1), (1, -1), 3, 0, 2, True),
+            ((2, 1), (1, -1), 2, 0, 2, False),
+            ((2, 1), (1, -1), 3, 1, 2, False),
+            ((1, 1, 1), (1, 0, -1), 3, 0, 2, True),
+            ((1, 1, 1), (1, 0, -1), 2, 0, 2, False),
+            ((1, 1, 1), (1, 0, -1), 3, 1, 2, False),
+            ((1, 1, 1), (0, 0, 0), 3, 0, 2, False),
+            ((1, 1, 1), (3, 0, -3), 3, 0, 2, False),
+        ],
+    )
+    def test_hodge_bundle(self, ranks, degrees, rank, degree, g, verdict):
+        label = _label(ranks, degrees)
+        assert validate_component_label(label, rank, degree, Genus(g)) is verdict
+
+    @pytest.mark.parametrize(
+        "summands,rank,degree,verdict",
+        [
+            (((0,), (0,)), 2, 0, True),
+            (((1,), (0,)), 2, 1, True),
+            (((0,), (0,)), 2, 1, False),
+            (((0,), (0,)), 3, 0, False),
+            (((1, -1), (0,)), 3, 0, True),
+            (((0,), (0,), (0,)), 3, 0, True),
+            (((1, -1), (0,)), 3, 1, False),
+            (((1, -1), (0,)), 2, 0, False),
+        ],
+    )
+    def test_polystable_sum(self, summands, rank, degree, verdict):
+        label = PolystableSum(summands)
+        assert validate_component_label(label, rank, degree, Genus(2)) is verdict
+
+    @pytest.mark.parametrize("label", ["min", (1, 0, -1), None])
+    def test_non_label_raises_type_error(self, label):
+        with pytest.raises(TypeError, match="not a fixed-component label"):
+            validate_component_label(label, 3, 0, Genus(2))
