@@ -22,14 +22,10 @@ from .core import (
     HNType,
     InvalidGenus,
     InvalidHNType,
+    HodgeBundle,
     LimitOutcome,
-    Min,
     PolystableSum,
-    Rank2,
     StrataError,
-    Type12,
-    Type21,
-    Type111,
     dominates,
     format_hn_type,
     format_label,
@@ -42,7 +38,6 @@ from .core import (
     slope,
 )
 from .fixed_points import (
-    LInvariants,
     MInvariants,
     NoIntegerSolution,
     enumerate_fixed_111,

@@ -249,48 +249,51 @@ def dominates(p: HNPolygon, q: HNPolygon) -> bool:
 # Fixed-component labels
 
 
-@dataclass(frozen=True)
-class Min:
-    """The minimal fixed component: semistable bundles with zero Higgs field."""
-
-    rank: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class Rank2:
-    """Rank-2 fixed component indexed by the degree d1 of the subline."""
-
-    d1: int
-
-
-@dataclass(frozen=True)
-class Type12:
-    """Hodge bundle of type (1,2): line of weight 0, rank-2 piece of weight 1."""
-
-    deg_sub: int
-    deg_quot_pair: int
+#: Label text of each Hodge type (the ranks of the weight pieces, weight 0
+#: first), filled with the degrees in weight order.  A template shows only
+#: what the ambient rank and degree do not fix ("min" no degree, "r2" only
+#: d1), since str.format ignores surplus arguments.
+_LABEL_TEXT = {
+    (2,): "min",
+    (3,): "min",
+    (1, 1): "r2:{}",
+    (1, 2): "t12:{}|{}",
+    (2, 1): "t21:{}|{}",
+    (1, 1, 1): "t111:{},{},{}",
+}
+#: Each type maps to itself: looking ranks up gives the int tuple of an
+#: equal type (Fraction(1) == 1 and hashes alike), shared by every label.
+_HODGE_TYPES = {ranks: ranks for ranks in _LABEL_TEXT}
 
 
 @dataclass(frozen=True)
-class Type21:
-    """Hodge bundle of type (2,1): rank-2 piece of weight 0, line of weight 1."""
+class HodgeBundle:
+    """A non-polystable fixed point: a Hodge bundle of the given type.
 
-    deg_sub_pair: int
-    deg_quot: int
+    ``ranks`` are the ranks of the weight pieces and ``degrees`` their
+    degrees, both in Hodge-weight order (weight 0 first).  Type (r) is
+    the minimal component (semistable, zero Higgs field), type (1,1) a
+    rank-2 component, and (1,2), (2,1) and (1,1,1) the rank-3 ones.
+    """
 
+    ranks: tuple[int, ...]
+    degrees: tuple[int, ...]
 
-@dataclass(frozen=True)
-class Type111:
-    """Hodge bundle of type (1,1,1); l1, l2, l3 are the weight-ordered degrees."""
-
-    l1: int
-    l2: int
-    l3: int
-
-    @property
-    def degrees(self) -> tuple[int, int, int]:
-        return (self.l1, self.l2, self.l3)
+    def __post_init__(self) -> None:
+        try:
+            ranks = _HODGE_TYPES.get(tuple(self.ranks))
+        except TypeError:  # not iterable, or unhashable items
+            ranks = None
+        if ranks is None:
+            raise ValueError(f"not a supported Hodge type: {self.ranks!r}")
+        degrees = _ints(self.degrees)
+        if degrees is None or len(degrees) != len(ranks):
+            raise ValueError(
+                f"a Hodge bundle of type {ranks} needs {len(ranks)} integer "
+                f"degrees, got {self.degrees!r}"
+            )
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "degrees", degrees)
 
 
 @dataclass(frozen=True)
@@ -311,24 +314,23 @@ class PolystableSum:
             raise ValueError("polystable sum needs at least one summand")
         if None in summands:
             raise ValueError(f"summand degrees must be integers: {self.summands!r}")
+        if () in summands:
+            raise ValueError(f"polystable summands must be nonempty: {self.summands!r}")
         canon = tuple(sorted(summands, key=lambda s: (-len(s), s)))
         object.__setattr__(self, "summands", canon)
 
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """The pieces' degrees, summand after summand in canonical order."""
+        return tuple(d for s in self.summands for d in s)
 
-FixedComponentLabel = Union[Min, Rank2, Type12, Type21, Type111, PolystableSum]
+
+FixedComponentLabel = Union[HodgeBundle, PolystableSum]
 
 
 def format_label(label: FixedComponentLabel) -> str:
-    if isinstance(label, Min):
-        return "min"
-    if isinstance(label, Rank2):
-        return f"r2:{label.d1}"
-    if isinstance(label, Type12):
-        return f"t12:{label.deg_sub}|{label.deg_quot_pair}"
-    if isinstance(label, Type21):
-        return f"t21:{label.deg_sub_pair}|{label.deg_quot}"
-    if isinstance(label, Type111):
-        return f"t111:{label.l1},{label.l2},{label.l3}"
+    if isinstance(label, HodgeBundle):
+        return _LABEL_TEXT[label.ranks].format(*label.degrees)
     if isinstance(label, PolystableSum):
         parts = "+".join("[" + ",".join(map(str, s)) + "]" for s in label.summands)
         return f"poly:{parts}"
@@ -338,25 +340,28 @@ def format_label(label: FixedComponentLabel) -> str:
 def parse_label(
     text: str, *, rank: int | None = None, degree: int | None = None
 ) -> FixedComponentLabel:
-    """Inverse of format_label; "min" needs the ambient rank and degree."""
+    """Inverse of format_label.  The ambient rank and degree give what a
+    label does not show: "min" needs both, "r2" the degree."""
     text = text.strip()
     if text == "min":
         if rank is None or degree is None:
             raise ValueError("parsing 'min' requires ambient rank and degree")
-        return Min(rank, degree)
+        return HodgeBundle((rank,), (degree,))
     kind, _, rest = text.partition(":")
-    if kind == "r2":
-        return Rank2(int(rest))
-    if kind in ("t12", "t21"):
-        a, _, b = rest.partition("|")
-        return Type12(int(a), int(b)) if kind == "t12" else Type21(int(a), int(b))
-    if kind == "t111":
-        l1, l2, l3 = (int(x) for x in rest.split(","))
-        return Type111(l1, l2, l3)
     if kind == "poly":
         return PolystableSum(
             tuple(tuple(map(int, part.strip("[]").split(","))) for part in rest.split("+"))
         )
+    for ranks, template in _LABEL_TEXT.items():
+        if template.startswith(f"{kind}:"):
+            degrees = tuple(int(x) for x in rest.replace("|", ",").split(","))
+            if template.count("{}") < len(ranks):
+                if degree is None:
+                    raise ValueError(f"parsing {kind!r} requires ambient degree")
+                degrees += (degree - sum(degrees),)
+            label = HodgeBundle(ranks, degrees)
+            if format_label(label) == text:
+                return label
     raise ValueError(f"unrecognized component label {text!r}")
 
 
@@ -388,25 +393,27 @@ class LimitOutcome:
     ``graded_degrees`` lists the degrees of the summands of the limit's
     associated graded bundle in Hodge-weight order (weight 0 first); for
     strictly polystable limits the order follows the canonical summand
-    list of the component, each summand internally weight-ordered.
-    ``hnt_limit`` carries the slope-ordered data separately, since the
-    two orders genuinely differ.
+    list of the component, each summand internally weight-ordered.  The
+    component holds them.  ``hnt_limit`` carries the slope-ordered data
+    separately, since the two orders genuinely differ.
     """
 
     case_tag: CaseTag
     component: FixedComponentLabel
-    graded_degrees: tuple[int, ...]
     hnt_limit: HNType
 
     def __post_init__(self) -> None:
         graded = _ints(self.graded_degrees)
         if graded is None:
             raise ValueError(f"graded degrees must be integers: {self.graded_degrees!r}")
-        object.__setattr__(self, "graded_degrees", graded)
         if sum(graded) != self.hnt_limit.total_degree:
             raise ValueError(
                 f"graded degrees {graded} do not sum to {self.hnt_limit.total_degree}"
             )
+
+    @property
+    def graded_degrees(self) -> tuple[int, ...]:
+        return self.component.degrees
 
     @property
     def strictly_polystable(self) -> bool:

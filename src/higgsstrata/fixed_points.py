@@ -18,13 +18,9 @@ from .core import (
     CaseTag,
     FixedComponentLabel,
     Genus,
-    Min,
+    HodgeBundle,
     PolystableSum,
-    Rank2,
     StrataError,
-    Type12,
-    Type21,
-    Type111,
 )
 
 
@@ -48,20 +44,6 @@ class MInvariants:
     degree: int
 
 
-@dataclass(frozen=True)
-class LInvariants:
-    """Weight-ordered line degrees of a type-(1,1,1) fixed point."""
-
-    l1: int
-    l2: int
-    l3: int
-    genus: Genus
-
-    @property
-    def degrees(self) -> tuple[int, int, int]:
-        return (self.l1, self.l2, self.l3)
-
-
 def validate_m_invariants(m: MInvariants) -> bool:
     """Constraint region for (m1, m2): nonnegativity, the two strict
     stability bounds, and mod-3 solvability of the line degrees for the
@@ -77,8 +59,9 @@ def validate_m_invariants(m: MInvariants) -> bool:
     )
 
 
-def m_to_l(m: MInvariants) -> LInvariants:
-    """Solve for the unique integer line degrees; inverse of l_to_m.
+def m_to_l(m: MInvariants) -> HodgeBundle:
+    """Solve for the unique integer line degrees (l1, l2, l3) of the
+    type-(1,1,1) label; inverse of l_to_m.
 
     Only integer solvability is checked here (NoIntegerSolution when the
     mod-3 condition fails); stability is validate_fixed_111's job.
@@ -94,25 +77,27 @@ def m_to_l(m: MInvariants) -> LInvariants:
     l1 = numerator // 3
     l2 = l1 + m.m1 - k
     l3 = l2 + m.m2 - k
-    return LInvariants(l1, l2, l3, m.genus)
+    return HodgeBundle((1, 1, 1), (l1, l2, l3))
 
 
-def l_to_m(l: LInvariants) -> MInvariants:
-    k = l.genus.canonical_degree
-    return MInvariants(l.l2 - l.l1 + k, l.l3 - l.l2 + k, l.genus, l.l1 + l.l2 + l.l3)
+def l_to_m(label: HodgeBundle, genus: Genus) -> MInvariants:
+    l1, l2, l3 = label.degrees
+    k = genus.canonical_degree
+    return MInvariants(l2 - l1 + k, l3 - l2 + k, genus, l1 + l2 + l3)
 
 
-def validate_fixed_111(l: LInvariants, degree: int) -> bool:
-    """True iff the degrees sum to the ambient degree, both couplings can
-    be nonzero, and the two strict stability inequalities hold (cleared
-    of thirds)."""
-    k = l.genus.canonical_degree
+def validate_fixed_111(label: HodgeBundle, degree: int, genus: Genus) -> bool:
+    """True iff the type-(1,1,1) label's degrees sum to the ambient
+    degree, both couplings can be nonzero, and the two strict stability
+    inequalities hold (cleared of thirds)."""
+    l1, l2, l3 = label.degrees
+    k = genus.canonical_degree
     return (
-        l.l1 + l.l2 + l.l3 == degree
-        and l.l2 - l.l1 + k >= 0
-        and l.l3 - l.l2 + k >= 0
-        and l.l1 + l.l2 - 2 * l.l3 > 0
-        and 2 * l.l1 - l.l2 - l.l3 > 0
+        l1 + l2 + l3 == degree
+        and l2 - l1 + k >= 0
+        and l3 - l2 + k >= 0
+        and l1 + l2 - 2 * l3 > 0
+        and 2 * l1 - l2 - l3 > 0
     )
 
 
@@ -128,22 +113,18 @@ def enumerate_m_invariants(degree: int, genus: Genus) -> list[MInvariants]:
     return out
 
 
-def enumerate_fixed_111(degree: int, genus: Genus) -> list[Type111]:
+def enumerate_fixed_111(degree: int, genus: Genus) -> list[HodgeBundle]:
     """All type-(1,1,1) labels of the given degree, sorted by degrees."""
-    labels = []
-    for m in enumerate_m_invariants(degree, genus):
-        l = m_to_l(m)
-        labels.append(Type111(*l.degrees))
+    labels = map(m_to_l, enumerate_m_invariants(degree, genus))
     return sorted(labels, key=lambda t: t.degrees)
 
 
-def _reachable_pair_labels(degree: int, genus: Genus) -> tuple[list[Type12], list[Type21]]:
+def _reachable_pair_labels(degree: int, genus: Genus) -> list[HodgeBundle]:
     # Type-(1,2) and (2,1) labels are exactly the images of the limit map
     # in the sub-threshold branches of case families 1 and 2.  Those
     # branches take a stratum's smallest feasible values, and their label
     # depends on the stratum alone, so classifying the smallest decides.
-    t12: set[Type12] = set()
-    t21: set[Type21] = set()
+    pairs: set[HodgeBundle] = set()
     for stratum in enumerate_strata(3, degree, genus):
         if stratum.is_semistable:
             continue
@@ -151,14 +132,10 @@ def _reachable_pair_labels(degree: int, genus: Genus) -> tuple[list[Type12], lis
         outcome = limit_classifier.classify_rank3(
             limit_classifier.ClassifierInput(stratum, smallest)
         )
-        if outcome.case_tag is CaseTag.C1_1:
-            t12.add(outcome.component)
-        elif outcome.case_tag is CaseTag.C2_1:
-            t21.add(outcome.component)
-    return (
-        sorted(t12, key=lambda c: c.deg_sub),
-        sorted(t21, key=lambda c: c.deg_sub_pair),
-    )
+        if outcome.case_tag in (CaseTag.C1_1, CaseTag.C2_1):
+            pairs.add(outcome.component)
+    # Type (1,2) before (2,1), each by the degree of its weight-0 piece.
+    return sorted(pairs, key=lambda c: (c.ranks, c.degrees))
 
 
 def enumerate_fixed_components(
@@ -174,16 +151,15 @@ def enumerate_fixed_components(
     """
     k = genus.canonical_degree
     if rank == 2:
-        labels: list[FixedComponentLabel] = [Min(2, degree)]
+        labels: list[FixedComponentLabel] = [HodgeBundle((2,), (degree,))]
         labels.extend(
-            Rank2(d1) for d1 in range(degree // 2 + 1, (degree + k) // 2 + 1)
+            HodgeBundle((1, 1), (d1, degree - d1))
+            for d1 in range(degree // 2 + 1, (degree + k) // 2 + 1)
         )
         return labels
     if rank == 3:
-        t12, t21 = _reachable_pair_labels(degree, genus)
-        labels = [Min(3, degree)]
-        labels.extend(t12)
-        labels.extend(t21)
+        labels = [HodgeBundle((3,), (degree,))]
+        labels.extend(_reachable_pair_labels(degree, genus))
         labels.extend(enumerate_fixed_111(degree, genus))
         return labels
     raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
@@ -192,21 +168,18 @@ def enumerate_fixed_components(
 def validate_component_label(
     label: FixedComponentLabel, rank: int, degree: int, genus: Genus
 ) -> bool:
-    """Degree bookkeeping (and, for type (1,1,1), the full constraint
-    list) for a label claimed to live in the given moduli space."""
-    k = genus.canonical_degree
-    if isinstance(label, Min):
-        return label.rank == rank and label.degree == degree
-    if isinstance(label, Rank2):
-        return rank == 2 and degree < 2 * label.d1 <= degree + k
-    if isinstance(label, Type12):
-        return rank == 3 and label.deg_sub + label.deg_quot_pair == degree
-    if isinstance(label, Type21):
-        return rank == 3 and label.deg_sub_pair + label.deg_quot == degree
-    if isinstance(label, Type111):
-        l = LInvariants(label.l1, label.l2, label.l3, genus)
-        return rank == 3 and validate_fixed_111(l, degree)
+    """Rank and degree bookkeeping, plus the rank-2 bound on d1 and the
+    full type-(1,1,1) constraint list, for a label claimed to live in the
+    given moduli space."""
     if isinstance(label, PolystableSum):
-        degrees = [d for s in label.summands for d in s]
+        degrees = label.degrees
         return len(degrees) == rank and sum(degrees) == degree
-    raise TypeError(f"not a fixed-component label: {label!r}")
+    if not isinstance(label, HodgeBundle):
+        raise TypeError(f"not a fixed-component label: {label!r}")
+    if sum(label.ranks) != rank or sum(label.degrees) != degree:
+        return False
+    if label.ranks == (1, 1):
+        return degree < 2 * label.degrees[0] <= degree + genus.canonical_degree
+    if label.ranks == (1, 1, 1):
+        return validate_fixed_111(label, degree, genus)
+    return True

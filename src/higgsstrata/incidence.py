@@ -20,10 +20,8 @@ from .core import (
     FixedComponentLabel,
     Genus,
     HNType,
+    HodgeBundle,
     LimitOutcome,
-    Min,
-    Rank2,
-    Type111,
     format_hn_type,
     format_label,
 )
@@ -106,7 +104,8 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
 def check_rank2_coincidence(table: IncidenceTable) -> bool:
     """True iff the stratum -> component map is the expected bijection:
     the semistable stratum to the minimal component and the stratum with
-    subline degree d1 to the component with the same d1."""
+    subquotient degrees (d1, d2) to the type-(1,1) component with the
+    same degrees."""
     if table.rank != 2:
         raise RankUnsupported("rank-2 coincidence check needs a rank-2 table")
     components = fixed_points.enumerate_fixed_components(
@@ -117,18 +116,14 @@ def check_rank2_coincidence(table: IncidenceTable) -> bool:
         if len(row.entries) != 1:
             return False
         outcome = row.entries[0][1]
-        if row.stratum.is_semistable:
-            if outcome.component != Min(2, table.degree):
-                return False
-        else:
-            d1 = row.stratum.hn.steps[0][1]
-            if outcome.component != Rank2(d1):
-                return False
+        ranks, degrees = zip(*row.stratum.hn.steps)
+        if outcome.component != HodgeBundle(ranks, degrees):
+            return False
         seen.append(outcome.component)
     return len(seen) == len(set(seen)) and set(seen) == set(components)
 
 
-def check_hn_bb_theorem(table: IncidenceTable) -> list[Type111]:
+def check_hn_bb_theorem(table: IncidenceTable) -> list[HodgeBundle]:
     """Verify that sufficiently spread type-(1,1,1) components pin down
     their stratum.
 
@@ -141,16 +136,16 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[Type111]:
     if table.rank != 3:
         raise RankUnsupported("the coincidence theorem check needs a rank-3 table")
     k = table.genus.canonical_degree
-    preimages: dict[Type111, list[tuple[AdmissibleStratum, Invariant]]] = {}
+    preimages: dict[HodgeBundle, list[tuple[AdmissibleStratum, Invariant]]] = {}
     for row in table.rows:
         for key, outcome in row.entries:
-            if isinstance(outcome.component, Type111):
+            if not outcome.strictly_polystable and outcome.component.ranks == (1, 1, 1):
                 preimages.setdefault(outcome.component, []).append((row.stratum, key))
     verified = []
     for label in sorted(preimages, key=lambda t: t.degrees):
-        if label.l1 - label.l3 <= k:
+        if label.degrees[0] - label.degrees[2] <= k:
             continue
-        expected_hn = HNType(((1, label.l1), (1, label.l2), (1, label.l3)))
+        expected_hn = HNType(tuple((1, l) for l in label.degrees))
         pairs = preimages[label]
         strata = {stratum.hn for stratum, _ in pairs}
         if strata != {expected_hn}:

@@ -17,14 +17,10 @@ from .admissibility import AdmissibleStratum, CaseFamily
 from .core import (
     CaseTag,
     HNType,
+    HodgeBundle,
     LimitOutcome,
-    Min,
     PolystableSum,
-    Rank2,
     StrataError,
-    Type12,
-    Type21,
-    Type111,
     format_rational,
 )
 
@@ -90,7 +86,7 @@ class _SlopeFamily:
     datum: str  # the line the invariant measures
     ends: tuple[str, str, str]  # names of the window's low, gap_low, gap_high
     tags: tuple[CaseTag, CaseTag, CaseTag, CaseTag]  # cases x.1 to x.4
-    x1_label: type  # component of case x.1, from (sub, quotient) degrees
+    x1_type: tuple[int, int]  # Hodge type of case x.1's (sub, quotient) limit
     refined: int  # the rank-2 piece, which the datum line refines: 0 sub, 1 quotient
     split: int  # the line, in weight order, that splits off in case x.2
 
@@ -99,12 +95,12 @@ _FAMILIES = {
     CaseFamily.CASE1_I: _SlopeFamily(
         relation="<", datum="I", ends=("mu1 - (2g-2)", "mu3", "mu2"),
         tags=(CaseTag.C1_1, CaseTag.C1_2, CaseTag.C1_3, CaseTag.C1_4),
-        x1_label=Type12, refined=1, split=2,
+        x1_type=(1, 2), refined=1, split=2,
     ),
     CaseFamily.CASE2_N: _SlopeFamily(
         relation=">", datum="N", ends=("mu1 + mu2 - mu3 - (2g-2)", "mu2", "mu1"),
         tags=(CaseTag.C2_1, CaseTag.C2_2, CaseTag.C2_3, CaseTag.C2_4),
-        x1_label=Type21, refined=0, split=0,
+        x1_type=(2, 1), refined=0, split=0,
     ),
 }
 
@@ -120,8 +116,7 @@ def _x1_outcome(
     if outcome is None:
         outcome = stratum.__dict__["x1_outcome"] = LimitOutcome(
             case_tag=fam.tags[0],
-            component=fam.x1_label(*pair),
-            graded_degrees=pair,
+            component=HodgeBundle(fam.x1_type, pair),
             hnt_limit=stratum.hn,
         )
     return outcome
@@ -151,8 +146,8 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
     if v6 > gap_low6:
         # The isolated point: I = E2/E1 in family 1, N = E1 in family 2,
         # so the limit keeps the HN filtration.
-        tag, graded = fam.tags[3], tuple(m // 6 for m in stratum.mu6_vector)
-        component = Type111(*graded)
+        tag = fam.tags[3]
+        component = HodgeBundle((1, 1, 1), tuple(m // 6 for m in stratum.mu6_vector))
     elif v6 < threshold6:
         return _x1_outcome(stratum, fam, pair)
     else:
@@ -163,18 +158,12 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
         hnt_limit = HNType(((1, high), (1, middle), (1, low)))
         if v6 == threshold6:
             split = fam.split
-            line = graded[split]
+            line = graded[split : split + 1]
             coupled = graded[:split] + graded[split + 1 :]
-            tag, graded = fam.tags[1], coupled + (line,)
-            component = PolystableSum((coupled, (line,)))
+            tag, component = fam.tags[1], PolystableSum((coupled, line))
         else:
-            tag, component = fam.tags[2], Type111(*graded)
-    return LimitOutcome(
-        case_tag=tag,
-        component=component,
-        graded_degrees=graded,
-        hnt_limit=hnt_limit,
-    )
+            tag, component = fam.tags[2], HodgeBundle((1, 1, 1), graded)
+    return LimitOutcome(case_tag=tag, component=component, hnt_limit=hnt_limit)
 
 
 def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
@@ -184,8 +173,7 @@ def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
     if aligned:
         return LimitOutcome(
             case_tag=CaseTag.C3_1,
-            component=Type111(mu1, mu2, mu3),
-            graded_degrees=(mu1, mu2, mu3),
+            component=HodgeBundle((1, 1, 1), (mu1, mu2, mu3)),
             hnt_limit=stratum.hn,
         )
     if mu1 - mu3 > k:
@@ -195,7 +183,6 @@ def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
     return LimitOutcome(
         case_tag=CaseTag.C3_2,
         component=PolystableSum(((mu1, mu3), (mu2,))),
-        graded_degrees=(mu1, mu3, mu2),
         hnt_limit=stratum.hn,
     )
 
@@ -251,7 +238,7 @@ def classify(inp: ClassifierInput) -> LimitOutcome:
         # The Higgs field flows to zero.
         hn = stratum.hn
         return LimitOutcome(
-            CaseTag.SEMISTABLE, Min(hn.total_rank, hn.total_degree), (hn.total_degree,), hn
+            CaseTag.SEMISTABLE, HodgeBundle((hn.total_rank,), (hn.total_degree,)), hn
         )
     if stratum.hn.total_rank == 2:
         if inp.invariant is not None:
@@ -261,7 +248,7 @@ def classify(inp: ClassifierInput) -> LimitOutcome:
         # The limit couples the destabilizing line into the quotient, and
         # the associated graded bundle is unchanged.
         (_, d1), (_, d2) = stratum.hn.steps
-        return LimitOutcome(CaseTag.RANK2, Rank2(d1), (d1, d2), stratum.hn)
+        return LimitOutcome(CaseTag.RANK2, HodgeBundle((1, 1), (d1, d2)), stratum.hn)
     return classify_rank3(inp)
 
 

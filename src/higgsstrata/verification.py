@@ -15,7 +15,7 @@ from math import gcd
 
 from . import fixed_points, incidence, limit_classifier, matrix_oracle
 from .admissibility import CaseFamily
-from .core import CaseTag, Genus, Type111, dominates, polygon_of
+from .core import CaseTag, Genus, HodgeBundle, dominates, polygon_of
 
 GENERA = (2, 3, 4, 5)
 DEGREES = tuple(range(-6, 7))
@@ -126,11 +126,12 @@ def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
         failures.append(str(exc))
         return 0
     if (table.genus.g, table.degree) == (2, 0):
-        if Type111(2, 0, -2) not in verified:
+        spread, narrow = HodgeBundle((1, 1, 1), (2, 0, -2)), HodgeBundle((1, 1, 1), (1, 0, -1))
+        if spread not in verified:
             failures.append("(2,0,-2) not verified at g=2, d=0")
-        if Type111(1, 0, -1) in verified:
+        if narrow in verified:
             failures.append("(1,0,-1) wrongly in scope at g=2, d=0")
-        if Type111(1, 0, -1) not in table.bb_map():
+        if narrow not in table.bb_map():
             failures.append("(1,0,-1) missing from the g=2, d=0 table")
     return len(verified)
 
@@ -257,18 +258,17 @@ def criterion_fixed_point_enumeration(genera=GENERA, degrees=DEGREES) -> Criteri
     enumerated."""
     failures = []
     round_trips = 0
-    expected = [Type111(1, 0, -1), Type111(2, 0, -2)]
+    expected = [HodgeBundle((1, 1, 1), (1, 0, -1)), HodgeBundle((1, 1, 1), (2, 0, -2))]
     got = fixed_points.enumerate_fixed_111(0, Genus(2))
     if got != expected:
         failures.append(f"g=2, d=0 components {got} != {expected}")
     for genus, d in _grid(genera, degrees):
         for m in fixed_points.enumerate_m_invariants(d, genus):
-            if fixed_points.l_to_m(fixed_points.m_to_l(m)) != m:
+            if fixed_points.l_to_m(fixed_points.m_to_l(m), genus) != m:
                 failures.append(f"m-round-trip fails for {m}")
             round_trips += 1
         for label in fixed_points.enumerate_fixed_111(d, genus):
-            l = fixed_points.LInvariants(label.l1, label.l2, label.l3, genus)
-            if fixed_points.m_to_l(fixed_points.l_to_m(l)) != l:
+            if fixed_points.m_to_l(fixed_points.l_to_m(label, genus)) != label:
                 failures.append(f"l-round-trip fails for {label}")
             round_trips += 1
     return _result(6, "fixed-point-enumeration", failures, f"{round_trips} round-trips exact")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -13,14 +14,10 @@ from higgsstrata import (
     HNType,
     InvalidGenus,
     InvalidHNType,
+    HodgeBundle,
     LimitOutcome,
-    Min,
     PolystableSum,
-    Rank2,
     StrataError,
-    Type12,
-    Type21,
-    Type111,
     dominates,
     enumerate_strata,
     format_hn_type,
@@ -306,23 +303,82 @@ class TestLabels:
     @pytest.mark.parametrize(
         "label,text",
         [
-            (Rank2(1), "r2:1"),
-            (Type12(1, 0), "t12:1|0"),
-            (Type21(2, -1), "t21:2|-1"),
-            (Type111(1, 0, -1), "t111:1,0,-1"),
+            (HodgeBundle((1, 1), (1, -1)), "r2:1"),
+            (HodgeBundle((1, 2), (1, 0)), "t12:1|0"),
+            (HodgeBundle((2, 1), (2, -1)), "t21:2|-1"),
+            (HodgeBundle((1, 1, 1), (1, 0, -1)), "t111:1,0,-1"),
             (PolystableSum(((1, -1), (0,))), "poly:[1,-1]+[0]"),
             (PolystableSum(((3,), (-1, -2))), "poly:[-1,-2]+[3]"),
         ],
     )
     def test_encoding_round_trip(self, label, text):
         assert format_label(label) == text
-        assert parse_label(text) == label
+        assert parse_label(text, degree=sum(label.degrees)) == label
 
     def test_min_needs_context(self):
-        assert format_label(Min(3, 0)) == "min"
-        assert parse_label("min", rank=3, degree=0) == Min(3, 0)
+        assert format_label(HodgeBundle((3,), (0,))) == "min"
+        assert parse_label("min", rank=3, degree=0) == HodgeBundle((3,), (0,))
         with pytest.raises(ValueError):
             parse_label("min")
+
+    def test_r2_needs_the_ambient_degree(self):
+        # "r2:d1" shows d1 only; d2 = d - d1.
+        assert parse_label("r2:1", degree=1) == HodgeBundle((1, 1), (1, 0))
+        with pytest.raises(ValueError, match="'r2' requires ambient degree"):
+            parse_label("r2:1")
+
+    @pytest.mark.parametrize(
+        "text", ["t12:1", "t111:1,0", "r2:1,0", "t12:1,-1", "t111:1|0,-1", "min:0", "t13:1|0", ""]
+    )
+    def test_malformed_label_text_is_refused(self, text):
+        with pytest.raises(ValueError, match="unrecognized component label|integer degrees"):
+            parse_label(text, rank=3, degree=0)
+
+    def test_format_label_refuses_a_non_label(self):
+        with pytest.raises(TypeError, match="not a fixed-component label"):
+            format_label((1, 0, -1))
+
+    @pytest.mark.parametrize(
+        "ranks", [(1,), (4,), (2, 2), (1, 1, 2), (1, 1, 1, 1), (0, 2), (3, 0), "11", None]
+    )
+    def test_hodge_bundle_refuses_unsupported_types(self, ranks):
+        with pytest.raises(ValueError, match="not a supported Hodge type"):
+            HodgeBundle(ranks, (0,) * 2)
+
+    @pytest.mark.parametrize(
+        "ranks,degrees",
+        [
+            # Accepted, the first three would format as t111:1.5,0,-1.5,
+            # t12:0.5|-0.5 and r2:1, and pass validate_component_label.
+            ((1, 1, 1), (1.5, 0, -1.5)),
+            ((1, 2), (0.5, -0.5)),
+            ((1, 1), ("1", -1)),
+            ((1, 1), (Fraction(1, 2), Fraction(-1, 2))),
+            ((3,), (None,)),
+            ((1, 2), (1, 0, -1)),
+            ((1, 1, 1), (1, -1)),
+            ((2,), 0),
+        ],
+    )
+    def test_hodge_bundle_refuses_non_integer_or_miscounted_degrees(self, ranks, degrees):
+        with pytest.raises(ValueError, match="integer degrees"):
+            HodgeBundle(ranks, degrees)
+
+    def test_hodge_bundle_normalises_integral_values(self):
+        label = HodgeBundle([Fraction(1), 2.0], [Fraction(2), -2])
+        assert label == HodgeBundle((1, 2), (2, -2))
+        assert all(type(x) is int for x in label.ranks + label.degrees)
+        assert format_label(label) == "t12:2|-2"
+
+    def test_polystable_sum_refuses_an_empty_summand(self):
+        # Its label "poly:[1,-1]+[]" would not parse back, and the empty
+        # piece would vanish from the graded degrees.
+        with pytest.raises(ValueError, match="polystable summands must be nonempty"):
+            PolystableSum(((1, -1), ()))
+
+    def test_polystable_sum_degrees_follow_the_canonical_order(self):
+        assert PolystableSum(((0,), (1, -1))).degrees == (1, -1, 0)
+        assert PolystableSum(((3,), (-1, -2))).degrees == (-1, -2, 3)
 
     def test_polystable_sum_is_unordered(self):
         a = PolystableSum(((0,), (1, -1)))
@@ -349,8 +405,7 @@ class TestLimitOutcome:
         with pytest.raises(ValueError):
             LimitOutcome(
                 case_tag=CaseTag.RANK2,
-                component=Rank2(1),
-                graded_degrees=(1, 1),
+                component=HodgeBundle((1, 1), (1, 1)),
                 hnt_limit=HNType(((1, 1), (1, 0))),
             )
 
@@ -358,18 +413,26 @@ class TestLimitOutcome:
         "graded", [(1.5, -0.5), (Fraction(3, 2), Fraction(-1, 2)), ("1", 0), (1, None), 1]
     )
     def test_graded_degrees_must_be_integers(self, graded):
+        # Both label classes refuse such degrees themselves; the outcome
+        # checks whatever component it is given.
+        component = SimpleNamespace(degrees=graded)
         with pytest.raises(ValueError, match="graded degrees must be integers"):
-            LimitOutcome(CaseTag.RANK2, Rank2(1), graded, HNType(((1, 1), (1, 0))))
+            LimitOutcome(CaseTag.RANK2, component, HNType(((1, 1), (1, 0))))
 
     def test_integral_graded_degrees_normalise_to_int(self):
-        out = LimitOutcome(CaseTag.RANK2, Rank2(1), [Fraction(1), 0.0], HNType(((1, 1), (1, 0))))
+        component = HodgeBundle((1, 1), [Fraction(1), 0.0])
+        out = LimitOutcome(CaseTag.RANK2, component, HNType(((1, 1), (1, 0))))
         assert out.graded_degrees == (1, 0)
         assert all(type(x) is int for x in out.graded_degrees)
 
     @pytest.mark.parametrize(
         "component,polystable",
-        [(PolystableSum(((1, -1), (0,))), True), (Type111(1, 0, -1), False), (Min(3, 0), False)],
+        [
+            (PolystableSum(((1, -1), (0,))), True),
+            (HodgeBundle((1, 1, 1), (1, 0, -1)), False),
+            (HodgeBundle((3,), (0,)), False),
+        ],
     )
     def test_polystable_flag_is_read_from_the_component(self, component, polystable):
-        out = LimitOutcome(CaseTag.C1_3, component, (1, 0, -1), HNType(((1, 1), (1, 0), (1, -1))))
+        out = LimitOutcome(CaseTag.C1_3, component, HNType(((1, 1), (1, 0), (1, -1))))
         assert out.strictly_polystable is polystable

@@ -5,15 +5,10 @@ import pytest
 
 from higgsstrata import (
     Genus,
-    LInvariants,
+    HodgeBundle,
     MInvariants,
-    Min,
     NoIntegerSolution,
     PolystableSum,
-    Rank2,
-    Type12,
-    Type21,
-    Type111,
     enumerate_fixed_111,
     enumerate_fixed_components,
     enumerate_m_invariants,
@@ -46,7 +41,9 @@ def naive_fixed_111(degree: int, g: int) -> set[tuple[int, int, int]]:
     return out
 
 
-def reference_pair_labels(degree: int, genus: Genus) -> tuple[list[Type12], list[Type21]]:
+def reference_pair_labels(
+    degree: int, genus: Genus
+) -> tuple[list[HodgeBundle], list[HodgeBundle]]:
     """Every-value reference: classify each feasible value of each
     unstable rank-3 stratum and keep the sub-threshold labels."""
     t12, t21 = set(), set()
@@ -61,7 +58,7 @@ def reference_pair_labels(degree: int, genus: Genus) -> tuple[list[Type12], list
                 t12.add(outcome.component)
             elif outcome.case_tag is CaseTag.C2_1:
                 t21.add(outcome.component)
-    return sorted(t12, key=lambda c: c.deg_sub), sorted(t21, key=lambda c: c.deg_sub_pair)
+    return sorted(t12, key=lambda c: c.degrees[0]), sorted(t21, key=lambda c: c.degrees[0])
 
 
 class TestMToL:
@@ -74,7 +71,7 @@ class TestMToL:
             k = 2 * g - 2
             l = m_to_l(MInvariants(k, k, Genus(g), d))
             assert l.degrees == (d // 3,) * 3
-            assert not validate_fixed_111(l, d)
+            assert not validate_fixed_111(l, d, Genus(g))
 
     def test_no_integer_solution(self):
         with pytest.raises(NoIntegerSolution):
@@ -85,10 +82,9 @@ class TestMToL:
             genus = Genus(g)
             for d in range(-6, 7):
                 for m in enumerate_m_invariants(d, genus):
-                    assert l_to_m(m_to_l(m)) == m
+                    assert l_to_m(m_to_l(m), genus) == m
                 for label in enumerate_fixed_111(d, genus):
-                    l = LInvariants(*label.degrees, genus)
-                    assert m_to_l(l_to_m(l)) == l
+                    assert m_to_l(l_to_m(label, genus)) == label
 
 
 class TestValidateFixed111:
@@ -97,10 +93,10 @@ class TestValidateFixed111:
         [((1, 0, -1), True), ((2, 0, -2), True), ((0, 0, 0), False)],
     )
     def test_examples_at_genus2_degree0(self, degrees, valid):
-        assert validate_fixed_111(LInvariants(*degrees, Genus(2)), 0) is valid
+        assert validate_fixed_111(HodgeBundle((1, 1, 1), degrees), 0, Genus(2)) is valid
 
     def test_degree_mismatch_fails(self):
-        assert not validate_fixed_111(LInvariants(1, 0, -1, Genus(2)), 1)
+        assert not validate_fixed_111(HodgeBundle((1, 1, 1), (1, 0, -1)), 1, Genus(2))
 
 
 class TestEnumeration:
@@ -121,7 +117,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "degree,expected",
-        [(1, [Min(2, 1), Rank2(1)]), (0, [Min(2, 0), Rank2(1)])],
+        [
+            (1, [HodgeBundle((2,), (1,)), HodgeBundle((1, 1), (1, 0))]),
+            (0, [HodgeBundle((2,), (0,)), HodgeBundle((1, 1), (1, -1))]),
+        ],
     )
     def test_rank2_components_at_genus2(self, degree, expected):
         assert enumerate_fixed_components(2, degree, Genus(2)) == expected
@@ -133,17 +132,21 @@ class TestEnumeration:
 
     def test_rank3_degree0_genus2(self):
         got = enumerate_fixed_components(3, 0, Genus(2))
-        assert got == [Min(3, 0), Type111(1, 0, -1), Type111(2, 0, -2)]
+        assert got == [
+            HodgeBundle((3,), (0,)),
+            HodgeBundle((1, 1, 1), (1, 0, -1)),
+            HodgeBundle((1, 1, 1), (2, 0, -2)),
+        ]
 
     def test_rank3_degree1_genus2_includes_reachable_pairs(self):
         got = enumerate_fixed_components(3, 1, Genus(2))
         assert got == [
-            Min(3, 1),
-            Type12(1, 0),
-            Type21(1, 0),
-            Type111(1, 0, 0),
-            Type111(1, 1, -1),
-            Type111(2, 0, -1),
+            HodgeBundle((3,), (1,)),
+            HodgeBundle((1, 2), (1, 0)),
+            HodgeBundle((2, 1), (1, 0)),
+            HodgeBundle((1, 1, 1), (1, 0, 0)),
+            HodgeBundle((1, 1, 1), (1, 1, -1)),
+            HodgeBundle((1, 1, 1), (2, 0, -1)),
         ]
 
     def test_unsupported_rank(self):
@@ -161,8 +164,8 @@ class TestEnumeration:
             for d in range(-12, 13):
                 t12, t21 = reference_pair_labels(d, genus)
                 got = enumerate_fixed_components(3, d, genus)
-                pairs = [label for label in got if not isinstance(label, Type111)]
-                assert pairs == [Min(3, d), *t12, *t21], (g, d)
+                pairs = [label for label in got if label.ranks != (1, 1, 1)]
+                assert pairs == [HodgeBundle((3,), (d,)), *t12, *t21], (g, d)
 
     def test_rank3_classifies_one_datum_per_unstable_stratum(self, monkeypatch):
         genus = Genus(12)
@@ -183,14 +186,14 @@ class TestEnumeration:
 class TestValidateComponentLabel:
     def test_bookkeeping(self):
         g = Genus(2)
-        assert validate_component_label(Min(3, 0), 3, 0, g)
-        assert not validate_component_label(Min(3, 1), 3, 0, g)
-        assert validate_component_label(Rank2(1), 2, 0, g)
-        assert not validate_component_label(Rank2(2), 2, 0, g)
-        assert validate_component_label(Type12(1, -1), 3, 0, g)
-        assert not validate_component_label(Type12(1, 0), 3, 0, g)
-        assert validate_component_label(Type111(1, 0, -1), 3, 0, g)
-        assert not validate_component_label(Type111(0, 0, 0), 3, 0, g)
+        assert validate_component_label(HodgeBundle((3,), (0,)), 3, 0, g)
+        assert not validate_component_label(HodgeBundle((3,), (1,)), 3, 0, g)
+        assert validate_component_label(HodgeBundle((1, 1), (1, -1)), 2, 0, g)
+        assert not validate_component_label(HodgeBundle((1, 1), (2, -2)), 2, 0, g)
+        assert validate_component_label(HodgeBundle((1, 2), (1, -1)), 3, 0, g)
+        assert not validate_component_label(HodgeBundle((1, 2), (1, 0)), 3, 0, g)
+        assert validate_component_label(HodgeBundle((1, 1, 1), (1, 0, -1)), 3, 0, g)
+        assert not validate_component_label(HodgeBundle((1, 1, 1), (0, 0, 0)), 3, 0, g)
 
 
 def test_m_validation_outside_region():
@@ -199,15 +202,6 @@ def test_m_validation_outside_region():
     assert not validate_m_invariants(MInvariants(-1, 1, g, 0))
     assert not validate_m_invariants(MInvariants(2, 2, g, 0))  # stability bound
     assert not validate_m_invariants(MInvariants(1, 1, g, 1))  # mod-3 solvability
-
-
-def _label(ranks, degrees):
-    """The label of Hodge type ranks with these piece degrees."""
-    if len(ranks) == 1:
-        return Min(ranks[0], degrees[0])
-    if ranks == (1, 1):
-        return Rank2(degrees[0])
-    return {(1, 2): Type12, (2, 1): Type21, (1, 1, 1): Type111}[ranks](*degrees)
 
 
 class TestValidateComponentLabelVerdicts:
@@ -225,8 +219,8 @@ class TestValidateComponentLabelVerdicts:
             ((1, 1), (1, -1), 2, 0, 2, True),
             ((1, 1), (1, -1), 3, 0, 2, False),
             ((1, 1), (1, -1), 2, 2, 2, False),
-            # The degrees sum to 0, not 1; only d1 was checked.
-            ((1, 1), (1, -1), 2, 1, 2, True),
+            # The degrees sum to 0, not 1, although d1 = 1 meets the bound.
+            ((1, 1), (1, -1), 2, 1, 2, False),
             ((1, 1), (0, 0), 2, 0, 3, False),
             ((1, 1), (1, -1), 2, 0, 3, True),
             ((1, 1), (2, -2), 2, 0, 3, True),
@@ -248,7 +242,7 @@ class TestValidateComponentLabelVerdicts:
         ],
     )
     def test_hodge_bundle(self, ranks, degrees, rank, degree, g, verdict):
-        label = _label(ranks, degrees)
+        label = HodgeBundle(ranks, degrees)
         assert validate_component_label(label, rank, degree, Genus(g)) is verdict
 
     @pytest.mark.parametrize(

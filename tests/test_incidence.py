@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from higgsstrata import (
     Genus,
-    Min,
-    Rank2,
+    HodgeBundle,
     RankUnsupported,
-    Type12,
-    Type111,
     build_table,
     check_hn_bb_theorem,
     check_rank2_coincidence,
+    format_label,
     parse_hn_type,
+    parse_label,
     table_to_csv,
     table_to_dot,
     table_to_records,
@@ -52,25 +51,26 @@ class TestBuildTable:
         table = build_table(3, 1, Genus(3))
         row = row_for(table, "1:1,2:0")
         targets = {out.component for _, out in row.entries}
-        assert targets == {Type12(1, 0), Type111(1, 0, 0)}
+        assert targets == {HodgeBundle((1, 2), (1, 0)), HodgeBundle((1, 1, 1), (1, 0, 0))}
         by_invariant = {key: out.component for key, out in row.entries}
         assert by_invariant == {
-            -3: Type12(1, 0),
-            -2: Type12(1, 0),
-            -1: Type12(1, 0),
-            0: Type111(1, 0, 0),
+            -3: HodgeBundle((1, 2), (1, 0)),
+            -2: HodgeBundle((1, 2), (1, 0)),
+            -1: HodgeBundle((1, 2), (1, 0)),
+            0: HodgeBundle((1, 1, 1), (1, 0, 0)),
         }
 
     def test_rank2_table_is_bijective(self):
         table = build_table(2, 1, Genus(2))
         assert len(table.rows) == 2
-        assert row_for(table, "2:1").entries[0][1].component == Min(2, 1)
-        assert row_for(table, "1:1,1:0").entries[0][1].component == Rank2(1)
+        assert row_for(table, "2:1").entries[0][1].component == HodgeBundle((2,), (1,))
+        component = row_for(table, "1:1,1:0").entries[0][1].component
+        assert component == HodgeBundle((1, 1), (1, 0))
 
     def test_semistable_maps_to_min_and_nothing_else_does(self):
         for rank, degree, g in ((2, 0, 2), (3, 0, 2), (3, 1, 3), (3, -2, 4)):
             table = build_table(rank, degree, Genus(g))
-            min_label = Min(rank, degree)
+            min_label = HodgeBundle((rank,), (degree,))
             reaching = table.bb_map()[min_label]
             assert reaching == (parse_hn_type(f"{rank}:{degree}"),)
             for row in table.rows:
@@ -103,6 +103,40 @@ class TestBuildTable:
         assert a == b
 
 
+class TestEmittedLabels:
+    def test_every_emitted_label_round_trips(self):
+        # Each table component and each enumerated fixed component, for
+        # ranks 2 and 3, g 2..5 and |d| <= 6.
+        checked = 0
+        for rank in (2, 3):
+            for g in range(2, 6):
+                genus = Genus(g)
+                for d in range(-6, 7):
+                    table = build_table(rank, d, genus)
+                    labels = [label for label, _ in table.bb_index]
+                    labels += fixed_points.enumerate_fixed_components(rank, d, genus)
+                    for label in labels:
+                        text = format_label(label)
+                        assert parse_label(text, rank=rank, degree=d) == label, text
+                    checked += len(labels)
+        assert checked > 1000
+
+    def test_graded_degrees_have_one_entry_per_piece_and_sum_to_d(self):
+        for rank in (2, 3):
+            for g in range(2, 6):
+                for d in range(-6, 7):
+                    for row in build_table(rank, d, Genus(g)).rows:
+                        for _, out in row.entries:
+                            c = out.component
+                            pieces = (
+                                sum(map(len, c.summands))
+                                if out.strictly_polystable
+                                else len(c.ranks)
+                            )
+                            assert len(out.graded_degrees) == pieces, out
+                            assert sum(out.graded_degrees) == d, out
+
+
 class TestRank2Coincidence:
     @pytest.mark.parametrize("degree,g", [(1, 2), (0, 2), (3, 4)])
     def test_holds(self, degree, g):
@@ -117,14 +151,14 @@ class TestHnBbTheorem:
     def test_genus2_degree0_instance(self):
         table = build_table(3, 0, Genus(2))
         verified = check_hn_bb_theorem(table)
-        assert verified == [Type111(2, 0, -2)]
+        assert verified == [HodgeBundle((1, 1, 1), (2, 0, -2))]
         labels = {
             out.component
             for row in table.rows
             for _, out in row.entries
-            if isinstance(out.component, Type111)
+            if not out.strictly_polystable and out.component.ranks == (1, 1, 1)
         }
-        assert Type111(1, 0, -1) in labels  # spread 2 = 2g-2: out of scope
+        assert HodgeBundle((1, 1, 1), (1, 0, -1)) in labels  # spread 2 = 2g-2: out of scope
 
     def test_rejects_rank2_table(self):
         with pytest.raises(RankUnsupported):

@@ -19,9 +19,6 @@ from higgsstrata import (
     InfeasibleBySpecialization,
     InvalidHNType,
     SlopeOutOfBounds,
-    Type12,
-    Type21,
-    Type111,
     build_table,
     classify,
     enumerate_strata,
@@ -31,6 +28,7 @@ from higgsstrata import (
 from higgsstrata.admissibility import CaseFamily
 from higgsstrata.core import (
     CaseTag,
+    HodgeBundle,
     LimitOutcome,
     PolystableSum,
     format_rational,
@@ -41,8 +39,10 @@ from higgsstrata.core import (
 
 
 def _outcome(tag, component, graded, hnt_limit, polystable=False):
-    # The flag is derived from the component; the reference states it.
-    outcome = LimitOutcome(tag, component, graded, hnt_limit)
+    # The graded degrees and the flag are derived from the component;
+    # the reference states them.
+    outcome = LimitOutcome(tag, component, hnt_limit)
+    assert outcome.graded_degrees == graded
     assert outcome.strictly_polystable == polystable
     return outcome
 
@@ -61,20 +61,20 @@ def reference_case1(stratum, v: int) -> LimitOutcome:
         )
     if v == mu2 and mu2 > mu3:
         degrees = tuple(int(m) for m in (mu1, mu2, mu3))
-        return _outcome(CaseTag.C1_4, Type111(*degrees), degrees, stratum.hn)
+        return _outcome(CaseTag.C1_4, HodgeBundle((1, 1, 1), degrees), degrees, stratum.hn)
     if v < mu1 - k:
         raise SlopeOutOfBounds(
             f"mu(I) = {v} < mu1 - (2g-2) = {format_rational(mu1 - k)}"
         )
     t = Fraction(-mu1 + 2 * mu2 + 2 * mu3, 3)
     if v < t:
-        return _outcome(CaseTag.C1_1, Type12(d1, d - d1), (d1, d - d1), stratum.hn)
+        return _outcome(CaseTag.C1_1, HodgeBundle((1, 2), (d1, d - d1)), (d1, d - d1), stratum.hn)
     qdeg = d - d1 - v
     limit = HNType(((1, d1), (1, qdeg), (1, v)))
     if v == t:
         component = PolystableSum(((d1, v), (qdeg,)))
         return _outcome(CaseTag.C1_2, component, (d1, v, qdeg), limit, True)
-    return _outcome(CaseTag.C1_3, Type111(d1, v, qdeg), (d1, v, qdeg), limit)
+    return _outcome(CaseTag.C1_3, HodgeBundle((1, 1, 1), (d1, v, qdeg)), (d1, v, qdeg), limit)
 
 
 def reference_case2(stratum, v: int) -> LimitOutcome:
@@ -93,27 +93,28 @@ def reference_case2(stratum, v: int) -> LimitOutcome:
         )
     if v == mu1 and mu1 > mu2:
         degrees = tuple(int(m) for m in (mu1, mu2, mu3))
-        return _outcome(CaseTag.C2_4, Type111(*degrees), degrees, stratum.hn)
+        return _outcome(CaseTag.C2_4, HodgeBundle((1, 1, 1), degrees), degrees, stratum.hn)
     if v < mu1 + mu2 - mu3 - k:
         raise SlopeOutOfBounds(
             f"mu(N) = {v} < mu1 + mu2 - mu3 - (2g-2) = "
             f"{format_rational(mu1 + mu2 - mu3 - k)}"
         )
     if v < mu:
-        return _outcome(CaseTag.C2_1, Type21(e2, d3), (e2, d3), stratum.hn)
+        return _outcome(CaseTag.C2_1, HodgeBundle((2, 1), (e2, d3)), (e2, d3), stratum.hn)
     rdeg = e2 - v
     limit = HNType(((1, rdeg), (1, v), (1, d3)))
     if v == mu:
         component = PolystableSum(((v,), (rdeg, d3)))
         return _outcome(CaseTag.C2_2, component, (rdeg, d3, v), limit, True)
-    return _outcome(CaseTag.C2_3, Type111(v, rdeg, d3), (v, rdeg, d3), limit)
+    return _outcome(CaseTag.C2_3, HodgeBundle((1, 1, 1), (v, rdeg, d3)), (v, rdeg, d3), limit)
 
 
 def reference_case3(stratum, aligned: bool) -> LimitOutcome:
     mu1, mu2, mu3 = (int(m) for m in stratum.mu_vector)
     k = stratum.genus.canonical_degree
     if aligned:
-        return _outcome(CaseTag.C3_1, Type111(mu1, mu2, mu3), (mu1, mu2, mu3), stratum.hn)
+        component = HodgeBundle((1, 1, 1), (mu1, mu2, mu3))
+        return _outcome(CaseTag.C3_1, component, (mu1, mu2, mu3), stratum.hn)
     if mu1 - mu3 > k:
         raise AlignmentImpossible(f"mu1 - mu3 = {mu1 - mu3} > 2g-2 = {k} forces N = E1")
     component = PolystableSum(((mu1, mu3), (mu2,)))

@@ -13,17 +13,13 @@ from higgsstrata import (
     ClassifierInput,
     Genus,
     InfeasibleBySpecialization,
+    HodgeBundle,
     InvalidInvariant,
     LimitOutcome,
-    Min,
     PolystableSum,
-    Rank2,
     Rank2BoundViolated,
     SlopeOutOfBounds,
     StrataError,
-    Type12,
-    Type111,
-    Type21,
     build_table,
     classify,
     classify_rank3,
@@ -61,7 +57,7 @@ class TestSemistable:
     def test_flows_to_zero_higgs_field(self, hn, g, degree):
         out = no_invariant(hn, g)
         assert out.case_tag is CaseTag.SEMISTABLE
-        assert out.component == Min(out.hnt_limit.total_rank, degree)
+        assert out.component == HodgeBundle((out.hnt_limit.total_rank,), (degree,))
         assert out.graded_degrees == (degree,)
         assert out.hnt_limit == parse_hn_type(hn)
         assert not out.strictly_polystable
@@ -71,13 +67,13 @@ class TestRank2:
     def test_keeps_the_graded_bundle(self):
         out = no_invariant("1:1,1:0", 2)
         assert out.case_tag is CaseTag.RANK2
-        assert out.component == Rank2(1)
+        assert out.component == HodgeBundle((1, 1), (1, 0))
         assert out.graded_degrees == (1, 0)
         assert out.hnt_limit == parse_hn_type("1:1,1:0")
 
     def test_higher_genus(self):
         out = no_invariant("1:2,1:0", 3)
-        assert out.component == Rank2(2)
+        assert out.component == HodgeBundle((1, 1), (2, 0))
         assert out.graded_degrees == (2, 0)
 
     def test_bound_violation_caught_at_validation(self):
@@ -89,7 +85,7 @@ class TestRank3Cases:
     def test_case_1_1(self):
         out = rank3("1:1,2:0", 3, -1)
         assert out.case_tag is CaseTag.C1_1
-        assert out.component == Type12(1, 0)
+        assert out.component == HodgeBundle((1, 2), (1, 0))
         assert out.graded_degrees == (1, 0)
         assert out.hnt_limit == parse_hn_type("1:1,2:0")
 
@@ -103,20 +99,20 @@ class TestRank3Cases:
     def test_case_1_3(self):
         out = rank3("1:1,2:0", 3, 0)
         assert out.case_tag is CaseTag.C1_3
-        assert out.component == Type111(1, 0, 0)
+        assert out.component == HodgeBundle((1, 1, 1), (1, 0, 0))
         assert out.graded_degrees == (1, 0, 0)
         assert out.hnt_limit == parse_hn_type("1:1,2:0")
 
     def test_case_1_4(self):
         out = rank3("1:2,1:0,1:-1", 2, 0)
         assert out.case_tag is CaseTag.C1_4
-        assert out.component == Type111(2, 0, -1)
+        assert out.component == HodgeBundle((1, 1, 1), (2, 0, -1))
         assert out.hnt_limit == parse_hn_type("1:2,1:0,1:-1")
 
     def test_case_2_1(self):
         out = rank3("2:1,1:0", 2, -1)
         assert out.case_tag is CaseTag.C2_1
-        assert out.component == Type21(1, 0)
+        assert out.component == HodgeBundle((2, 1), (1, 0))
         assert out.graded_degrees == (1, 0)
         assert out.hnt_limit == parse_hn_type("2:1,1:0")
 
@@ -130,20 +126,20 @@ class TestRank3Cases:
     def test_case_2_3_including_tie_with_mu1(self):
         out = rank3("2:2,1:-1", 2, 1)
         assert out.case_tag is CaseTag.C2_3
-        assert out.component == Type111(1, 1, -1)
+        assert out.component == HodgeBundle((1, 1, 1), (1, 1, -1))
         assert out.graded_degrees == (1, 1, -1)
         assert out.hnt_limit == parse_hn_type("2:2,1:-1")  # merged back
 
     def test_case_2_4(self):
         out = rank3("1:1,1:0,1:-2", 2, 1)
         assert out.case_tag is CaseTag.C2_4
-        assert out.component == Type111(1, 0, -2)
+        assert out.component == HodgeBundle((1, 1, 1), (1, 0, -2))
         assert out.hnt_limit == parse_hn_type("1:1,1:0,1:-2")
 
     def test_case_3_1(self):
         out = rank3("1:2,1:0,1:-2", 2, True)
         assert out.case_tag is CaseTag.C3_1
-        assert out.component == Type111(2, 0, -2)
+        assert out.component == HodgeBundle((1, 1, 1), (2, 0, -2))
         assert out.hnt_limit == parse_hn_type("1:2,1:0,1:-2")
 
     def test_case_3_2(self):

@@ -10,7 +10,6 @@ from higgsstrata import (
     ClassifierInput,
     Genus,
     LimitOutcome,
-    Type111,
     classify,
     classify_rank3,
     format_block_pattern,
@@ -144,9 +143,9 @@ class TestOracleCheck:
         case12, case13 = outcome("1:1,2:-1", 2, -1), outcome("1:1,2:0", 3, 0)
         assert oracle_check(case12) and oracle_check(case13)
         for tag, out in ((CaseTag.C1_3, case12), (CaseTag.C1_2, case13)):
-            swapped = LimitOutcome(tag, out.component, out.graded_degrees, out.hnt_limit)
+            swapped = LimitOutcome(tag, out.component, out.hnt_limit)
             assert not oracle_check(swapped)
-        assert isinstance(case13.component, Type111)
+        assert case13.component.ranks == (1, 1, 1)
 
 
 class TestBlockPatternValidation:

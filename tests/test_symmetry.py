@@ -12,12 +12,9 @@ from higgsstrata import (
     ClassifierInput,
     Genus,
     HNType,
+    HodgeBundle,
     LimitOutcome,
-    Min,
     PolystableSum,
-    Type12,
-    Type21,
-    Type111,
     build_table,
     classify,
     enumerate_strata,
@@ -42,27 +39,22 @@ def dual_hn(hn: HNType) -> HNType:
     return HNType(tuple((r, -d) for r, d in reversed(hn.steps)))
 
 
+def _dual_degrees(degrees):
+    # Dualising reverses the Hodge weights and negates each degree.
+    return tuple(-x for x in reversed(degrees))
+
+
 def dual_label(label):
-    if isinstance(label, Type12):
-        return Type21(-label.deg_quot_pair, -label.deg_sub)
-    if isinstance(label, Type111):
-        return Type111(-label.l3, -label.l2, -label.l1)
     if isinstance(label, PolystableSum):
-        return PolystableSum(tuple(tuple(-x for x in reversed(s)) for s in label.summands))
-    raise AssertionError(f"no family-1 label {label!r}")
+        return PolystableSum(tuple(map(_dual_degrees, label.summands)))
+    return HodgeBundle(label.ranks[::-1], _dual_degrees(label.degrees))
 
 
 def dual_outcome(outcome: LimitOutcome) -> LimitOutcome:
     """The family-2 outcome that duality predicts from a family-1 one."""
-    component = dual_label(outcome.component)
-    if isinstance(component, PolystableSum):
-        graded = tuple(x for s in component.summands for x in s)
-    else:
-        graded = tuple(-x for x in reversed(outcome.graded_degrees))
     return LimitOutcome(
         _DUAL_TAG[outcome.case_tag],
-        component,
-        graded,
+        dual_label(outcome.component),
         dual_hn(outcome.hnt_limit),
     )
 
@@ -107,37 +99,17 @@ def twist_hn(hn: HNType) -> HNType:
 
 
 def twist_label(label):
-    if isinstance(label, Min):
-        return Min(label.rank, label.degree + label.rank)
-    if isinstance(label, Type12):
-        return Type12(label.deg_sub + 1, label.deg_quot_pair + 2)
-    if isinstance(label, Type21):
-        return Type21(label.deg_sub_pair + 2, label.deg_quot + 1)
-    if isinstance(label, Type111):
-        return Type111(label.l1 + 1, label.l2 + 1, label.l3 + 1)
+    # Each piece's degree grows by its rank; a polystable sum's pieces
+    # are lines.
     if isinstance(label, PolystableSum):
         return PolystableSum(tuple(tuple(x + 1 for x in s) for s in label.summands))
-    raise AssertionError(f"no rank-3 label {label!r}")
-
-
-def _piece_ranks(outcome: LimitOutcome) -> tuple[int, ...]:
-    # Rank of each graded piece, in graded_degrees order.
-    if isinstance(outcome.component, Min):
-        return (3,)
-    if isinstance(outcome.component, Type12):
-        return (1, 2)
-    if isinstance(outcome.component, Type21):
-        return (2, 1)
-    return (1, 1, 1)
+    return HodgeBundle(label.ranks, tuple(x + r for r, x in zip(label.ranks, label.degrees)))
 
 
 def twist_outcome(outcome: LimitOutcome) -> LimitOutcome:
-    ranks = _piece_ranks(outcome)
-    assert len(ranks) == len(outcome.graded_degrees)
     return LimitOutcome(
         outcome.case_tag,
         twist_label(outcome.component),
-        tuple(x + r for x, r in zip(ranks, outcome.graded_degrees)),
         twist_hn(outcome.hnt_limit),
     )
 
