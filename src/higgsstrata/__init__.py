@@ -69,6 +69,7 @@ from .limit_classifier import (
     case1_threshold,
     classify,
     classify_rank3,
+    classify_stratum,
     excluded_gap_integers,
     feasible_inputs,
     stability_audit,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 from .core import Genus, HNType, StrataError
@@ -50,10 +49,73 @@ class AdmissibleStratum:
     "Admissible" means the bounds necessary for the stratum to contain a
     semistable Higgs bundle hold; nonemptiness in the actual moduli
     space is not certified.
+
+    The integer data are plain attributes, computed once at construction:
+    ``mu6_vector`` and ``mu6`` for every rank, and for rank 3
+    ``case_family``, ``threshold6``, ``window6`` and
+    ``feasible_integers``.  Reading one of the rank-3 data on a stratum of
+    another rank raises RankUnsupported.
     """
 
     hn: HNType
     genus: Genus
+
+    def __post_init__(self) -> None:
+        # Slopes scaled by 6, as integers.  Every step of a rank-2 or
+        # rank-3 type has rank 1, 2 or 3, so 6*mu_i = 6*d_i/r_i is an
+        # integer, and so is 6*mu = 6*d/r.  Comparing 6*v with these
+        # decides exactly what comparing v with the slopes decides.  The
+        # values live in the instance __dict__, which the frozen
+        # dataclass's __eq__, __hash__ and __repr__ never look at.
+        hn = self.hn
+        mu6_vector = tuple(6 * d // r for r, d in hn.steps for _ in range(r))
+        mu6 = 6 * hn.total_degree // hn.total_rank
+        vars(self).update(mu6_vector=mu6_vector, mu6=mu6)
+        if hn.total_rank != 3:
+            return
+        m1, m2, m3 = mu6_vector
+        # 6 * t for the case-1 threshold t = (-mu1 + 2*mu2 + 2*mu3)/3.  3t
+        # has denominator at most 2 (each mu_i has denominator 1 or 2 in
+        # rank 3), so 6t is an integer and the division is exact.
+        threshold6 = (-m1 + 2 * m2 + 2 * m3) // 3
+        # window6 is 6 * (low, gap_low, gap_high, threshold) for the slope
+        # invariant of case families 1 and 2, None for the others.  The
+        # invariant's a-priori interval is [low, gap_low]; the open gap
+        # (gap_low, gap_high) is excluded, and gap_high is the isolated
+        # point when it lies above gap_low.  The threshold separates cases
+        # x.1 (below it), x.2 (at it) and x.3: it is t in family 1 and mu
+        # in family 2.  Family 2 is family 1 on the dual bundle, which is
+        # why the two windows mirror each other.
+        k6 = 6 * self.genus.canonical_degree
+        window6 = None
+        if hn.is_semistable:
+            family = CaseFamily.NONE
+        elif m2 < mu6:
+            family, window6 = CaseFamily.CASE1_I, (m1 - k6, m3, m2, threshold6)
+        elif m2 > mu6:
+            family, window6 = CaseFamily.CASE2_N, (m1 + m2 - m3 - k6, m2, m1, mu6)
+        else:
+            family = CaseFamily.CASE3_FLAG
+        # Feasible integer values of the slope invariant, ascending: every
+        # integer in [low, gap_low], then gap_high if it is an integer
+        # above gap_low.  Empty for the families that take no slope
+        # invariant.
+        feasible = ()
+        if window6 is not None:
+            low6, gap_low6, gap_high6, _ = window6
+            feasible = tuple(range(-(-low6 // 6), gap_low6 // 6 + 1))
+            if gap_high6 > gap_low6 and gap_high6 % 6 == 0:
+                feasible += (gap_high6 // 6,)
+        vars(self).update(
+            case_family=family, threshold6=threshold6, window6=window6,
+            feasible_integers=feasible,
+        )
+
+    def __getattr__(self, name: str):
+        # Reached only for a name __post_init__ did not set.
+        if name in _RANK3_DATA:
+            raise RankUnsupported("case families are defined for rank 3 only")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def mu(self) -> Fraction:
@@ -67,80 +129,11 @@ class AdmissibleStratum:
     def is_semistable(self) -> bool:
         return self.hn.is_semistable
 
-    # Slopes scaled by 6, as integers.  Every step of a rank-2 or rank-3
-    # type has rank 1, 2 or 3, so 6*mu_i = 6*d_i/r_i is an integer, and
-    # so is 6*mu = 6*d/r.  Comparing 6*v with these decides exactly what
-    # comparing v with the slopes decides.
-
-    @cached_property
-    def mu6_vector(self) -> tuple[int, ...]:
-        """6 * mu_vector, as integers."""
-        return tuple(6 * d // r for r, d in self.hn.steps for _ in range(r))
-
-    @cached_property
-    def mu6(self) -> int:
-        """6 * mu, as an integer."""
-        return 6 * self.hn.total_degree // self.hn.total_rank
-
-    @cached_property
-    def threshold6(self) -> int:
-        """6 * t for the case-1 threshold t = (-mu1 + 2*mu2 + 2*mu3)/3.
-
-        3t has denominator at most 2 (each mu_i has denominator 1 or 2
-        in rank 3), so 6t is an integer and the division is exact.
-        """
-        m1, m2, m3 = self.mu6_vector
-        return (-m1 + 2 * m2 + 2 * m3) // 3
-
-    @cached_property
-    def case_family(self) -> CaseFamily:
-        if self.is_semistable:
-            return CaseFamily.NONE
-        if self.hn.total_rank != 3:
-            raise RankUnsupported("case families are defined for rank 3 only")
-        m2 = self.mu6_vector[1]
-        if m2 < self.mu6:
-            return CaseFamily.CASE1_I
-        if m2 > self.mu6:
-            return CaseFamily.CASE2_N
-        return CaseFamily.CASE3_FLAG
-
-    @cached_property
-    def window6(self) -> tuple[int, int, int, int] | None:
-        """6 * (low, gap_low, gap_high, threshold) for the slope invariant
-        of case families 1 and 2; None for the other families.
-
-        The invariant's a-priori interval is [low, gap_low]; the open gap
-        (gap_low, gap_high) is excluded, and gap_high is the isolated
-        point when it lies above gap_low.  The threshold separates cases
-        x.1 (below it), x.2 (at it) and x.3: it is t in family 1 and mu
-        in family 2.  Family 2 is family 1 on the dual bundle, which is
-        why the two windows mirror each other.
-        """
-        family = self.case_family
-        if family not in (CaseFamily.CASE1_I, CaseFamily.CASE2_N):
-            return None
-        k6 = 6 * self.genus.canonical_degree
-        m1, m2, m3 = self.mu6_vector
-        if family is CaseFamily.CASE1_I:
-            return (m1 - k6, m3, m2, self.threshold6)
-        return (m1 + m2 - m3 - k6, m2, m1, self.mu6)
-
-    @cached_property
-    def feasible_integers(self) -> tuple[int, ...]:
-        """Feasible integer values of the slope invariant, ascending: every
-        integer in [low, gap_low], then gap_high if it is an integer above
-        gap_low.  Empty for the families that take no slope invariant."""
-        if self.window6 is None:
-            return ()
-        low6, gap_low6, gap_high6, _ = self.window6
-        feasible = tuple(range(-(-low6 // 6), gap_low6 // 6 + 1))
-        if gap_high6 > gap_low6 and gap_high6 % 6 == 0:
-            feasible += (gap_high6 // 6,)
-        return feasible
-
     def __str__(self) -> str:
         return str(self.hn)
+
+
+_RANK3_DATA = frozenset({"case_family", "threshold6", "window6", "feasible_integers"})
 
 
 def validate(hn: HNType, genus: Genus) -> AdmissibleStratum:

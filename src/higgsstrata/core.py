@@ -90,43 +90,49 @@ class HNType:
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        # One pass converts the steps, merges equal slopes and sums the
+        # totals; the checks it notes raise afterwards, in a fixed order.
+        # Once ranks are positive, d/r against pd/pr compares as d*pr
+        # against pd*r: exact without building rationals.
         steps = self.steps
+        raw: list[tuple[int, int]] = []
+        merged: list[tuple[int, int]] = []
+        rank = degree = 0
+        ranks_positive = slopes_decrease = True
         try:
-            raw = tuple((int(r), int(d)) for r, d in steps)
+            for r, d in steps:
+                step = int(r), int(d)
+                # Integral values such as Fraction(2) normalise to int;
+                # anything int() would change is refused.
+                if step != (r, d):
+                    raise ValueError
+                raw.append(step)
+                r, d = step
+                rank += r
+                degree += d
+                ranks_positive = ranks_positive and r >= 1
+                if merged:
+                    pr, pd = merged[-1]
+                    if d * pr == pd * r:
+                        merged[-1] = (pr + r, pd + d)
+                        continue
+                    slopes_decrease = slopes_decrease and d * pr < pd * r
+                merged.append(step)
         except (TypeError, ValueError, OverflowError):
             raw = None
-        # Integral values such as Fraction(2) normalise to int; anything
-        # int() would change, or cannot convert, is refused.
-        if raw != steps and (raw is None or raw != tuple(map(tuple, steps))):
+        if raw is None:
             raise InvalidHNType(f"steps must be pairs of integers (rank, degree): {steps!r}")
         if not raw:
             raise InvalidHNType("HN type needs at least one step")
-        if any(r < 1 for r, _ in raw):
-            raise InvalidHNType(f"step ranks must be positive: {raw}")
-        # Ranks are positive, so d/r against pd/pr compares as d*pr
-        # against pd*r: exact without building rationals.
-        merged: list[tuple[int, int]] = []
-        for r, d in raw:
-            if merged and d * merged[-1][0] == merged[-1][1] * r:
-                pr, pd = merged.pop()
-                merged.append((pr + r, pd + d))
-            else:
-                merged.append((r, d))
-        if any(d1 * r0 >= d0 * r1 for (r0, d0), (r1, d1) in zip(merged, merged[1:])):
-            raise InvalidHNType(f"subquotient slopes must be strictly decreasing: {raw}")
-        object.__setattr__(self, "steps", tuple(merged))
-
-    # Derived values are computed once per instance; cached_property
-    # stores them in the instance __dict__, which the frozen dataclass's
-    # __eq__ and __hash__ never look at.
-
-    @cached_property
-    def total_rank(self) -> int:
-        return sum(r for r, _ in self.steps)
-
-    @cached_property
-    def total_degree(self) -> int:
-        return sum(d for _, d in self.steps)
+        if not ranks_positive:
+            raise InvalidHNType(f"step ranks must be positive: {tuple(raw)}")
+        if not slopes_decrease:
+            raise InvalidHNType(f"subquotient slopes must be strictly decreasing: {tuple(raw)}")
+        # total_rank and total_degree are plain attributes.  Like the
+        # cached slope and mu_vector below, they live in the instance
+        # __dict__, which the frozen dataclass's __eq__, __hash__ and
+        # __repr__ never look at.
+        vars(self).update(steps=tuple(merged), total_rank=rank, total_degree=degree)
 
     @cached_property
     def slope(self) -> Fraction:
@@ -348,13 +354,20 @@ def parse_label(
             raise ValueError("parsing 'min' requires ambient rank and degree")
         return HodgeBundle((rank,), (degree,))
     kind, _, rest = text.partition(":")
+
+    def numbers(parts: list[str]) -> tuple[int, ...]:
+        try:
+            return tuple(map(int, parts))
+        except ValueError:
+            raise ValueError(f"unrecognized component label {text!r}") from None
+
     if kind == "poly":
         return PolystableSum(
-            tuple(tuple(map(int, part.strip("[]").split(","))) for part in rest.split("+"))
+            tuple(numbers(part.strip("[]").split(",")) for part in rest.split("+"))
         )
     for ranks, template in _LABEL_TEXT.items():
         if template.startswith(f"{kind}:"):
-            degrees = tuple(int(x) for x in rest.replace("|", ",").split(","))
+            degrees = numbers(rest.replace("|", ",").split(","))
             if template.count("{}") < len(ranks):
                 if degree is None:
                     raise ValueError(f"parsing {kind!r} requires ambient degree")

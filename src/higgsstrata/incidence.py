@@ -63,16 +63,12 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     rows = []
     reaching: dict[FixedComponentLabel, list[HNType]] = {}
     for stratum in enumerate_strata(rank, degree, genus):
-        entries = []
+        entries = limit_classifier.classify_stratum(stratum)
         previous = None
-        for invariant in limit_classifier.feasible_inputs(stratum):
-            outcome = limit_classifier.classify(
-                limit_classifier.ClassifierInput(stratum, invariant)
-            )
-            entries.append((invariant, outcome))
-            # The classifier shares one outcome among a stratum's x.1
-            # data, which come first and in one run.  The checks depend
-            # on the outcome alone, so each outcome object is checked once.
+        for _, outcome in entries:
+            # A stratum's x.1 data share one outcome, and come first and
+            # in one run.  The checks depend on the outcome alone, so each
+            # outcome object is checked once.
             if outcome is previous:
                 continue
             previous = outcome
@@ -93,7 +89,7 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
             reached = reaching.setdefault(outcome.component, [])
             if not reached or reached[-1] is not stratum.hn:
                 reached.append(stratum.hn)
-        rows.append(IncidenceRow(stratum, tuple(entries)))
+        rows.append(IncidenceRow(stratum, entries))
     bb_index = tuple(
         (label, tuple(reaching[label]))
         for label in sorted(reaching, key=format_label)

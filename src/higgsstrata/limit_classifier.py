@@ -105,23 +105,6 @@ _FAMILIES = {
 }
 
 
-def _x1_outcome(
-    stratum: AdmissibleStratum, fam: _SlopeFamily, pair: tuple[int, int]
-) -> LimitOutcome:
-    # Case x.1 keeps the (sub, quotient) filtration, so its limit depends
-    # on the stratum alone: build it once and share it among the data of
-    # the stratum.  Like a cached_property, it lives in the instance
-    # __dict__, which the frozen dataclass's __eq__ and __hash__ ignore.
-    outcome = stratum.__dict__.get("x1_outcome")
-    if outcome is None:
-        outcome = stratum.__dict__["x1_outcome"] = LimitOutcome(
-            case_tag=fam.tags[0],
-            component=HodgeBundle(fam.x1_type, pair),
-            hnt_limit=stratum.hn,
-        )
-    return outcome
-
-
 def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> LimitOutcome:
     # Integer comparisons of 6*v with the stratum's window; Fraction
     # values are built only for refusal messages (str gives p/q or p).
@@ -149,7 +132,8 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
         tag = fam.tags[3]
         component = HodgeBundle((1, 1, 1), tuple(m // 6 for m in stratum.mu6_vector))
     elif v6 < threshold6:
-        return _x1_outcome(stratum, fam, pair)
+        # Case x.1 keeps the (sub, quotient) filtration.
+        tag, component = fam.tags[0], HodgeBundle(fam.x1_type, pair)
     else:
         i = fam.refined
         rest = pair[i] - v  # degree of Q or R
@@ -260,6 +244,36 @@ def feasible_inputs(stratum: AdmissibleStratum) -> list[Invariant]:
         return list(stratum.feasible_integers)
     m1, _, m3 = stratum.mu6_vector
     return [True, False] if m1 - m3 <= 6 * stratum.genus.canonical_degree else [True]
+
+
+def classify_stratum(
+    stratum: AdmissibleStratum,
+) -> tuple[tuple[Invariant, LimitOutcome], ...]:
+    """Every feasible invariant of the stratum with its outcome, in
+    feasible_inputs order: one row of the incidence table.
+
+    classify decides the first value; the rest go straight to the routine
+    of the stratum's family.  In families 1 and 2 the case-x.1 values are
+    the feasible values below the window's threshold, so they come first,
+    and their outcome depends on the stratum alone: the whole run shares
+    the one object classify returned.
+    """
+    inputs = feasible_inputs(stratum)
+    if not inputs:
+        return ()
+    first = classify(ClassifierInput(stratum, inputs[0]))
+    entries = [(inputs[0], first)]
+    if len(inputs) > 1:  # an unstable rank-3 stratum
+        fam = _FAMILIES.get(stratum.case_family)
+        for v in inputs[1:]:
+            if fam is None:
+                outcome = _classify_case3(stratum, v)
+            elif 6 * v < stratum.window6[3]:
+                outcome = first
+            else:
+                outcome = _classify_slope(stratum, fam, v)
+            entries.append((v, outcome))
+    return tuple(entries)
 
 
 def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:

@@ -1,10 +1,13 @@
 """Slope bounds, stratum enumeration and invariant ranges."""
 
+from dataclasses import fields
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
 from higgsstrata import (
+    AdmissibleStratum,
     CaseFamily,
     Genus,
     HNType,
@@ -216,3 +219,84 @@ def test_wide_spread_forces_singleton_feasible_set():
                 elif rng.case_family is CaseFamily.CASE2_N:
                     assert rng.feasible_integers == (int(mu1),)
     assert seen > 0
+
+
+RANK3_DATA = ("case_family", "threshold6", "window6", "feasible_integers")
+
+
+def reference_rank3_data(stratum) -> dict:
+    """The rank-3 integer data from Fraction slopes, as the definitions
+    state them."""
+    mu1, mu2, mu3 = stratum.mu_vector
+    mu = stratum.mu
+    k = stratum.genus.canonical_degree
+    t = (-mu1 + 2 * mu2 + 2 * mu3) / 3
+    window = None
+    if stratum.is_semistable:
+        family = CaseFamily.NONE
+    elif mu2 < mu:
+        family, window = CaseFamily.CASE1_I, (mu1 - k, mu3, mu2, t)
+    elif mu2 > mu:
+        family, window = CaseFamily.CASE2_N, (mu1 + mu2 - mu3 - k, mu2, mu1, mu)
+    else:
+        family = CaseFamily.CASE3_FLAG
+    feasible = ()
+    if window is not None:
+        low, gap_low, gap_high, _ = window
+        feasible = tuple(
+            v for v in range(floor(low) - 1, ceil(gap_high) + 2)
+            if low <= v <= gap_low or (v == gap_high and gap_high > gap_low)
+        )
+    return {
+        "case_family": family,
+        "threshold6": 6 * t,
+        "window6": None if window is None else tuple(6 * w for w in window),
+        "feasible_integers": feasible,
+    }
+
+
+class TestEagerIntegerData:
+    def test_integer_data_match_fraction_references(self):
+        for rank in (2, 3):
+            for g in range(2, 9):
+                for d in range(-8, 9):
+                    for stratum in enumerate_strata(rank, d, Genus(g)):
+                        # Set at construction, before any read.
+                        names = ("mu6_vector", "mu6") + (RANK3_DATA if rank == 3 else ())
+                        assert set(names) <= vars(stratum).keys()
+                        assert {"total_rank", "total_degree"} <= vars(stratum.hn).keys()
+                        assert (stratum.hn.total_rank, stratum.hn.total_degree) == (rank, d)
+                        assert stratum.mu6_vector == tuple(6 * m for m in stratum.mu_vector)
+                        assert stratum.mu6 == 6 * stratum.mu
+                        if rank == 3:
+                            got = {name: getattr(stratum, name) for name in RANK3_DATA}
+                            assert got == reference_rank3_data(stratum), stratum.hn
+                        integers = [*stratum.mu6_vector, stratum.mu6]
+                        if rank == 3:
+                            integers += [stratum.threshold6, *(stratum.window6 or ())]
+                            integers += stratum.feasible_integers
+                        assert all(type(v) is int for v in integers)
+
+    @pytest.mark.parametrize("name", RANK3_DATA)
+    @pytest.mark.parametrize("hn_text", ["1:1,1:0", "1:2,1:-1", "2:1"])
+    def test_rank3_data_of_a_rank2_stratum_is_refused(self, hn_text, name):
+        stratum = validate(parse_hn_type(hn_text), Genus(3))
+        with pytest.raises(RankUnsupported, match="defined for rank 3 only"):
+            getattr(stratum, name)
+        with pytest.raises(AttributeError):
+            stratum.no_such_attribute
+
+    def test_equality_hash_and_repr_see_only_the_fields(self):
+        assert [f.name for f in fields(AdmissibleStratum)] == ["hn", "genus"]
+        assert [f.name for f in fields(HNType)] == ["steps"]
+        hn = HNType(((1, 1), (1, 0), (1, 0)))
+        assert repr(hn) == "HNType(steps=((1, 1), (2, 0)))"
+        assert hn == HNType(((1, 1), (2, 0)))
+        assert hash(hn) == hash((((1, 1), (2, 0)),))
+        stratum = validate(hn, Genus(3))
+        assert repr(stratum) == (
+            "AdmissibleStratum(hn=HNType(steps=((1, 1), (2, 0))), genus=Genus(g=3))"
+        )
+        assert hash(stratum) == hash((hn, Genus(3)))
+        assert stratum == validate(parse_hn_type("1:1,2:0"), Genus(3))
+        assert stratum != validate(hn, Genus(4))

@@ -1,5 +1,6 @@
 """Exact arithmetic, HN types, polygons, dominance and label encodings."""
 
+import re
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -332,6 +333,11 @@ class TestLabels:
     )
     def test_malformed_label_text_is_refused(self, text):
         with pytest.raises(ValueError, match="unrecognized component label|integer degrees"):
+            parse_label(text, rank=3, degree=0)
+
+    @pytest.mark.parametrize("text", ["poly:[1,-1]+[]", "poly:", "t12:a|b"])
+    def test_malformed_label_numbers_are_refused_by_name(self, text):
+        with pytest.raises(ValueError, match=f"^unrecognized component label {re.escape(repr(text))}$"):
             parse_label(text, rank=3, degree=0)
 
     def test_format_label_refuses_a_non_label(self):

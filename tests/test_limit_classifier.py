@@ -1,5 +1,6 @@
 """The limit decision procedure: all case routes, errors and the audit."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from higgsstrata import (
     build_table,
     classify,
     classify_rank3,
+    classify_stratum,
     enumerate_strata,
     excluded_gap_integers,
     feasible_inputs,
@@ -30,6 +32,7 @@ from higgsstrata import (
     stability_audit,
     validate,
 )
+from higgsstrata import limit_classifier
 from higgsstrata.core import CaseTag
 
 
@@ -367,6 +370,41 @@ def test_table_entries_round_trip_through_classify():
                         assert classify(ClassifierInput(row.stratum, invariant)) == outcome
                         entries += 1
     assert entries > 2000
+
+
+class TestClassifyStratum:
+    def test_row_equals_classify_per_feasible_value(self):
+        # Rank 2 and 3, g 2..8, |d| <= 8: the row is classify's outcome for
+        # each feasible value, and its x.1 run (its first values) is one
+        # object.
+        shared_runs = 0
+        for rank in (2, 3):
+            for g in range(2, 9):
+                for d in range(-8, 9):
+                    for s in enumerate_strata(rank, d, Genus(g)):
+                        row = classify_stratum(s)
+                        assert list(row) == [
+                            (v, classify(ClassifierInput(s, v))) for v in feasible_inputs(s)
+                        ]
+                        x1 = [out for _, out in row if out.case_tag in (CaseTag.C1_1, CaseTag.C2_1)]
+                        assert [out for _, out in row[: len(x1)]] == x1
+                        assert all(out is x1[0] for out in x1)
+                        shared_runs += len(x1) > 1
+        assert shared_runs > 0
+
+    def test_build_table_classifies_each_row_with_one_call(self, monkeypatch):
+        calls = {"classify": Counter(), "classify_rank3": Counter()}
+        for name, counter in calls.items():
+            def counting(inp, fn=getattr(limit_classifier, name), counter=counter):
+                counter[id(inp.stratum)] += 1
+                return fn(inp)
+
+            monkeypatch.setattr(limit_classifier, name, counting)
+        table = build_table(3, 0, Genus(10))
+        assert sum(len(row.entries) for row in table.rows) > 2 * len(table.rows)
+        for counter in calls.values():
+            assert all(counter[id(row.stratum)] <= 1 for row in table.rows)
+        assert sum(calls["classify"].values()) == len(table.rows)
 
 
 def test_polystable_flag_follows_the_case_tag():
