@@ -362,9 +362,11 @@ def parse_label(
             raise ValueError(f"unrecognized component label {text!r}") from None
 
     if kind == "poly":
-        return PolystableSum(
+        label = PolystableSum(
             tuple(numbers(part.strip("[]").split(",")) for part in rest.split("+"))
         )
+        if format_label(label) == text:
+            return label
     for ranks, template in _LABEL_TEXT.items():
         if template.startswith(f"{kind}:"):
             degrees = numbers(rest.replace("|", ",").split(","))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from . import limit_classifier
 from .admissibility import RankUnsupported, enumerate_strata
 from .core import (
-    CaseTag,
     FixedComponentLabel,
     Genus,
     HodgeBundle,
@@ -132,8 +131,9 @@ def _reachable_pair_labels(degree: int, genus: Genus) -> list[HodgeBundle]:
         outcome = limit_classifier.classify_rank3(
             limit_classifier.ClassifierInput(stratum, smallest)
         )
-        if outcome.case_tag in (CaseTag.C1_1, CaseTag.C2_1):
-            pairs.add(outcome.component)
+        component = outcome.component
+        if isinstance(component, HodgeBundle) and component.ranks in ((1, 2), (2, 1)):
+            pairs.add(component)
     # Type (1,2) before (2,1), each by the degree of its weight-0 piece.
     return sorted(pairs, key=lambda c: (c.ranks, c.degrees))
 

@@ -21,7 +21,6 @@ from .core import (
     LimitOutcome,
     PolystableSum,
     StrataError,
-    format_rational,
 )
 
 
@@ -290,83 +289,81 @@ def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:
 
 @dataclass(frozen=True)
 class AuditCheck:
-    """One invariant-subobject slope inequality re-derived from the limit."""
+    """A Higgs-invariant subobject of the limit, of the given degree and
+    rank, against the whole bundle's degree d and rank r: its slope must
+    be smaller, or no larger if allow_equal.  The text is built on read."""
 
     subobject: str
-    inequality: str
-    holds: bool
-    is_equality: bool
+    degree: int
+    rank: int
+    d: int
+    r: int
+    allow_equal: bool = False
+
+    @property
+    def holds(self) -> bool:
+        return self.degree * self.r < self.d * self.rank or self.allow_equal and self.is_equality
+
+    @property
+    def is_equality(self) -> bool:
+        return self.degree * self.r == self.d * self.rank
+
+    @property
+    def inequality(self) -> str:
+        rel = "<=" if self.allow_equal else "<"
+        return f"{Fraction(self.degree, self.rank)} {rel} {Fraction(self.d, self.r)}"
 
 
-def _check(subobject: str, lhs: Fraction, rhs: Fraction, allow_equal: bool) -> AuditCheck:
-    rel = "<=" if allow_equal else "<"
-    return AuditCheck(
-        subobject=subobject,
-        inequality=f"{format_rational(lhs)} {rel} {format_rational(rhs)}",
-        holds=(lhs <= rhs) if allow_equal else (lhs < rhs),
-        is_equality=lhs == rhs,
-    )
+#: Per case family, the names of a limit's lines in weight order and the
+#: one a polystable limit splits off.  Rank 2 has no case family.
+_LINE_NAMES = {
+    None: (("E1", "E/E1"), None),
+    CaseFamily.NONE: (("E",), None),
+    CaseFamily.CASE1_I: (("E1", "I", "Q"), 2),
+    CaseFamily.CASE2_N: (("N", "R", "E/E2"), 0),
+    CaseFamily.CASE3_FLAG: (("E1", "E2/E1", "E/E2"), 1),
+}
 
 
 def stability_audit(outcome: LimitOutcome, inp: ClassifierInput) -> list[AuditCheck]:
     """Re-derive the slope inequality of every Higgs-invariant subobject
-    of the limit, with exact arithmetic.
+    of the limit from its component, in integers.  Three rules:
+
+    * from weight 1 on, every tail of the pieces in weight order (of
+      each summand, for a polystable sum) has slope < mu;
+    * a polystable sum's line summand has slope <= mu;
+    * a rank-2 piece adds its steepest line L, of the slope the stratum
+      gives, with the pieces after it, and the pieces before it with the
+      datum line I or N: both of slope < mu.
 
     All inequalities must hold, strictly except for exactly one equality
     in the strictly polystable cases; a failed check indicates an
     implementation bug, not a data condition.
     """
     stratum = inp.stratum
-    mu = stratum.mu
-    tag = outcome.case_tag
-    if tag is CaseTag.SEMISTABLE:
-        return []
-    if tag is CaseTag.RANK2:
-        d2 = stratum.hn.steps[1][1]
-        return [_check("E/E1", Fraction(d2), mu, allow_equal=False)]
-
-    mu1, mu2, mu3 = stratum.mu_vector
-    d = stratum.hn.total_degree
-    v = inp.invariant
-
-    if tag is CaseTag.C1_1:
-        d1 = stratum.hn.steps[0][1]
-        return [
-            _check("E1 + I", Fraction(d1 + v, 2), mu, allow_equal=False),
-            _check("E/E1", Fraction(d - d1, 2), mu, allow_equal=False),
-            _check("line L in E/E1 (max slope mu2)", mu2, mu, allow_equal=False),
-        ]
-    if tag in (CaseTag.C1_2, CaseTag.C1_3, CaseTag.C1_4):
-        # Decomposition E1 + I + Q; in case 1.4 the invariant is pinned
-        # at mu(I) = mu2.
-        vi = Fraction(int(mu2) if tag is CaseTag.C1_4 else v)
-        qslope = mu2 + mu3 - vi
-        return [
-            _check("I + Q", Fraction(vi + qslope, 2), mu, allow_equal=False),
-            _check("Q", qslope, mu, allow_equal=(tag is CaseTag.C1_2)),
-        ]
-    if tag is CaseTag.C2_1:
-        return [
-            _check("N", Fraction(v), mu, allow_equal=False),
-            _check("E/E2", mu3, mu, allow_equal=False),
-            _check(
-                "L + E/E2 (max line slope mu1)",
-                Fraction(mu1 + mu3, 2),
-                mu,
-                allow_equal=False,
-            ),
-        ]
-    if tag in (CaseTag.C2_2, CaseTag.C2_3, CaseTag.C2_4, CaseTag.C3_1):
-        # Decomposition N + R + E/E2; in cases 2.4 and 3.1 the invariant
-        # is pinned at mu(N) = mu1.
-        vn = Fraction(int(mu1) if tag in (CaseTag.C2_4, CaseTag.C3_1) else v)
-        return [
-            _check("E/E2", mu3, mu, allow_equal=False),
-            _check("R + E/E2", Fraction(d - vn, 2), mu, allow_equal=(tag is CaseTag.C2_2)),
-        ]
-    if tag is CaseTag.C3_2:
-        return [
-            _check("E/E2 inside the coupled summand", mu3, mu, allow_equal=False),
-            _check("split summand E2/E1", mu2, mu, allow_equal=True),
-        ]
-    raise ValueError(f"unknown case tag {tag!r}")
+    d, r = stratum.hn.total_degree, stratum.hn.total_rank
+    names, split = _LINE_NAMES[stratum.case_family if r == 3 else None]
+    component = outcome.component
+    if isinstance(component, PolystableSum):
+        # The coupled summand's lines take the names the split line leaves.
+        coupled = names[:split] + names[split + 1 :]
+        chains = [((1,) * len(s), s, coupled) for s in component.summands if len(s) > 1]
+        singles = [s for s in component.summands if len(s) == 1]
+        checks = [AuditCheck(names[split], s[0], 1, d, r, allow_equal=True) for s in singles]
+    else:
+        ranks, degrees = component.ranks, component.degrees
+        chains, checks = [(ranks, degrees, names)], []
+        if ranks in ((1, 2), (2, 1)):
+            # The rank-2 piece w holds lines w and w + 1, in weight order
+            # and in the stratum's slope order: L has slope mu_(w+1).  The
+            # pieces after it are 1 - w lines, the pieces before it w.
+            w = ranks.index(2)
+            steepest = stratum.mu6_vector[w] + 6 * sum(degrees[w + 1 :]), 6 * (2 - w)
+            datum = sum(degrees[:w]) + inp.invariant, w + 1
+            checks.append(AuditCheck(" + ".join(["L", *names[w + 2 :]]), *steepest, d, r))
+            checks.append(AuditCheck(" + ".join(names[: w + 1]), *datum, d, r))
+    for ranks, degrees, line_names in chains:
+        for w in range(1, len(ranks)):
+            tail = " + ".join(line_names[sum(ranks[:w]) :])
+            checks.append(AuditCheck(tail, sum(degrees[w:]), sum(ranks[w:]), d, r))
+    return checks

@@ -340,6 +340,14 @@ class TestLabels:
         with pytest.raises(ValueError, match=f"^unrecognized component label {re.escape(repr(text))}$"):
             parse_label(text, rank=3, degree=0)
 
+    @pytest.mark.parametrize(
+        "text", ["poly:[1_0]+[ -3]", "poly:1,-1+0", "poly:[0]+[1,-1]", "poly:[1, -1]+[0]"]
+    )
+    def test_polystable_label_must_format_back_to_its_text(self, text):
+        # Each parses to a PolystableSum whose label text differs.
+        with pytest.raises(ValueError, match=f"^unrecognized component label {re.escape(repr(text))}$"):
+            parse_label(text)
+
     def test_format_label_refuses_a_non_label(self):
         with pytest.raises(TypeError, match="not a fixed-component label"):
             format_label((1, 0, -1))

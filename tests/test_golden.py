@@ -4,6 +4,11 @@ The files under tests/golden/ hold the exact output of ``cli.run`` or
 ``cli.main`` for a fixed set of queries.  An intended output change
 replaces the golden file in the same change and is recorded in
 CHANGES.md.
+
+``GOLDEN_RUNS`` pairs every golden file with the console-script argv
+that writes it.  Run as a script, this file prints one line per pair,
+the file's path from the repository root and then the argv, for the CI
+step that pipes each installed ``higgsstrata`` run into ``cmp``.
 """
 
 from pathlib import Path
@@ -93,3 +98,32 @@ def test_limit_output_matches_golden_file(tag, fmt, capsys):
     assert cli.main(["limit", *LIMIT_CASES[tag], "--format", fmt]) == 0
     expected = (GOLDEN / "limit" / f"{tag}.{fmt}").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def _flags(rank, degree, genus, fmt):
+    return ["--rank", str(rank), "--degree", str(degree), "--genus", str(genus), "--format", fmt]
+
+
+GOLDEN_RUNS = (
+    [([c, *_flags(r, d, g, f)], f"{c}_r{r}_d{d}_g{g}.{f}") for c, r, d, g, f in CASES]
+    + [([c, *_flags(r, d, g, "table")], f"{c}_r{r}_d{d}_g{g}.table") for c, r, d, g in TABLE_CASES]
+    + [(["verify", "--format", fmt], f"verify.{fmt}") for fmt in ("json", "table")]
+    + [
+        (["limit", *argv, "--format", fmt], f"limit/{tag}.{fmt}")
+        for tag, argv in sorted(LIMIT_CASES.items())
+        for fmt in ("table", "json")
+    ]
+)
+
+
+def test_golden_runs_cover_every_golden_file_and_write_it(capsys):
+    files = sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file())
+    assert sorted(name for _, name in GOLDEN_RUNS) == files
+    for argv, name in GOLDEN_RUNS:
+        assert cli.main(argv) == 0, name
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    for argv, name in GOLDEN_RUNS:
+        print(f"tests/golden/{name}", *argv)

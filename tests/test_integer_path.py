@@ -1,12 +1,16 @@
 """The integer hot path against Fraction references.
 
-The classifier compares 6*v with slopes scaled by 6, and HNType merges
-and orders steps by cross-multiplying.  The references below keep the
-original Fraction formulation of the same rules, branch for branch;
-every outcome and every refusal (class and message) must agree.
+The classifier compares 6*v with slopes scaled by 6, HNType merges and
+orders steps by cross-multiplying, and the stability audit compares
+each subobject's degree and rank with (d, r).  The references below keep
+the original Fraction formulation of the same rules, branch for branch;
+every outcome and every refusal (class and message) must agree.  The
+last test keeps Fraction-free arithmetic in the package as a whole.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,8 +25,10 @@ from higgsstrata import (
     SlopeOutOfBounds,
     build_table,
     classify,
+    classify_stratum,
     enumerate_strata,
     matrix_oracle,
+    stability_audit,
     validate,
 )
 from higgsstrata.admissibility import CaseFamily
@@ -272,3 +278,134 @@ def test_build_table_never_takes_a_limit(monkeypatch):
     table = build_table(3, 0, Genus(10))
     assert sum(len(row.entries) for row in table.rows) > 0
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The stability audit against its case-by-case Fraction formulation
+
+
+def _reference_check(subobject, lhs, rhs, allow_equal):
+    rel = "<=" if allow_equal else "<"
+    holds = lhs <= rhs if allow_equal else lhs < rhs
+    return subobject, f"{format_rational(lhs)} {rel} {format_rational(rhs)}", holds, lhs == rhs
+
+
+def reference_audit(outcome, inp) -> list[tuple[str, str, bool, bool]]:
+    """(subobject, inequality, holds, is_equality) of each check, one
+    branch per case tag, from the stratum and the invariant alone."""
+    stratum = inp.stratum
+    mu = stratum.mu
+    tag = outcome.case_tag
+    check = _reference_check
+    if tag is CaseTag.SEMISTABLE:
+        return []
+    if tag is CaseTag.RANK2:
+        return [check("E/E1", Fraction(stratum.hn.steps[1][1]), mu, False)]
+    mu1, mu2, mu3 = stratum.mu_vector
+    d = stratum.hn.total_degree
+    v = inp.invariant
+    if tag is CaseTag.C1_1:
+        d1 = stratum.hn.steps[0][1]
+        return [
+            check("E1 + I", Fraction(d1 + v, 2), mu, False),
+            check("E/E1", Fraction(d - d1, 2), mu, False),
+            check("line L in E/E1 (max slope mu2)", mu2, mu, False),
+        ]
+    if tag in (CaseTag.C1_2, CaseTag.C1_3, CaseTag.C1_4):
+        vi = Fraction(int(mu2) if tag is CaseTag.C1_4 else v)
+        qslope = mu2 + mu3 - vi
+        return [
+            check("I + Q", Fraction(vi + qslope, 2), mu, False),
+            check("Q", qslope, mu, tag is CaseTag.C1_2),
+        ]
+    if tag is CaseTag.C2_1:
+        return [
+            check("N", Fraction(v), mu, False),
+            check("E/E2", mu3, mu, False),
+            check("L + E/E2 (max line slope mu1)", Fraction(mu1 + mu3, 2), mu, False),
+        ]
+    if tag in (CaseTag.C2_2, CaseTag.C2_3, CaseTag.C2_4, CaseTag.C3_1):
+        vn = Fraction(int(mu1) if tag in (CaseTag.C2_4, CaseTag.C3_1) else v)
+        return [
+            check("E/E2", mu3, mu, False),
+            check("R + E/E2", Fraction(d - vn, 2), mu, tag is CaseTag.C2_2),
+        ]
+    assert tag is CaseTag.C3_2
+    return [
+        check("E/E2 inside the coupled summand", mu3, mu, False),
+        check("split summand E2/E1", mu2, mu, True),
+    ]
+
+
+def test_stability_audit_matches_fraction_reference():
+    audited = 0
+    for g in range(2, 9):
+        for d in range(-8, 9):
+            for rank in (2, 3):
+                for stratum in enumerate_strata(rank, d, Genus(g)):
+                    for invariant, outcome in classify_stratum(stratum):
+                        inp = ClassifierInput(stratum, invariant)
+                        got = stability_audit(outcome, inp)
+                        want = reference_audit(outcome, inp)
+                        where = f"{stratum.hn} at g={g}, {invariant}"
+                        assert len(got) == len(want), where
+                        assert [c.holds for c in got] == [True] * len(got), where
+                        assert [w[2] for w in want] == [True] * len(want), where
+                        assert sum(c.is_equality for c in got) == sum(w[3] for w in want)
+                        texts = sorted(c.inequality for c in got)
+                        want_texts = sorted(w[1] for w in want)
+                        if outcome.case_tag is CaseTag.C1_2:
+                            # Q has slope exactly mu, so "I + Q" < mu says
+                            # what "I" < mu says; the texts differ.
+                            (i_check,) = (c for c in got if c.subobject == "I")
+                            (iq,) = (w for w in want if w[0] == "I + Q")
+                            texts.remove(i_check.inequality)
+                            want_texts.remove(iq[1])
+                        assert texts == want_texts, where
+                        audited += 1
+    assert audited > 10_000
+
+
+def test_stability_audit_reads_the_component():
+    # A 1.4 outcome whose component is not the stratum's HN filtration:
+    # the tail E2/E1 + E/E2 of degree 0 is steeper than mu = -2/3.
+    stratum = validate(HNType(((1, 1), (1, -1), (1, -2))), Genus(2))
+    outcome = LimitOutcome(CaseTag.C1_4, HodgeBundle((1, 1, 1), (-2, -1, 1)), stratum.hn)
+    checks = stability_audit(outcome, ClassifierInput(stratum, -1))
+    assert not all(c.holds for c in checks)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the package source
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "higgsstrata").glob("*.py"))
+
+
+def inexact_nodes(tree: ast.AST) -> list[str]:
+    """What in a module's syntax tree could bring floating point in: true
+    division, float literals, the name float, and math beyond gcd."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{where}: true division")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{where}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{where}: float")
+        elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+            found.append(f"{where}: import math")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{where}: math.{a.name}" for a in node.names if a.name != "gcd"]
+    return found
+
+
+def test_inexact_nodes_finds_each_kind():
+    source = "import math\nfrom math import gcd, sqrt\nx = 1 / 2\nx /= 2\ny = 0.5\nz = float(x)\n"
+    assert len(inexact_nodes(ast.parse(source))) == 6
+
+
+def test_package_source_has_no_floating_point():
+    assert len(SOURCES) >= 9
+    for path in SOURCES:
+        assert inexact_nodes(ast.parse(path.read_text(), str(path))) == [], path.name
