@@ -5,6 +5,15 @@ outcomes are immutable values built on exact rationals; nothing in this
 package ever touches floating point, because strict-versus-non-strict
 comparisons at rational thresholds decide which classification case
 applies.
+
+Every constructor checks its arguments.  The few values that the
+package builds from data it has already checked also have a private
+trusted constructor that skips the re-checks: ``polygon_of`` for
+``HNPolygon``, and ``_hn_lines``, ``_hodge_bundle`` and
+``_limit_outcome``, which the limit classifier alone uses on its
+per-value path.  Each builds an object equal to the checked one, so
+anything a user or another module builds directly stays checked, with
+every error text.
 """
 
 from __future__ import annotations
@@ -42,6 +51,12 @@ def format_rational(q: Fraction | int) -> str:
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
+
+
+# The trusted constructors below set a frozen dataclass's fields as its
+# generated __init__ does, through object.__setattr__.
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _ints(values) -> tuple[int, ...] | None:
@@ -154,6 +169,30 @@ class HNType:
         return format_hn_type(self)
 
 
+def _hn_lines(high: int, middle: int, low: int) -> HNType:
+    """HNType(((1, high), (1, middle), (1, low))) for integer degrees,
+    without re-running its checks; the limit classifier's constructor.
+
+    Equal neighbouring degrees merge as HNType merges equal slopes.
+    Increasing degrees go to the checked constructor, which refuses them.
+    """
+    if high < middle or middle < low:
+        return HNType(((1, high), (1, middle), (1, low)))
+    if high == middle == low:
+        steps = ((3, 3 * high),)
+    elif high == middle:
+        steps = ((2, 2 * high), (1, low))
+    elif middle == low:
+        steps = ((1, high), (2, 2 * low))
+    else:
+        steps = ((1, high), (1, middle), (1, low))
+    hn = _new(HNType)
+    _set(hn, "steps", steps)
+    _set(hn, "total_rank", 3)
+    _set(hn, "total_degree", high + middle + low)
+    return hn
+
+
 def format_hn_type(hn: HNType) -> str:
     """Canonical text encoding: comma-separated "rank:degree" pairs."""
     return ",".join(f"{r}:{d}" for r, d in hn.steps)
@@ -228,8 +267,8 @@ def polygon_of(hn: HNType) -> HNPolygon:
     for r, d in hn.steps:
         pr, pd = vertices[-1]
         vertices.append((pr + r, pd + d))
-    polygon = object.__new__(HNPolygon)
-    object.__setattr__(polygon, "vertices", tuple(vertices))
+    polygon = _new(HNPolygon)
+    _set(polygon, "vertices", tuple(vertices))
     return polygon
 
 
@@ -300,6 +339,24 @@ class HodgeBundle:
             )
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "degrees", degrees)
+
+
+def _hodge_bundle(ranks: tuple[int, ...], degrees: tuple[int, ...]) -> HodgeBundle:
+    """HodgeBundle(ranks, degrees) for a tuple of as many int degrees,
+    without re-running its checks; the limit classifier's constructor.
+
+    The ranks tuple is the shared one of _HODGE_TYPES; a type outside it
+    goes to the checked constructor, which refuses it.  The fields are
+    set as the checked constructor sets them: vars() would give each
+    object a dict of its own.
+    """
+    shared = _HODGE_TYPES.get(ranks)
+    if shared is None:
+        return HodgeBundle(ranks, degrees)
+    bundle = _new(HodgeBundle)
+    _set(bundle, "ranks", shared)
+    _set(bundle, "degrees", degrees)
+    return bundle
 
 
 @dataclass(frozen=True)
@@ -435,3 +492,19 @@ class LimitOutcome:
         """True exactly for the direct sums of stable summands (cases 1.2,
         2.2 and 3.2): the component says so."""
         return isinstance(self.component, PolystableSum)
+
+
+def _limit_outcome(
+    case_tag: CaseTag, component: FixedComponentLabel, hnt_limit: HNType
+) -> LimitOutcome:
+    """LimitOutcome(case_tag, component, hnt_limit) without re-checking
+    that the component's degrees are integers summing to the limit's
+    degree; the limit classifier's constructor, whose components and
+    limits are built from the same integers.  Incidence tables still run
+    validate_component_label and oracle_check on every outcome object.
+    """
+    outcome = _new(LimitOutcome)
+    _set(outcome, "case_tag", case_tag)
+    _set(outcome, "component", component)
+    _set(outcome, "hnt_limit", hnt_limit)
+    return outcome

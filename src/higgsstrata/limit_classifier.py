@@ -6,21 +6,29 @@ or the alignment flag when both are pinned -- produce the limiting Hodge
 bundle of (E, z*Phi) as z -> 0: case tag, fixed-component label, graded
 degrees and the HN type of the limit.  All comparisons are exact; the
 thresholds involve thirds, so rounding anywhere would misclassify.
+
+The classifier builds its outcomes with core's trusted constructors
+(_hn_lines, _hodge_bundle, _limit_outcome): every degree it passes is
+an integer taken from a stratum that has already been checked, so the
+constructors' re-checks could not fail.  Labels, HN types and outcomes
+built anywhere else keep every check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .admissibility import AdmissibleStratum, CaseFamily
 from .core import (
     CaseTag,
-    HNType,
-    HodgeBundle,
     LimitOutcome,
     PolystableSum,
     StrataError,
+    _hn_lines,
+    _hodge_bundle,
+    _limit_outcome,
 )
 
 
@@ -121,32 +129,51 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
         )
     if v6 < low6:  # low <= gap_high by the slope bounds
         raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} < {low_name} = {Fraction(low6, 6)}")
-    d = stratum.hn.total_degree
+    if v6 < threshold6:
+        # Case x.1 keeps the (sub, quotient) filtration.  The isolated
+        # point lies at or above the threshold.
+        component = _hodge_bundle(fam.x1_type, _sub_quotient(stratum, fam))
+        return _limit_outcome(fam.tags[0], component, stratum.hn)
+    return _refined_outcomes(stratum, fam, (v,))[0]
+
+
+def _sub_quotient(stratum: AdmissibleStratum, fam: _SlopeFamily) -> tuple[int, int]:
+    """Degrees of the row's two-piece filtration (sub, quotient)."""
     sub = sum(stratum.mu6_vector[: 2 - fam.refined]) // 6  # degree of E1 or E2
-    pair = (sub, d - sub)
-    hnt_limit = stratum.hn
-    if v6 > gap_low6:
-        # The isolated point: I = E2/E1 in family 1, N = E1 in family 2,
-        # so the limit keeps the HN filtration.
-        tag = fam.tags[3]
-        component = HodgeBundle((1, 1, 1), tuple(m // 6 for m in stratum.mu6_vector))
-    elif v6 < threshold6:
-        # Case x.1 keeps the (sub, quotient) filtration.
-        tag, component = fam.tags[0], HodgeBundle(fam.x1_type, pair)
-    else:
-        i = fam.refined
-        rest = pair[i] - v  # degree of Q or R
-        graded = pair[:i] + (v, rest) + pair[i + 1 :]  # weight order
-        high, middle, low = pair[:i] + (rest, v) + pair[i + 1 :]  # slope order
-        hnt_limit = HNType(((1, high), (1, middle), (1, low)))
+    return sub, stratum.hn.total_degree - sub
+
+
+def _refined_outcomes(
+    stratum: AdmissibleStratum, fam: _SlopeFamily, values
+) -> list[LimitOutcome]:
+    """The outcomes of case x.2, x.3 or x.4 of feasible integers at or
+    above the window's threshold, one per value.  Nothing here refuses:
+    the caller has placed every value in the window.  What depends on
+    the row alone is computed once."""
+    _, gap_low6, _, threshold6 = stratum.window6
+    pair = _sub_quotient(stratum, fam)
+    i, split = fam.refined, fam.split
+    before, refined, after = pair[:i], pair[i], pair[i + 1 :]
+    outcomes = []
+    for v in values:
+        v6 = 6 * v
+        if v6 > gap_low6:
+            # The isolated point: I = E2/E1 in family 1, N = E1 in
+            # family 2, so the limit keeps the HN filtration.
+            component = _hodge_bundle((1, 1, 1), tuple(m // 6 for m in stratum.mu6_vector))
+            outcomes.append(_limit_outcome(fam.tags[3], component, stratum.hn))
+            continue
+        rest = refined - v  # degree of Q or R
+        graded = before + (v, rest) + after  # weight order
+        hnt_limit = _hn_lines(*before, rest, v, *after)  # slope order
         if v6 == threshold6:
-            split = fam.split
             line = graded[split : split + 1]
             coupled = graded[:split] + graded[split + 1 :]
             tag, component = fam.tags[1], PolystableSum((coupled, line))
         else:
-            tag, component = fam.tags[2], HodgeBundle((1, 1, 1), graded)
-    return LimitOutcome(case_tag=tag, component=component, hnt_limit=hnt_limit)
+            tag, component = fam.tags[2], _hodge_bundle((1, 1, 1), graded)
+        outcomes.append(_limit_outcome(tag, component, hnt_limit))
+    return outcomes
 
 
 def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
@@ -154,20 +181,13 @@ def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
     mu1, mu2, mu3 = (m // 6 for m in stratum.mu6_vector)
     k = stratum.genus.canonical_degree
     if aligned:
-        return LimitOutcome(
-            case_tag=CaseTag.C3_1,
-            component=HodgeBundle((1, 1, 1), (mu1, mu2, mu3)),
-            hnt_limit=stratum.hn,
-        )
+        component = _hodge_bundle((1, 1, 1), (mu1, mu2, mu3))
+        return _limit_outcome(CaseTag.C3_1, component, stratum.hn)
     if mu1 - mu3 > k:
         raise AlignmentImpossible(
             f"mu1 - mu3 = {mu1 - mu3} > 2g-2 = {k} forces N = E1"
         )
-    return LimitOutcome(
-        case_tag=CaseTag.C3_2,
-        component=PolystableSum(((mu1, mu3), (mu2,))),
-        hnt_limit=stratum.hn,
-    )
+    return _limit_outcome(CaseTag.C3_2, PolystableSum(((mu1, mu3), (mu2,))), stratum.hn)
 
 
 def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
@@ -196,10 +216,11 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
         relation, need = "=", "an alignment flag"
     elif invariant is None or isinstance(invariant, bool):
         relation, need = fam.relation, f"an integer mu({fam.datum})"
-    elif isinstance(invariant, int):
-        return _classify_slope(stratum, fam, invariant)
-    elif isinstance(invariant, Fraction) and invariant.denominator == 1:
-        # I and N are line bundles; their slopes are honest integers.
+    elif isinstance(invariant, int) or (
+        isinstance(invariant, Fraction) and invariant.denominator == 1
+    ):
+        # I and N are line bundles; their slopes are honest integers, and
+        # the outcome's degrees are ints.
         return _classify_slope(stratum, fam, int(invariant))
     else:
         raise InvalidInvariant(f"slope invariant must be an integer, got {invariant!r}")
@@ -220,9 +241,8 @@ def classify(inp: ClassifierInput) -> LimitOutcome:
             )
         # The Higgs field flows to zero.
         hn = stratum.hn
-        return LimitOutcome(
-            CaseTag.SEMISTABLE, HodgeBundle((hn.total_rank,), (hn.total_degree,)), hn
-        )
+        component = _hodge_bundle((hn.total_rank,), (hn.total_degree,))
+        return _limit_outcome(CaseTag.SEMISTABLE, component, hn)
     if stratum.hn.total_rank == 2:
         if inp.invariant is not None:
             raise CaseFamilyMismatch(
@@ -231,7 +251,7 @@ def classify(inp: ClassifierInput) -> LimitOutcome:
         # The limit couples the destabilizing line into the quotient, and
         # the associated graded bundle is unchanged.
         (_, d1), (_, d2) = stratum.hn.steps
-        return LimitOutcome(CaseTag.RANK2, HodgeBundle((1, 1), (d1, d2)), stratum.hn)
+        return _limit_outcome(CaseTag.RANK2, _hodge_bundle((1, 1), (d1, d2)), stratum.hn)
     return classify_rank3(inp)
 
 
@@ -251,11 +271,14 @@ def classify_stratum(
     """Every feasible invariant of the stratum with its outcome, in
     feasible_inputs order: one row of the incidence table.
 
-    classify decides the first value; the rest go straight to the routine
-    of the stratum's family.  In families 1 and 2 the case-x.1 values are
-    the feasible values below the window's threshold, so they come first,
+    classify decides the first value, with every refusal check.  Every
+    other value is feasible by construction, so it goes straight to the
+    outcome of its case.  In families 1 and 2 the case-x.1 values are the
+    feasible values below the window's threshold, so they come first,
     and their outcome depends on the stratum alone: the whole run shares
-    the one object classify returned.
+    the one object classify returned.  The values from the threshold on
+    go to one call of the row routine, which computes what they share
+    once.
     """
     inputs = feasible_inputs(stratum)
     if not inputs:
@@ -264,14 +287,15 @@ def classify_stratum(
     entries = [(inputs[0], first)]
     if len(inputs) > 1:  # an unstable rank-3 stratum
         fam = _FAMILIES.get(stratum.case_family)
-        for v in inputs[1:]:
-            if fam is None:
-                outcome = _classify_case3(stratum, v)
-            elif 6 * v < stratum.window6[3]:
-                outcome = first
-            else:
-                outcome = _classify_slope(stratum, fam, v)
-            entries.append((v, outcome))
+        if fam is None:
+            entries += [(v, _classify_case3(stratum, v)) for v in inputs[1:]]
+        else:
+            # Index of the first value at or above the threshold, where
+            # 6*v >= threshold6.
+            refined = bisect_left(inputs, -(-stratum.window6[3] // 6), 1)
+            entries += [(v, first) for v in inputs[1:refined]]
+            values = inputs[refined:]
+            entries += zip(values, _refined_outcomes(stratum, fam, values))
     return tuple(entries)
 
 

@@ -1,0 +1,156 @@
+"""The classifier's trusted constructors against the checked ones.
+
+The limit classifier builds its HN types, labels and outcomes with
+core's _hn_lines, _hodge_bundle and _limit_outcome, which skip the
+constructors' re-checks.  Each must build an object equal to the
+checked construction, and an incidence table must run no check beyond
+the HN type of each enumerated stratum.
+"""
+
+import tracemalloc
+from itertools import product
+
+import pytest
+
+from higgsstrata import (
+    ClassifierInput,
+    Genus,
+    HNType,
+    HodgeBundle,
+    InvalidHNType,
+    LimitOutcome,
+    PolystableSum,
+    build_table,
+    classify,
+    enumerate_strata,
+)
+from higgsstrata.admissibility import AdmissibleStratum
+from higgsstrata.core import CaseTag, _hn_lines, _hodge_bundle, _limit_outcome
+
+
+def _checked(make, *args):
+    try:
+        return make(*args), None
+    except InvalidHNType as exc:
+        return None, exc
+
+
+def test_hn_lines_equals_checked_construction():
+    # Ties merge; increasing degrees are refused with the checked text.
+    for high, middle, low in product(range(-3, 4), repeat=3):
+        where = (high, middle, low)
+        want, want_exc = _checked(HNType, ((1, high), (1, middle), (1, low)))
+        got, got_exc = _checked(_hn_lines, high, middle, low)
+        if want_exc is not None:
+            assert type(got_exc) is type(want_exc), where
+            assert str(got_exc) == str(want_exc), where
+            continue
+        assert got_exc is None, where
+        assert got == want, where
+        assert got.steps == want.steps, where
+        assert (got.total_rank, got.total_degree) == (want.total_rank, want.total_degree)
+        assert (got.slope, got.mu_vector) == (want.slope, want.mu_vector), where
+        assert hash(got) == hash(want) and repr(got) == repr(want), where
+
+
+def test_hodge_bundle_shares_the_ranks_tuple():
+    for ranks in ((2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)):
+        degrees = tuple(range(len(ranks)))
+        # An equal ranks tuple that is not the shared one goes in.
+        trusted = _hodge_bundle(tuple(list(ranks)), degrees)
+        assert trusted == HodgeBundle(ranks, degrees)
+        assert trusted.ranks is HodgeBundle(ranks, degrees).ranks
+
+
+def test_classify_keeps_the_refusal_of_an_unsupported_rank():
+    # A stratum built without validate: the semistable type of rank 4,
+    # whose Hodge type the trusted constructor hands to the checked one.
+    stratum = AdmissibleStratum(HNType(((4, 0),)), Genus(2))
+    with pytest.raises(ValueError, match=r"not a supported Hodge type: \(4,\)"):
+        classify(ClassifierInput(stratum, None))
+
+
+def _retained_bytes(make, n: int = 2000) -> int:
+    """Bytes that n objects from make() hold, the less of two counts."""
+    counts = []
+    for _ in range(2):
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [make() for _ in range(n)]
+        counts.append(tracemalloc.get_traced_memory()[0] - before)
+        tracemalloc.stop()
+        del kept
+    return min(counts)
+
+
+def test_trusted_objects_take_no_more_memory_than_checked_ones():
+    # The fields are set with object.__setattr__, as the checked
+    # constructors set them.  Filling vars() instead would give every
+    # object a dict of its own: over 100 bytes each on Python 3.11.
+    hn, degrees = HNType(((1, 1), (1, 0), (1, -1))), (1, 0, -1)
+    bundle = HodgeBundle((1, 1, 1), degrees)
+    pairs = [
+        (lambda: _hodge_bundle((1, 1, 1), degrees), lambda: HodgeBundle((1, 1, 1), degrees)),
+        (lambda: _limit_outcome(CaseTag.C1_3, bundle, hn), lambda: LimitOutcome(CaseTag.C1_3, bundle, hn)),
+        (lambda: _hn_lines(1, 0, -1), lambda: HNType(((1, 1), (1, 0), (1, -1)))),
+    ]
+    for trusted, checked in pairs:
+        assert trusted() == checked()
+        assert _retained_bytes(trusted) <= _retained_bytes(checked) + 16 * 2000
+
+
+def _rebuild(outcome: LimitOutcome) -> LimitOutcome:
+    """The same outcome through the checked constructors."""
+    component = outcome.component
+    if isinstance(component, PolystableSum):
+        component = PolystableSum(component.summands)
+    else:
+        component = HodgeBundle(component.ranks, component.degrees)
+    return LimitOutcome(outcome.case_tag, component, HNType(outcome.hnt_limit.steps))
+
+
+def test_every_table_outcome_equals_its_checked_rebuild():
+    checked = 0
+    for g in range(2, 9):
+        for d in range(-8, 9):
+            for rank in (2, 3):
+                for row in build_table(rank, d, Genus(g)).rows:
+                    for invariant, outcome in row.entries:
+                        where = f"{row.stratum.hn} at g={g}, {invariant}"
+                        want = _rebuild(outcome)
+                        assert outcome.case_tag is want.case_tag, where
+                        assert outcome.component == want.component, where
+                        assert outcome.hnt_limit == want.hnt_limit, where
+                        assert outcome.hnt_limit.steps == want.hnt_limit.steps, where
+                        assert outcome.hnt_limit.total_rank == want.hnt_limit.total_rank
+                        assert outcome.hnt_limit.total_degree == want.hnt_limit.total_degree
+                        assert outcome.graded_degrees == want.graded_degrees, where
+                        assert outcome == want, where
+                        assert hash(outcome) == hash(want), where
+                        assert repr(outcome) == repr(want), where
+                        hn = outcome.hnt_limit
+                        degrees = [*outcome.graded_degrees, hn.total_rank, hn.total_degree]
+                        degrees += [x for step in hn.steps for x in step]
+                        if isinstance(outcome.component, HodgeBundle):
+                            degrees += outcome.component.ranks
+                        assert all(type(x) is int for x in degrees), where
+                        checked += 1
+    assert checked > 10_000
+
+
+def test_table_runs_one_check_per_enumerated_stratum(monkeypatch):
+    calls = {HNType: 0, HodgeBundle: 0, LimitOutcome: 0}
+    for cls in calls:
+        checks = cls.__post_init__
+
+        def counting(self, cls=cls, checks=checks):
+            calls[cls] += 1
+            checks(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    table = build_table(3, 0, Genus(10))
+    assert sum(len(row.entries) for row in table.rows) > len(table.rows)
+    # enumerate_strata builds each stratum's HN type with every check;
+    # the classifier builds everything else from checked integers.
+    assert calls == {HNType: len(table.rows), HodgeBundle: 0, LimitOutcome: 0}
+    assert len(table.rows) == len(enumerate_strata(3, 0, Genus(10)))
