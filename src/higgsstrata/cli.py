@@ -148,6 +148,7 @@ def _run_limit(config: RunConfig) -> tuple[int, str]:
         )
     stratum = validate(hn, genus)
     outcome = classify(ClassifierInput(stratum, _limit_invariant(config, stratum)))
+    incidence_mod.check_outcome(stratum, outcome)
     feasible = list(stratum.feasible_integers) if stratum.hn.total_rank == 3 else []
     record = incidence_mod.outcome_record(hn, config.invariant, outcome, feasible)
     query = {

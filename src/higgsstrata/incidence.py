@@ -51,6 +51,26 @@ class IncidenceTable:
         return dict(self.bb_index)
 
 
+def check_outcome(stratum: AdmissibleStratum, outcome: LimitOutcome) -> None:
+    """Check one classified outcome of the stratum against the
+    fixed-point constraints and the gauge-scaling engine; a rejection
+    raises AssertionError naming the stratum (it would indicate an
+    implementation bug)."""
+    hn = stratum.hn
+    if not fixed_points.validate_component_label(
+        outcome.component, hn.total_rank, hn.total_degree, stratum.genus
+    ):
+        raise AssertionError(
+            f"outcome component {format_label(outcome.component)} fails "
+            f"fixed-point validation for stratum {hn}"
+        )
+    if not matrix_oracle.oracle_check(outcome):
+        raise AssertionError(
+            f"gauge-scaling check failed for case {outcome.case_tag.value} "
+            f"of stratum {hn}"
+        )
+
+
 def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     """Classify every (stratum, feasible invariant) pair and index the
     outcomes.
@@ -72,18 +92,7 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
             if outcome is previous:
                 continue
             previous = outcome
-            if not fixed_points.validate_component_label(
-                outcome.component, rank, degree, genus
-            ):
-                raise AssertionError(
-                    f"outcome component {format_label(outcome.component)} fails "
-                    f"fixed-point validation for stratum {stratum.hn}"
-                )
-            if not matrix_oracle.oracle_check(outcome):
-                raise AssertionError(
-                    f"gauge-scaling check failed for case {outcome.case_tag.value} "
-                    f"of stratum {stratum.hn}"
-                )
+            check_outcome(stratum, outcome)
             # Rows are distinct strata, so a stratum already listed for
             # this component is the last one listed.
             reached = reaching.setdefault(outcome.component, [])
@@ -137,6 +146,7 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[HodgeBundle]:
         for key, outcome in row.entries:
             if not outcome.strictly_polystable and outcome.component.ranks == (1, 1, 1):
                 preimages.setdefault(outcome.component, []).append((row.stratum, key))
+    rows = {row.stratum.hn: row for row in table.rows}
     verified = []
     for label in sorted(preimages, key=lambda t: t.degrees):
         if label.degrees[0] - label.degrees[2] <= k:
@@ -149,7 +159,7 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[HodgeBundle]:
                 f"label {format_label(label)}: preimage strata "
                 f"{sorted(map(format_hn_type, strata))} != {{{expected_hn}}}"
             )
-        (row,) = [r for r in table.rows if r.stratum.hn == expected_hn]
+        row = rows[expected_hn]
         if len(pairs) != len(row.entries):
             raise AssertionError(
                 f"label {format_label(label)}: only {len(pairs)} of "

@@ -4,13 +4,22 @@ Every criterion is exact (zero tolerance); the default sweep covers
 genus 2..5 and |degree| <= 6 and runs in seconds.  Each function returns
 a CriterionResult instead of raising, so the CLI can report a full
 pass/fail summary.
+
+Criterion 2 compares integers.  In rank 3 every slope mu_i has
+denominator 1 or 2, so 6*mu_i is an integer, and so are 6*v for an
+integer invariant v and 18 times each threshold: the case-1 threshold
+t = (-mu1 + 2*mu2 + 2*mu3)/3 and the total slope mu = (mu1 + mu2 +
+mu3)/3.  So v < t is 3*(6v) < -6mu1 + 12mu2 + 12mu3, and so on for
+every case inequality.  The scaled slopes are computed from each
+stratum's ``hn.steps``, not read from the window the classifier
+compares with (``window6``, ``threshold6``), so a fault in that window
+shows as a disagreement instead of being shared.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import fixed_points, incidence, limit_classifier, matrix_oracle
@@ -75,39 +84,56 @@ def criterion_rank2_coincidence(genera=GENERA, degrees=DEGREES) -> CriterionResu
     return _result(1, "rank2-coincidence", failures, f"{checked} tables bijective")
 
 
-def _independent_case_matches(stratum, v: int) -> list[CaseTag]:
-    # Direct translation of the case inequalities, kept independent of
-    # the classifier's branch ordering.
-    mu1, mu2, mu3 = stratum.mu_vector
-    mu = stratum.mu
-    k = stratum.genus.canonical_degree
-    t = Fraction(-mu1 + 2 * mu2 + 2 * mu3, 3)
+def _case_inequalities(stratum) -> tuple | None:
+    """The row's constants in the case inequalities of criterion 2, or
+    None for a stratum that takes no slope invariant.
+
+    Slopes are scaled by 6 and the threshold by 18, so the comparisons
+    are of integers (see the module docstring).  They are taken from
+    ``hn.steps``, never from the stratum's window, so that they stay
+    independent of the classifier.  Returns the family's four tags, 6
+    times the low end of case x.1, 18 times the threshold, 6 times the
+    high end of case x.3, and 6 times case x.4's value (None when that
+    case cannot occur).
+    """
     family = stratum.case_family
-    matches = []
+    if family is not CaseFamily.CASE1_I and family is not CaseFamily.CASE2_N:
+        return None
+    m1, m2, m3 = (6 * d // r for r, d in stratum.hn.steps for _ in range(r))
+    k6 = 6 * stratum.genus.canonical_degree
     if family is CaseFamily.CASE1_I:
-        if mu1 - k <= v < t:
-            matches.append(CaseTag.C1_1)
-        if v == t:
-            matches.append(CaseTag.C1_2)
-        if t < v <= mu3:
-            matches.append(CaseTag.C1_3)
-        if v == mu2 and mu2 > mu3:
-            matches.append(CaseTag.C1_4)
-    elif family is CaseFamily.CASE2_N:
-        if mu1 + mu2 - mu3 - k <= v < mu:
-            matches.append(CaseTag.C2_1)
-        if v == mu:
-            matches.append(CaseTag.C2_2)
-        if mu < v <= mu2:
-            matches.append(CaseTag.C2_3)
-        if v == mu1 and mu1 > mu2:
-            matches.append(CaseTag.C2_4)
+        # mu1 - k <= v < t, v = t, t < v <= mu3, v = mu2 > mu3, with
+        # t = (-mu1 + 2*mu2 + 2*mu3)/3.
+        tags = (CaseTag.C1_1, CaseTag.C1_2, CaseTag.C1_3, CaseTag.C1_4)
+        return tags, m1 - k6, -m1 + 2 * m2 + 2 * m3, m3, m2 if m2 > m3 else None
+    # mu1 + mu2 - mu3 - k <= v < mu, v = mu, mu < v <= mu2, v = mu1 > mu2,
+    # with mu = (mu1 + mu2 + mu3)/3.
+    tags = (CaseTag.C2_1, CaseTag.C2_2, CaseTag.C2_3, CaseTag.C2_4)
+    return tags, m1 + m2 - m3 - k6, m1 + m2 + m3, m2, m1 if m1 > m2 else None
+
+
+def _case_matches(inequalities: tuple, v: int) -> list[CaseTag]:
+    """Every case whose inequality the integer v satisfies, given the
+    row's _case_inequalities: a direct translation, kept independent of
+    the classifier's branch ordering."""
+    (x1, x2, x3, x4), low6, threshold18, high6, isolated6 = inequalities
+    v6 = 6 * v
+    v18 = 3 * v6
+    matches = []
+    if low6 <= v6 and v18 < threshold18:
+        matches.append(x1)
+    if v18 == threshold18:
+        matches.append(x2)
+    if threshold18 < v18 and v6 <= high6:
+        matches.append(x3)
+    if v6 == isolated6:
+        matches.append(x4)
     return matches
 
 
-def _check_gap_value(stratum, v: int, failures: list[str]) -> None:
+def _check_gap_value(stratum, inequalities: tuple, v: int, failures: list[str]) -> None:
     # Criterion 2 on one integer inside the excluded gap.
-    if _independent_case_matches(stratum, v):
+    if _case_matches(inequalities, v):
         failures.append(f"{stratum.hn} gap value {v} matches a case")
     try:
         limit_classifier.classify_rank3(limit_classifier.ClassifierInput(stratum, v))
@@ -173,20 +199,29 @@ def _rank3_grid_pass(
                 continue
             if coprime and stratum.case_family is CaseFamily.CASE3_FLAG:
                 failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
+            # Computed once per row: what depends on the row alone.
+            # Dominance depends on the outcome alone, so it is checked once
+            # per outcome object (a row's x.1 data share one).
+            inequalities = _case_inequalities(stratum)
+            polygon = polygon_of(stratum.hn)
+            previous = None
             for datum, outcome in row.entries:
                 classified += 1
-                if isinstance(datum, bool):
+                if inequalities is None:
                     expected = CaseTag.C3_1 if datum else CaseTag.C3_2
                     if outcome.case_tag is not expected:
                         failures[2].append(f"{stratum.hn} flag={datum}: {outcome.case_tag}")
                 else:
-                    matches = _independent_case_matches(stratum, datum)
+                    matches = _case_matches(inequalities, datum)
                     if len(matches) != 1 or matches[0] is not outcome.case_tag:
                         failures[2].append(
                             f"{stratum.hn} v={datum}: classifier says "
                             f"{outcome.case_tag.value}, inequalities match {matches}"
                         )
-                if not dominates(polygon_of(outcome.hnt_limit), polygon_of(stratum.hn)):
+                if outcome is not previous:
+                    previous = outcome
+                    rises = dominates(polygon_of(outcome.hnt_limit), polygon)
+                if not rises:
                     failures[3].append(f"{stratum.hn} -> {outcome.hnt_limit} fails to rise")
                 if coprime:
                     coprime_count += 1
@@ -204,7 +239,7 @@ def _rank3_grid_pass(
                     )
             for v in limit_classifier.excluded_gap_integers(stratum):
                 gap_checked += 1
-                _check_gap_value(stratum, v, failures[2])
+                _check_gap_value(stratum, inequalities, v, failures[2])
         verified_total += _check_hn_bb(table, failures[5])
     for name, pattern, exponents, higgs, shape in _ANCHORED_LIMITS:
         lim = matrix_oracle.take_limit(matrix_oracle.parse_block_pattern(pattern))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from higgsstrata import cli
+from higgsstrata import cli, matrix_oracle
 
 
 def run_cli(argv, capsys):
@@ -91,6 +91,17 @@ class TestLimitCommand:
             ["limit", "--genus", "2", "--degree", "5", "--hn", "3:0"], capsys
         )
         assert code == 2
+
+    def test_outcome_is_checked_before_it_is_printed(self, capsys, monkeypatch):
+        # limit puts its one outcome through the checks incidence runs on
+        # every table entry, with the same message.
+        monkeypatch.setattr(matrix_oracle, "oracle_check", lambda outcome: False)
+        argv = ["limit", "--genus", "2", "--hn", "1:1,1:0,1:-1", "--aligned", "true"]
+        with pytest.raises(
+            AssertionError, match="gauge-scaling check failed for case 3.1 of stratum 1:1,1:0,1:-1"
+        ):
+            cli.main(argv)
+        assert capsys.readouterr().out == ""
 
 
 class TestStrataCommand:

@@ -1,9 +1,15 @@
 """The acceptance suite's own machinery: the one shared pass over the
 rank-3 grid, and the rank-2 component count beyond the default grid."""
 
+import math
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from higgsstrata import limit_classifier, matrix_oracle, verification
+from higgsstrata.admissibility import CaseFamily, enumerate_strata
+from higgsstrata.core import CaseTag, Genus
 
 GRID_CRITERIA = (
     verification.criterion_exhaustive_classification,
@@ -76,3 +82,115 @@ def test_oracle_rejection_fails_criterion_7_without_raising(monkeypatch):
     oracle = next(r for r in results if r.number == 7)
     assert not oracle.passed
     assert oracle.details.startswith("g=2, d=-6: gauge-scaling check failed")
+
+
+SLOPE_TAGS = (
+    CaseTag.C1_1, CaseTag.C1_2, CaseTag.C1_3, CaseTag.C1_4,
+    CaseTag.C2_1, CaseTag.C2_2, CaseTag.C2_3, CaseTag.C2_4,
+)
+
+
+def _fraction_case_matches(stratum, v):
+    # Reference for criterion 2: the case inequalities in Fraction
+    # arithmetic, as the acceptance suite evaluated them before it moved
+    # to integers.
+    mu1, mu2, mu3 = stratum.mu_vector
+    mu = stratum.mu
+    k = stratum.genus.canonical_degree
+    t = Fraction(-mu1 + 2 * mu2 + 2 * mu3, 3)
+    family = stratum.case_family
+    matches = []
+    if family is CaseFamily.CASE1_I:
+        if mu1 - k <= v < t:
+            matches.append(CaseTag.C1_1)
+        if v == t:
+            matches.append(CaseTag.C1_2)
+        if t < v <= mu3:
+            matches.append(CaseTag.C1_3)
+        if v == mu2 and mu2 > mu3:
+            matches.append(CaseTag.C1_4)
+    elif family is CaseFamily.CASE2_N:
+        if mu1 + mu2 - mu3 - k <= v < mu:
+            matches.append(CaseTag.C2_1)
+        if v == mu:
+            matches.append(CaseTag.C2_2)
+        if mu < v <= mu2:
+            matches.append(CaseTag.C2_3)
+        if v == mu1 and mu1 > mu2:
+            matches.append(CaseTag.C2_4)
+    return matches
+
+
+def test_integer_case_inequalities_match_the_fraction_reference():
+    # Every integer from 3 below the low end to 3 above gap_high, so each
+    # of the eight cases, the empty gap matches and the values out of
+    # bounds all occur.
+    tags, sizes = set(), set()
+    for g in range(2, 9):
+        genus = Genus(g)
+        k = genus.canonical_degree
+        for d in range(-8, 9):
+            for stratum in enumerate_strata(3, d, genus):
+                inequalities = verification._case_inequalities(stratum)
+                family = stratum.case_family
+                if family not in (CaseFamily.CASE1_I, CaseFamily.CASE2_N):
+                    assert inequalities is None
+                    continue
+                mu1, mu2, mu3 = stratum.mu_vector
+                if family is CaseFamily.CASE1_I:
+                    low, gap_high = mu1 - k, mu2
+                else:
+                    low, gap_high = mu1 + mu2 - mu3 - k, mu1
+                for v in range(math.floor(low) - 3, math.ceil(gap_high) + 4):
+                    expected = _fraction_case_matches(stratum, v)
+                    assert verification._case_matches(inequalities, v) == expected, (
+                        stratum.hn, v,
+                    )
+                    tags.update(expected)
+                    sizes.add(len(expected))
+    assert tags == set(SLOPE_TAGS)
+    assert sizes == {0, 1}
+
+
+@pytest.fixture
+def fresh_grid_pass():
+    """An empty memo of the grid pass before and after the test, so a
+    result under a mutation is neither reused nor kept."""
+    verification._rank3_grid_pass.cache_clear()
+    yield
+    verification._rank3_grid_pass.cache_clear()
+
+
+def test_relabelled_isolated_point_fails_criterion_2(monkeypatch, fresh_grid_pass):
+    # Case 1.4 relabelled as 1.3 keeps its type-(1,1,1) component, which
+    # the oracle and the audit accept; only criterion 2 tells them apart.
+    classify_stratum = limit_classifier.classify_stratum
+
+    def relabelled(stratum):
+        return tuple(
+            (v, replace(outcome, case_tag=CaseTag.C1_3) if outcome.case_tag is CaseTag.C1_4
+             else outcome)
+            for v, outcome in classify_stratum(stratum)
+        )
+
+    monkeypatch.setattr(limit_classifier, "classify_stratum", relabelled)
+    results = verification.run_all()
+    failed = {r.number: r.details for r in results if not r.passed}
+    assert list(failed) == [2]
+    assert "classifier says 1.3" in failed[2]
+
+
+def test_polygon_that_fails_to_rise_fails_criterion_3(monkeypatch, fresh_grid_pass):
+    monkeypatch.setattr(verification, "dominates", lambda p, q: False)
+    result = verification.criterion_specialization_monotonicity()
+    assert not result.passed
+    assert "fails to rise" in result.details
+    assert result.details.endswith("(2188 failures)")
+
+
+def test_wide_grid_passes(fresh_grid_pass):
+    # g 2..12 and |d| <= 12: 275 rank-3 tables, 97 273 entries.
+    results = verification.run_all(genera=range(2, 13), degrees=range(-12, 13))
+    assert [r for r in results if not r.passed] == []
+    details = {r.number: r.details for r in results}
+    assert details[2] == "96998 classifications unique, 80092 gap values excluded"
