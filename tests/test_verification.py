@@ -1,5 +1,6 @@
 """The acceptance suite's own machinery: the one shared pass over the
-rank-3 grid, and the rank-2 component count beyond the default grid."""
+rank-3 grid, criterion 2's integer case inequalities against a Fraction
+reference, mutations the pass must catch, and grids beyond the default."""
 
 import math
 from dataclasses import replace
@@ -91,9 +92,8 @@ SLOPE_TAGS = (
 
 
 def _fraction_case_matches(stratum, v):
-    # Reference for criterion 2: the case inequalities in Fraction
-    # arithmetic, as the acceptance suite evaluated them before it moved
-    # to integers.
+    # Reference for criterion 2: the case inequalities read directly,
+    # in Fraction arithmetic on the stratum's slopes.
     mu1, mu2, mu3 = stratum.mu_vector
     mu = stratum.mu
     k = stratum.genus.canonical_degree
