@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Genus, HNType, StrataError
+from .core import Genus, HNType, StrataError, _hn_type
 
 
 class AdmissibilityError(StrataError):
@@ -171,33 +171,40 @@ def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStr
 
     Includes the semistable type; finite by the slope bounds; sorted by
     polygon dominance, then lexicographically by steps.
+
+    The loops generate canonical steps only: integer degrees, strictly
+    decreasing slopes, no equal neighbours.  So each type is built with
+    the trusted constructor; validate still checks every one's bounds.
     """
     k = genus.canonical_degree
+    if rank not in (2, 3):
+        raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
     d = degree
-    found: list[HNType] = []
+    if type(d) is not int:
+        # An integral degree such as Fraction(3) becomes an int; the
+        # checked constructor refuses any other by name.
+        d = HNType(((rank, d),)).total_degree
     if rank == 2:
-        found.append(HNType(((2, d),)))
+        found = [_hn_type(((2, d),), 2, d)]
         # d < 2*d1 <= d + 2g-2
         for d1 in range(d // 2 + 1, (d + k) // 2 + 1):
-            found.append(HNType(((1, d1), (1, d - d1))))
-    elif rank == 3:
-        found.append(HNType(((3, d),)))
+            found.append(_hn_type(((1, d1), (1, d - d1)), 2, d))
+    else:
+        found = [_hn_type(((3, d),), 3, d)]
         # Type (1,2): line over a semistable rank-2 quotient.
         # 0 < mu1 - mu2 = (3a-d)/2 <= 2g-2.
         for a in range(d // 3 + 1, (d + 2 * k) // 3 + 1):
-            found.append(HNType(((1, a), (2, d - a))))
+            found.append(_hn_type(((1, a), (2, d - a)), 3, d))
         # Type (2,1): semistable rank-2 sub over a line.
         # 0 < mu2 - mu3 = (3e-2d)/2 <= 2g-2.
         for e in range((2 * d) // 3 + 1, (2 * d + 2 * k) // 3 + 1):
-            found.append(HNType(((2, e), (1, d - e))))
+            found.append(_hn_type(((2, e), (1, d - e)), 3, d))
         # Three distinct integer slopes a > b > c with both gaps <= 2g-2.
         for a in range(d // 3 + 1, d // 3 + 2 * k + 2):
             for b in range(a - k, a):
                 c = d - a - b
                 if c < b and b - c <= k:
-                    found.append(HNType(((1, a), (1, b), (1, c))))
-    else:
-        raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
+                    found.append(_hn_type(((1, a), (1, b), (1, c)), 3, d))
     strata = [validate(hn, genus) for hn in found]
     strata.sort(key=_sort_key)
     return strata

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .core import (
     StrataError,
     format_hn_type,
     format_label,
-    format_rational,
     parse_hn_steps,
 )
 from .fixed_points import enumerate_fixed_components
@@ -57,15 +55,16 @@ def _render(config: RunConfig, query: dict, records: list | str, meta: dict, tex
     """A command's output: the JSON envelope of its query, records and
     meta data, or the lines ``text()`` yields (called only for text).
     ``records`` may be JSON text already, indented for the envelope
-    (``incidence.records_json``)."""
+    (``incidence.records_json``).  Every envelope is written by
+    ``incidence.to_json``."""
     if config.format == "json":
         doc = {"query": {"command": config.command, **query}, "meta": meta}
         if isinstance(records, str):
             # "results" sorts after "meta" and "query": it is the last key.
-            head = json.dumps(doc, indent=2, sort_keys=True)
+            head = incidence_mod.to_json(doc)
             return f'{head[:-2]},\n  "results": {records}\n}}\n'
         doc["results"] = records
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return incidence_mod.to_json(doc) + "\n"
     return "\n".join(text()) + "\n"
 
 
@@ -95,7 +94,7 @@ def _run_strata(config: RunConfig) -> tuple[int, str]:
     for stratum in strata:
         record = {
             "hn": format_hn_type(stratum.hn),
-            "mu_vector": [format_rational(m) for m in stratum.mu_vector],
+            "mu_vector": [str(m) for m in stratum.mu_vector],
         }
         if config.rank == 3:
             record["case_family"] = stratum.case_family.value

@@ -9,11 +9,12 @@ applies.
 Every constructor checks its arguments.  The few values that the
 package builds from data it has already checked also have a private
 trusted constructor that skips the re-checks: ``polygon_of`` for
-``HNPolygon``, and ``_hn_lines``, ``_hodge_bundle`` and
-``_limit_outcome``, which the limit classifier alone uses on its
-per-value path.  Each builds an object equal to the checked one, so
-anything a user or another module builds directly stays checked, with
-every error text.
+``HNPolygon``; ``_hn_type``, which ``enumerate_strata`` uses for the
+types its loops generate; and ``_hn_lines``, ``_hodge_bundle`` and
+``_limit_outcome``, which the limit classifier uses on its per-value
+path (and ``fixed_points`` for the type-(1,1,1) labels it solves for).
+Each builds an object equal to the checked one, so anything a user or
+another module builds directly stays checked, with every error text.
 """
 
 from __future__ import annotations
@@ -186,10 +187,19 @@ def _hn_lines(high: int, middle: int, low: int) -> HNType:
         steps = ((1, high), (2, 2 * low))
     else:
         steps = ((1, high), (1, middle), (1, low))
+    return _hn_type(steps, 3, high + middle + low)
+
+
+def _hn_type(steps: tuple[tuple[int, int], ...], total_rank: int, total_degree: int) -> HNType:
+    """HNType(steps) for steps that are already canonical: int pairs of
+    positive rank, strictly decreasing slopes, so no neighbours to merge,
+    with the given sums.  Nothing is re-checked; the trusted constructor
+    of _hn_lines and enumerate_strata, whose loops generate such steps.
+    """
     hn = _new(HNType)
     _set(hn, "steps", steps)
-    _set(hn, "total_rank", 3)
-    _set(hn, "total_degree", high + middle + low)
+    _set(hn, "total_rank", total_rank)
+    _set(hn, "total_degree", total_degree)
     return hn
 
 
@@ -343,7 +353,8 @@ class HodgeBundle:
 
 def _hodge_bundle(ranks: tuple[int, ...], degrees: tuple[int, ...]) -> HodgeBundle:
     """HodgeBundle(ranks, degrees) for a tuple of as many int degrees,
-    without re-running its checks; the limit classifier's constructor.
+    without re-running its checks; the constructor of the limit
+    classifier and of enumerate_fixed_111.
 
     The ranks tuple is the shared one of _HODGE_TYPES; a type outside it
     goes to the checked constructor, which refuses it.  The fields are

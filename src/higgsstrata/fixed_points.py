@@ -20,6 +20,7 @@ from .core import (
     HodgeBundle,
     PolystableSum,
     StrataError,
+    _hodge_bundle,
 )
 
 
@@ -58,6 +59,18 @@ def validate_m_invariants(m: MInvariants) -> bool:
     )
 
 
+def _line_degrees(m1: int, m2: int, degree: int, k: int) -> tuple[int, int, int] | None:
+    """The line degrees (l1, l2, l3) of the zero-counts (m1, m2) on a
+    curve of canonical degree k, or None when they are not integers."""
+    # l1 + (l1 + m1 - k) + (l1 + m1 + m2 - 2k) = degree
+    numerator = degree - 2 * m1 - m2 + 3 * k
+    if numerator % 3 != 0:
+        return None
+    l1 = numerator // 3
+    l2 = l1 + m1 - k
+    return l1, l2, l2 + m2 - k
+
+
 def m_to_l(m: MInvariants) -> HodgeBundle:
     """Solve for the unique integer line degrees (l1, l2, l3) of the
     type-(1,1,1) label; inverse of l_to_m.
@@ -65,18 +78,13 @@ def m_to_l(m: MInvariants) -> HodgeBundle:
     Only integer solvability is checked here (NoIntegerSolution when the
     mod-3 condition fails); stability is validate_fixed_111's job.
     """
-    k = m.genus.canonical_degree
-    # l1 + (l1 + m1 - k) + (l1 + m1 + m2 - 2k) = degree
-    numerator = m.degree - 2 * m.m1 - m.m2 + 3 * k
-    if numerator % 3 != 0:
+    degrees = _line_degrees(m.m1, m.m2, m.degree, m.genus.canonical_degree)
+    if degrees is None:
         raise NoIntegerSolution(
             f"no integer line degrees for m=({m.m1},{m.m2}), degree {m.degree}: "
             f"need 2*m1 + m2 = {2 * m.m1 + m.m2} = {m.degree} (mod 3)"
         )
-    l1 = numerator // 3
-    l2 = l1 + m.m1 - k
-    l3 = l2 + m.m2 - k
-    return HodgeBundle((1, 1, 1), (l1, l2, l3))
+    return HodgeBundle((1, 1, 1), degrees)
 
 
 def l_to_m(label: HodgeBundle, genus: Genus) -> MInvariants:
@@ -100,21 +108,40 @@ def validate_fixed_111(label: HodgeBundle, degree: int, genus: Genus) -> bool:
     )
 
 
+def _m_pairs(degree: int, genus: Genus):
+    """The (m1, m2) of the constraint region for this degree, sorted.
+
+    m2 runs over the one residue mod 3 that makes 2*m1 + m2 = degree
+    (mod 3), up to the tighter of the two strict bounds.
+    """
+    bound = 6 * genus.g - 6
+    shift = degree % 3  # m2 = shift + m1 (mod 3), since -2 = 1 (mod 3)
+    if shift not in (0, 1, 2):  # a degree that is no integer
+        return
+    shift = int(shift)
+    # 2*m1 + m2 < bound and m1 + 2*m2 < bound, with m2 >= 0.
+    for m1 in range((bound + 1) // 2):
+        for m2 in range((shift + m1) % 3, min(bound - 2 * m1, (bound - m1 + 1) // 2), 3):
+            yield m1, m2
+
+
 def enumerate_m_invariants(degree: int, genus: Genus) -> list[MInvariants]:
     """All (m1, m2) in the constraint region for this degree, sorted."""
-    bound = 6 * genus.g - 6
-    out = []
-    for m1 in range(0, (bound - 1) // 2 + 1):
-        for m2 in range(0, (bound - 1) // 2 + 1):
-            m = MInvariants(m1, m2, genus, degree)
-            if validate_m_invariants(m):
-                out.append(m)
-    return out
+    return [MInvariants(m1, m2, genus, degree) for m1, m2 in _m_pairs(degree, genus)]
 
 
 def enumerate_fixed_111(degree: int, genus: Genus) -> list[HodgeBundle]:
-    """All type-(1,1,1) labels of the given degree, sorted by degrees."""
-    labels = map(m_to_l, enumerate_m_invariants(degree, genus))
+    """All type-(1,1,1) labels of the given degree, sorted by degrees.
+
+    The labels are m_to_l's of the constraint region, solved from the
+    pairs directly: the region's mod-3 condition makes every solution
+    integer, so each is built with the trusted constructor.
+    """
+    k = genus.canonical_degree
+    labels = [
+        _hodge_bundle((1, 1, 1), _line_degrees(m1, m2, degree, k))
+        for m1, m2 in _m_pairs(degree, genus)
+    ]
     return sorted(labels, key=lambda t: t.degrees)
 
 

@@ -200,21 +200,57 @@ def table_to_records(table: IncidenceTable) -> list[dict]:
     return records
 
 
-def _json_scalar(value: Invariant) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def to_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values the
+    package writes: dicts with str keys, lists, tuples, str, int, bool
+    and None.  Any other type raises TypeError.
+
+    The json module encodes with its C encoder only when ``indent`` is
+    None; this writer takes its place for every indented document.
+    """
+    return _json(value, "\n")
 
 
-def _json_list(values, line: str) -> str:
-    """A list of scalars as json.dumps(indent=2) writes it, its key on
-    the line that ``line`` begins."""
-    if not values:
-        return "[]"
-    item = "," + line + "  "
-    return "[" + line + "  " + item.join(map(_json_scalar, values)) + line + "]"
+#: The text of a scalar by its exact type, so that a bool is not an int.
+_JSON_SCALARS = {
+    str: _json_string,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json(value, line: str) -> str:
+    """``value`` as JSON text whose nested lines start with ``line`` (a
+    line break and the indent of the line that ``value`` begins on).
+    A container writes its scalar items itself: they are most items."""
+    write = _JSON_SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = line + "  "
+    parts = []
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in sorted(value):  # _json_string refuses a key that is no str
+            item = value[key]
+            write = _JSON_SCALARS.get(type(item))
+            text = _json(item, inner) if write is None else write(item)
+            parts.append(f"{_json_string(key)}: {text}")
+        return "{" + inner + ("," + inner).join(parts) + line + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        for item in value:
+            write = _JSON_SCALARS.get(type(item))
+            parts.append(_json(item, inner) if write is None else write(item))
+        return "[" + inner + ("," + inner).join(parts) + line + "]"
+    # Subclasses of str and int; bool has none.
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def records_json(table: IncidenceTable) -> str:
@@ -235,7 +271,7 @@ def records_json(table: IncidenceTable) -> str:
     parts = ["["]
     separator = record_line
     for row in table.rows:
-        feasible = _json_list([k for k in row.feasible_set if k is not None], field_line)
+        feasible = _json([k for k in row.feasible_set if k is not None], field_line)
         row_feasible = f'{feasible},{field_line}"graded_degrees": '
         row_stratum = (
             f',{field_line}"stratum": {_json_string(format_hn_type(row.stratum.hn))},'
@@ -251,12 +287,12 @@ def records_json(table: IncidenceTable) -> str:
                     f'{field_line}"feasible_set": '
                 )
                 middle = (
-                    f"{_json_list(outcome.graded_degrees, field_line)},"
+                    f"{_json(outcome.graded_degrees, field_line)},"
                     f'{field_line}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
                     f'{field_line}"invariant": '
                 )
                 tail = ("true" if outcome.strictly_polystable else "false") + record_line + "}"
-            parts += (separator, head, row_feasible, middle, _json_scalar(key), row_stratum, tail)
+            parts += (separator, head, row_feasible, middle, _json(key, field_line), row_stratum, tail)
             separator = "," + record_line
     if len(parts) == 1:
         return "[]"

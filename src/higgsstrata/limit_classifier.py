@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .admissibility import AdmissibleStratum, CaseFamily
 from .core import (
@@ -112,23 +113,30 @@ _FAMILIES = {
 }
 
 
+def _sixths(n: int) -> str:
+    """str(Fraction(n, 6)) in integers: n/6 in lowest terms, as "p/q" or "p"."""
+    common = gcd(n, 6)
+    p, q = n // common, 6 // common
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> LimitOutcome:
-    # Integer comparisons of 6*v with the stratum's window; Fraction
-    # values are built only for refusal messages (str gives p/q or p).
+    # Integer comparisons of 6*v with the stratum's window; the window's
+    # ends are written as fractions only for refusal messages.
     low6, gap_low6, gap_high6, threshold6 = stratum.window6
     v6 = 6 * v
     low_name, gap_low_name, gap_high_name = fam.ends
     if v6 > gap_high6:
         raise SlopeOutOfBounds(
-            f"mu({fam.datum}) = {v} > {gap_high_name} = {Fraction(gap_high6, 6)}"
+            f"mu({fam.datum}) = {v} > {gap_high_name} = {_sixths(gap_high6)}"
         )
     if gap_low6 < v6 < gap_high6:
         raise InfeasibleBySpecialization(
             f"mu({fam.datum}) = {v} lies strictly between {gap_low_name} = "
-            f"{Fraction(gap_low6, 6)} and {gap_high_name} = {Fraction(gap_high6, 6)}"
+            f"{_sixths(gap_low6)} and {gap_high_name} = {_sixths(gap_high6)}"
         )
     if v6 < low6:  # low <= gap_high by the slope bounds
-        raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} < {low_name} = {Fraction(low6, 6)}")
+        raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} < {low_name} = {_sixths(low6)}")
     if v6 < threshold6:
         # Case x.1 keeps the (sub, quotient) filtration.  The isolated
         # point lies at or above the threshold.

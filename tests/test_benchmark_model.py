@@ -25,8 +25,10 @@ from higgsstrata import (
     classify,
     classify_stratum,
     cli,
+    enumerate_fixed_components,
     enumerate_strata,
     feasible_inputs,
+    format_label,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -88,16 +90,44 @@ def check_stratum(stratum, genus: int) -> None:
             assert _verdict(stratum, v) == want, f"{where}, {v}"
 
 
-def _digest(argv: list[str]) -> str:
-    """sha256 of "code NUL stdout NUL stderr" of one in-process CLI run,
-    as the benchmark's worker records it."""
+@pytest.mark.parametrize("genus", GENERA, ids=[f"g{g}" for g in GENERA])
+def test_rank3_fixed_labels_match_the_model(genus):
+    for degree in DEGREES:
+        labels = enumerate_fixed_components(3, degree, Genus(genus))
+        assert tuple(map(format_label, labels)) == model.fixed_labels(degree, genus), degree
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("rank", (2, 3), ids=["r2", "r3"])
+def test_strata_slope_texts_match_the_model(rank):
+    # strata --format json writes each slope as str of the model's Fraction.
+    for genus in GENERA:
+        for degree in DEGREES:
+            argv = ["strata", "--genus", str(genus), "--rank", str(rank), "--degree", str(degree)]
+            code, out, err = _run([*argv, "--format", "json"])
+            assert (code, err) == (0, ""), argv
+            got = {r["hn"]: r["mu_vector"] for r in json.loads(out)["results"]}
+            want = {
+                model.hn_text(steps): [str(m) for m in model.mu_vector(steps)]
+                for steps in model.strata(rank, degree, genus)
+            }
+            assert got == want, argv
+
+
+def _digest(argv: list[str]) -> str:
+    """sha256 of "code NUL stdout NUL stderr" of one in-process CLI run,
+    as the benchmark's worker records it."""
+    text = "\0".join(map(str, _run(argv)))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -109,6 +109,24 @@ class TestEnumeration:
         for m in enumerate_m_invariants(6, Genus(3)):
             assert (m.m1 + 2 * m.m2) % 3 == 0
 
+    def test_m_region_matches_the_filtered_grid(self):
+        # The pair walk visits only the residue class and bounds that
+        # validate_m_invariants accepts; its labels are m_to_l's, with
+        # int degrees, in the order of their degrees.
+        for g in range(2, 13):
+            genus = Genus(g)
+            grid = range(6 * g - 5)
+            for d in range(-12, 13):
+                want = [
+                    m for m in (MInvariants(m1, m2, genus, d) for m1 in grid for m2 in grid)
+                    if validate_m_invariants(m)
+                ]
+                assert enumerate_m_invariants(d, genus) == want, (g, d)
+                labels = enumerate_fixed_111(d, genus)
+                assert labels == sorted(map(m_to_l, want), key=lambda t: t.degrees)
+                assert all(type(x) is int for t in labels for x in t.degrees)
+                assert all(t.ranks is HodgeBundle((1, 1, 1), (0, 0, 0)).ranks for t in labels)
+
     def test_type111_labels_match_naive_oracle(self):
         for g in (2, 3):
             for d in (-4, -1, 0, 1, 3):

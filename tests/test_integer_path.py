@@ -32,6 +32,7 @@ from higgsstrata import (
     validate,
 )
 from higgsstrata.admissibility import CaseFamily
+from higgsstrata.limit_classifier import _sixths
 from higgsstrata.core import (
     CaseTag,
     HodgeBundle,
@@ -206,6 +207,12 @@ def test_classify_matches_fraction_reference(stratum):
 
 def unstable_rank3(g: int, d: int):
     return [s for s in enumerate_strata(3, d, Genus(g)) if not s.is_semistable]
+
+
+def test_sixths_writes_what_fraction_writes():
+    # The refusal messages write the window's ends with _sixths.
+    for n in range(-600, 601):
+        assert _sixths(n) == str(Fraction(n, 6)), n
 
 
 def test_classify_matches_fraction_reference_on_every_small_stratum():

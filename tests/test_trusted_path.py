@@ -1,13 +1,14 @@
 """The classifier's trusted constructors against the checked ones.
 
 The limit classifier builds its HN types, labels and outcomes with
-core's _hn_lines, _hodge_bundle and _limit_outcome, which skip the
-constructors' re-checks.  Each must build an object equal to the
-checked construction, and an incidence table must run no check beyond
-the HN type of each enumerated stratum.
+core's _hn_lines, _hodge_bundle and _limit_outcome, and enumerate_strata
+its HN types with _hn_type; all skip the constructors' re-checks.  Each
+must build an object equal to the checked construction, and an
+incidence table must run no constructor check at all.
 """
 
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -138,7 +139,38 @@ def test_every_table_outcome_equals_its_checked_rebuild():
     assert checked > 10_000
 
 
-def test_table_runs_one_check_per_enumerated_stratum(monkeypatch):
+def test_enumerated_types_equal_checked_construction():
+    # enumerate_strata builds its types with the trusted constructor.
+    checked = 0
+    for g in range(2, 13):
+        for d in range(-12, 13):
+            for rank in (2, 3):
+                for stratum in enumerate_strata(rank, d, Genus(g)):
+                    hn = stratum.hn
+                    want = HNType(hn.steps)
+                    where = f"{hn} at g={g}"
+                    assert hn == want and hn.steps == want.steps, where
+                    assert (hn.total_rank, hn.total_degree) == (want.total_rank, want.total_degree)
+                    assert hash(hn) == hash(want) and repr(hn) == repr(want), where
+                    values = [hn.total_rank, hn.total_degree, *(x for step in hn.steps for x in step)]
+                    assert all(type(x) is int for x in values), where
+                    checked += 1
+    assert checked > 20_000
+
+
+def test_enumerated_types_keep_the_degree_checks():
+    # An integral degree of another type gives int steps, as the checked
+    # constructor made them; any other degree is refused by name.
+    for rank in (2, 3):
+        strata = enumerate_strata(rank, Fraction(3), Genus(2))
+        assert [s.hn for s in strata] == [s.hn for s in enumerate_strata(rank, 3, Genus(2))]
+        assert all(type(x) is int for s in strata for step in s.hn.steps for x in step)
+        for degree in (1.5, Fraction(3, 2), "3"):
+            with pytest.raises(InvalidHNType, match="steps must be pairs of integers"):
+                enumerate_strata(rank, degree, Genus(2))
+
+
+def test_table_runs_no_constructor_check(monkeypatch):
     calls = {HNType: 0, HodgeBundle: 0, LimitOutcome: 0}
     for cls in calls:
         checks = cls.__post_init__
@@ -150,7 +182,7 @@ def test_table_runs_one_check_per_enumerated_stratum(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counting)
     table = build_table(3, 0, Genus(10))
     assert sum(len(row.entries) for row in table.rows) > len(table.rows)
-    # enumerate_strata builds each stratum's HN type with every check;
-    # the classifier builds everything else from checked integers.
-    assert calls == {HNType: len(table.rows), HodgeBundle: 0, LimitOutcome: 0}
+    # enumerate_strata and the classifier build everything from integers
+    # that their own loops and the checked strata give.
+    assert calls == {HNType: 0, HodgeBundle: 0, LimitOutcome: 0}
     assert len(table.rows) == len(enumerate_strata(3, 0, Genus(10)))
