@@ -23,7 +23,7 @@ CASES = [
     ("incidence", rank, degree, genus, fmt)
     for rank, degree, genus in ((3, 0, 2), (3, 0, 3), (3, 1, 3), (3, 2, 5), (2, 1, 2))
     for fmt in ("json", "csv", "dot")
-] + [("strata", 3, 0, 4, "json"), ("fixed", 3, 0, 4, "json")]
+] + [("strata", 3, 0, 4, "json"), ("fixed", 3, 0, 4, "json"), ("fixed", 3, 1, 5, "json")]
 
 
 @pytest.mark.parametrize(
@@ -57,6 +57,7 @@ TABLE_CASES = [
     ("strata", 2, 1, 2),
     ("fixed", 3, 0, 4),
     ("fixed", 2, 1, 2),
+    ("fixed", 3, -2, 7),
     ("incidence", 3, 0, 3),
     ("incidence", 3, 1, 3),
 ]
