@@ -244,6 +244,13 @@ def _parse_aligned(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
+def _defaults(command: str | None) -> dict:
+    """Every RunConfig field's value before parsing, so that each field has
+    one whichever subcommand runs; verify takes no --genus and runs at the
+    default."""
+    return vars(RunConfig(command=command, genus=2))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then shared."""
@@ -251,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="higgsstrata",
         description="Exact stratification calculator for rank-2/3 Higgs bundle moduli.",
     )
-    # Every RunConfig field has a value whichever subcommand runs; verify
-    # takes no --genus and runs at the default.
-    parser.set_defaults(**vars(RunConfig(command=None, genus=2)))
+    parser.set_defaults(**_defaults(None))
     sub = parser.add_subparsers(dest="command", required=True)
+    # Kept for parse_args, which hands argv straight to a subcommand's parser.
+    parser.subcommands = sub
 
     def add_common(p, *, rank: bool, degree_required: bool):
         p.add_argument("--genus", type=int, required=True, help="genus of the curve (>= 2)")
@@ -295,12 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """build_parser().parse_args(argv): the same namespace, exit status and
+    messages.  When argv[0] names a subcommand, its parser parses the
+    rest directly, as the subparsers action would, without the top-level
+    pass over argv; any other argv takes the full parse."""
+    parser = build_parser()
+    subparser = parser.subcommands.choices.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return argparse.Namespace(**{**_defaults(argv[0]), **vars(args)})
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = config_from_args(build_parser().parse_args(argv))
+    config = config_from_args(parse_args(argv))
     try:
         code, text = run(config)
     except (UsageError, InvalidGenus) as exc:

@@ -3,17 +3,30 @@
 Type-(1,1,1) components are cut out by explicit numeric constraints,
 parametrized either by the weight-ordered line degrees (l1, l2, l3) or
 by the zero-counts (m1, m2) of the two couplings; the two coordinate
-systems are exchanged by an affine dictionary.  Type-(1,2) and (2,1)
-components carry no intrinsic inequality list and are enumerated as
-images of the limit map.
+systems are exchanged by an affine dictionary.
+
+Type-(1,2) and (2,1) components are the images of the limit map in
+cases 1.1 and 2.1.  They are listed in closed form, with k = 2g-2 and d
+the degree: type (1,2) is (a, d-a) for every integer a with d < 3a and
+6a < 2d + 3k, and type (2,1) is (e, d-e) for every integer e with
+2d < 3e and 6e < 4d + 3k.  For type (1,2):
+
+- a family-1 stratum with mu1 = a has smallest feasible value a - k
+  when a - k <= mu3; otherwise it has only its isolated point, which
+  lies at or above the threshold;
+- case 1.1 needs a - k < t = (2d - 3a)/3, that is 6a < 2d + 3k;
+- the stratum of HN type 1:a,2:(d-a) exists, has mu3 >= a - k, and so
+  reaches case 1.1.
+
+Type (2,1) follows by duality.  No stratum is built or classified here;
+the acceptance suite checks the list against each incidence table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import limit_classifier
-from .admissibility import RankUnsupported, enumerate_strata
+from .admissibility import RankUnsupported
 from .core import (
     FixedComponentLabel,
     Genus,
@@ -146,23 +159,15 @@ def enumerate_fixed_111(degree: int, genus: Genus) -> list[HodgeBundle]:
 
 
 def _reachable_pair_labels(degree: int, genus: Genus) -> list[HodgeBundle]:
-    # Type-(1,2) and (2,1) labels are exactly the images of the limit map
-    # in the sub-threshold branches of case families 1 and 2.  Those
-    # branches take a stratum's smallest feasible values, and their label
-    # depends on the stratum alone, so classifying the smallest decides.
-    pairs: set[HodgeBundle] = set()
-    for stratum in enumerate_strata(3, degree, genus):
-        if stratum.is_semistable:
-            continue
-        smallest = limit_classifier.feasible_inputs(stratum)[0]
-        outcome = limit_classifier.classify_rank3(
-            limit_classifier.ClassifierInput(stratum, smallest)
-        )
-        component = outcome.component
-        if isinstance(component, HodgeBundle) and component.ranks in ((1, 2), (2, 1)):
-            pairs.add(component)
-    # Type (1,2) before (2,1), each by the degree of its weight-0 piece.
-    return sorted(pairs, key=lambda c: (c.ranks, c.degrees))
+    """The module docstring's closed form for an int degree: the type-(1,2)
+    labels, then the type-(2,1) labels, each by ascending weight-0 degree."""
+    k = genus.canonical_degree
+    # a >= d//3 + 1 is d < 3a; a <= (2d + 3k - 1)//6 is 6a < 2d + 3k.
+    t12 = range(degree // 3 + 1, (2 * degree + 3 * k - 1) // 6 + 1)
+    t21 = range(2 * degree // 3 + 1, (4 * degree + 3 * k - 1) // 6 + 1)
+    return [_hodge_bundle((1, 2), (a, degree - a)) for a in t12] + [
+        _hodge_bundle((2, 1), (e, degree - e)) for e in t21
+    ]
 
 
 def enumerate_fixed_components(
@@ -185,10 +190,13 @@ def enumerate_fixed_components(
         )
         return labels
     if rank == 3:
-        labels = [HodgeBundle((3,), (degree,))]
-        labels.extend(_reachable_pair_labels(degree, genus))
-        labels.extend(enumerate_fixed_111(degree, genus))
-        return labels
+        minimal = HodgeBundle((3,), (degree,))
+        degree = minimal.degrees[0]  # checked: an int from here on
+        return [
+            minimal,
+            *_reachable_pair_labels(degree, genus),
+            *enumerate_fixed_111(degree, genus),
+        ]
     raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
 
 

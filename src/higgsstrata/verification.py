@@ -146,6 +146,17 @@ def _check_gap_value(stratum, inequalities: tuple, v: int, failures: list[str]) 
 
 def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
     # Criterion 5 on one table; returns the number of labels verified.
+    # The table's type-(1,2) and (2,1) labels, found by classifying, must
+    # be the ones fixed_points lists in closed form.
+    reached = {
+        label for label, _ in table.bb_index
+        if isinstance(label, HodgeBundle) and label.ranks in ((1, 2), (2, 1))
+    }
+    if reached != set(fixed_points._reachable_pair_labels(table.degree, table.genus)):
+        failures.append(
+            f"g={table.genus.g}, d={table.degree}: type-(1,2)/(2,1) labels "
+            "differ from the fixed components"
+        )
     try:
         verified = incidence.check_hn_bb_theorem(table)
     except AssertionError as exc:
@@ -283,7 +294,8 @@ def criterion_coprime_degrees(genera=GENERA, degrees=DEGREES) -> CriterionResult
 
 def criterion_hn_bb_theorem(genera=GENERA, degrees=DEGREES) -> CriterionResult:
     """Sufficiently spread type-(1,1,1) labels have singleton preimage;
-    the (g=2, d=0) instance verifies (2,0,-2) and excludes (1,0,-1)."""
+    the (g=2, d=0) instance verifies (2,0,-2) and excludes (1,0,-1); and
+    each table reaches exactly the type-(1,2)/(2,1) components listed."""
     return _grid_result(5, genera, degrees)
 
 

@@ -1,0 +1,113 @@
+"""``cli.parse_args`` against the full parse it short-cuts.
+
+When argv[0] names a subcommand, ``parse_args`` hands the rest of argv
+straight to that subcommand's parser.  Over the benchmark's cli-mix
+command lines and over mutations of them, its namespace, exit status,
+stdout and stderr must equal those of ``build_parser().parse_args``.
+"""
+
+import contextlib
+import functools
+import importlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from higgsstrata import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@functools.cache
+def mix_argvs() -> list[list[str]]:
+    """The cli-mix command lines of seeds 0 and 1."""
+    sys.path.insert(0, str(PERFBENCH))  # workloads imports its neighbours by bare name
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [argv for seed in (0, 1) for argv in workloads.mix_queries(seed)]
+
+
+def _parsed(parse, argv):
+    """(namespace or exit status, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = f"exit {exc.code}"
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_same_parse(argv):
+    direct = _parsed(cli.parse_args, argv)
+    full = _parsed(lambda a: cli.build_parser().parse_args(a), argv)
+    assert direct == full, argv
+
+
+def test_cli_mix_argvs_parse_as_the_full_parser_does():
+    assert len(mix_argvs()) == 2200
+    for argv in mix_argvs():
+        assert_same_parse(argv)
+        assert cli.parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["fixed", "-h"],
+        ["verify"],
+        ["verify", "--genus", "3"],
+        ["fixed", "--genus", "2", "--rank", "3", "--degree", "1", "extra"],
+        ["fixed", "--genus", "2", "--rank", "3", "--degree", "1", "--", "extra"],
+        ["limit", "--gen", "2", "--hn=1:0,2:-2", "--inv", "-2"],
+        ["limit", "--ge", "2", "--hn", "1:0,2:-2", "--aligned", "yes", "--inv", "0"],
+        ["strata", "--genus", "2", "--rank", "4", "--degree", "0"],
+        ["fix", "--genus", "2"],
+        ["--genus", "2", "fixed"],
+        ("fixed", "--genus", "2", "--rank", "2", "--degree", "1"),
+    ],
+)
+def test_edge_argvs_parse_as_the_full_parser_does(argv):
+    assert_same_parse(argv)
+
+
+def test_no_argv_reads_sys_argv(monkeypatch):
+    for argv in (["prog", "fixed", "--genus", "2", "--rank", "3", "--degree", "0"], ["prog"]):
+        monkeypatch.setattr(sys, "argv", argv)
+        assert_same_parse(None)
+
+
+# Tokens a mutation inserts: help, the end-of-options marker, abbreviated
+# and joined flags, flags of other subcommands, values and stray words.
+TOKENS = [
+    "-h", "--help", "--", "--gen", "--ge", "--g", "--genus=3", "--hn=1:0,2:-2",
+    "--rank", "--degree", "--deg", "--inv", "--aligned", "--format", "--output",
+    "json", "csv", "3", "-2", "0", "1:1,2:0", "true", "extra", "fixed", "verify", "",
+]
+
+
+@st.composite
+def mutated_argv(draw):
+    argv = list(draw(st.sampled_from(mix_argvs())))
+    for _ in range(draw(st.integers(1, 3))):
+        if argv and draw(st.booleans()):
+            start = draw(st.integers(0, len(argv) - 1))
+            del argv[start:start + draw(st.integers(1, 2))]  # a flag, or a flag and its value
+        else:
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_argv())
+def test_mutated_argvs_parse_as_the_full_parser_does(argv):
+    assert_same_parse(argv)

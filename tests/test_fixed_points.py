@@ -1,6 +1,9 @@
 """Fixed-component labels: the (m1, m2) region, the degree dictionary
 and the component enumerations."""
 
+import sys
+from fractions import Fraction
+
 import pytest
 
 from higgsstrata import (
@@ -16,10 +19,13 @@ from higgsstrata import (
     m_to_l,
     validate_fixed_111,
 )
-from higgsstrata import limit_classifier
+from higgsstrata import cli, limit_classifier
 from higgsstrata.admissibility import RankUnsupported, enumerate_strata
 from higgsstrata.core import CaseTag, StrataError
 from higgsstrata.fixed_points import validate_component_label, validate_m_invariants
+from higgsstrata.incidence import build_table
+
+PAIR_TYPES = ((1, 2), (2, 1))
 
 
 def naive_fixed_111(degree: int, g: int) -> set[tuple[int, int, int]]:
@@ -44,16 +50,12 @@ def naive_fixed_111(degree: int, g: int) -> set[tuple[int, int, int]]:
 def reference_pair_labels(
     degree: int, genus: Genus
 ) -> tuple[list[HodgeBundle], list[HodgeBundle]]:
-    """Every-value reference: classify each feasible value of each
-    unstable rank-3 stratum and keep the sub-threshold labels."""
+    """Every-value reference: the outcome of each feasible value of each
+    stratum, from its incidence row, keeping the case-1.1 and 2.1 labels.
+    TestClassifyStratum checks the rows against classify value by value."""
     t12, t21 = set(), set()
     for stratum in enumerate_strata(3, degree, genus):
-        if stratum.is_semistable:
-            continue
-        for invariant in limit_classifier.feasible_inputs(stratum):
-            outcome = limit_classifier.classify_rank3(
-                limit_classifier.ClassifierInput(stratum, invariant)
-            )
+        for _, outcome in limit_classifier.classify_stratum(stratum):
             if outcome.case_tag is CaseTag.C1_1:
                 t12.add(outcome.component)
             elif outcome.case_tag is CaseTag.C2_1:
@@ -177,28 +179,69 @@ class TestEnumeration:
         assert isinstance(exc.value, StrataError)
 
     def test_rank3_pair_labels_match_every_value_reference(self):
-        for g in range(2, 13):
+        for g in range(2, 21):
             genus = Genus(g)
-            for d in range(-12, 13):
+            for d in range(-20, 21):
                 t12, t21 = reference_pair_labels(d, genus)
                 got = enumerate_fixed_components(3, d, genus)
                 pairs = [label for label in got if label.ranks != (1, 1, 1)]
                 assert pairs == [HodgeBundle((3,), (d,)), *t12, *t21], (g, d)
 
-    def test_rank3_classifies_one_datum_per_unstable_stratum(self, monkeypatch):
-        genus = Genus(12)
-        unstable = [s for s in enumerate_strata(3, 1, genus) if not s.is_semistable]
-        calls = []
-        classify_rank3 = limit_classifier.classify_rank3
+    def test_rank3_pair_labels_match_the_incidence_table_index(self):
+        for g in range(2, 9):
+            genus = Genus(g)
+            for d in range(-8, 9):
+                indexed = {
+                    label for label, _ in build_table(3, d, genus).bb_index
+                    if isinstance(label, HodgeBundle) and label.ranks in PAIR_TYPES
+                }
+                listed = [
+                    label for label in enumerate_fixed_components(3, d, genus)
+                    if label.ranks in PAIR_TYPES
+                ]
+                assert indexed == set(listed), (g, d)
 
-        def counting(inp):
-            calls.append(inp.stratum.hn)
-            return classify_rank3(inp)
+    def test_rank3_fixed_builds_and_classifies_no_stratum(self):
+        watched = (
+            enumerate_strata,
+            limit_classifier.feasible_inputs,
+            limit_classifier.classify,
+            limit_classifier.classify_rank3,
+        )
+        # Counted by code object, so every binding of a function counts.
+        calls = {fn.__code__: 0 for fn in watched}
 
-        monkeypatch.setattr(limit_classifier, "classify_rank3", counting)
-        enumerate_fixed_components(3, 1, genus)
-        assert len(calls) <= len(unstable)
-        assert len(set(calls)) == len(calls)
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in calls:
+                calls[frame.f_code] += 1
+
+        def run_counted(query):
+            for code in calls:
+                calls[code] = 0
+            sys.setprofile(count)
+            try:
+                query()
+            finally:
+                sys.setprofile(None)
+            return list(calls.values())
+
+        assert all(run_counted(lambda: build_table(3, 1, Genus(3))))
+        assert run_counted(lambda: enumerate_fixed_components(3, 1, Genus(12))) == [0] * 4
+        config = cli.RunConfig(command="fixed", genus=12, rank=3, degree=-2, format="json")
+        assert run_counted(lambda: cli.run(config)) == [0] * 4
+
+    @pytest.mark.parametrize("degree", [Fraction(1), True])
+    def test_rank3_integral_degree_gives_int_labels(self, degree):
+        got = enumerate_fixed_components(3, degree, Genus(3))
+        assert got == enumerate_fixed_components(3, int(degree), Genus(3))
+        assert {type(x) for label in got for x in label.degrees} == {int}
+
+    @pytest.mark.parametrize("degree", [1.5, Fraction(1, 2), "3"])
+    def test_rank3_non_integer_degree_is_refused(self, degree):
+        message = f"a Hodge bundle of type (3,) needs 1 integer degrees, got ({degree!r},)"
+        with pytest.raises(ValueError) as exc:
+            enumerate_fixed_components(3, degree, Genus(3))
+        assert str(exc.value) == message
 
 
 class TestValidateComponentLabel:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from higgsstrata import limit_classifier, matrix_oracle, verification
+from higgsstrata import fixed_points, limit_classifier, matrix_oracle, verification
 from higgsstrata.admissibility import CaseFamily, enumerate_strata
 from higgsstrata.core import CaseTag, Genus
 
@@ -194,3 +194,17 @@ def test_wide_grid_passes(fresh_grid_pass):
     assert [r for r in results if not r.passed] == []
     details = {r.number: r.details for r in results}
     assert details[2] == "96998 classifications unique, 80092 gap values excluded"
+
+
+def test_pair_label_missing_from_the_closed_form_fails_criterion_5(monkeypatch, fresh_grid_pass):
+    # Drop the last type-(2,1) label at g=3, d=1: the table still reaches it.
+    listed = fixed_points._reachable_pair_labels
+
+    def dropped(degree, genus):
+        labels = listed(degree, genus)
+        return labels[:-1] if (genus.g, degree) == (3, 1) else labels
+
+    monkeypatch.setattr(fixed_points, "_reachable_pair_labels", dropped)
+    results = verification.run_all()
+    failed = {r.number: r.details for r in results if not r.passed}
+    assert failed == {5: "g=3, d=1: type-(1,2)/(2,1) labels differ from the fixed components"}
