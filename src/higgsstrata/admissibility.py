@@ -41,6 +41,8 @@ class CaseFamily(Enum):
     CASE3_FLAG = "3-flag"
     NONE = "none"
 
+    __hash__ = object.__hash__  # by identity, in C, as CaseTag
+
 
 @dataclass(frozen=True)
 class AdmissibleStratum:

@@ -468,6 +468,10 @@ class CaseTag(Enum):
     C3_1 = "3.1"
     C3_2 = "3.2"
 
+    # Members are singletons and compare by identity, so they hash by
+    # identity too, in C; Enum.__hash__ hashes the name in Python.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class LimitOutcome:

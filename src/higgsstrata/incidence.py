@@ -81,21 +81,24 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     gauge-scaling engine before it enters the table.
     """
     rows = []
+    interned: dict = {}  # equal outcomes of the table are one object
     reaching: dict[FixedComponentLabel, list[HNType]] = {}
+    # Each distinct outcome is checked, and its component looked up, once:
+    # by the first stratum reaching it.  Later rows find it by its id.
+    reached_by: dict[int, list[HNType]] = {}
     for stratum in enumerate_strata(rank, degree, genus):
-        entries = limit_classifier.classify_stratum(stratum)
+        entries = limit_classifier.classify_stratum(stratum, interned)
         previous = None
         for _, outcome in entries:
-            # A stratum's x.1 data share one outcome, and come first and
-            # in one run.  The checks depend on the outcome alone, so each
-            # outcome object is checked once.
-            if outcome is previous:
+            if outcome is previous:  # a row's x.1 data share one outcome
                 continue
             previous = outcome
-            check_outcome(stratum, outcome)
+            reached = reached_by.get(id(outcome))
+            if reached is None:
+                check_outcome(stratum, outcome)
+                reached = reached_by[id(outcome)] = reaching.setdefault(outcome.component, [])
             # Rows are distinct strata, so a stratum already listed for
             # this component is the last one listed.
-            reached = reaching.setdefault(outcome.component, [])
             if not reached or reached[-1] is not stratum.hn:
                 reached.append(stratum.hn)
         rows.append(IncidenceRow(stratum, entries))
@@ -262,14 +265,15 @@ def records_json(table: IncidenceTable) -> str:
     outcome's case and component, the row's feasible set, the outcome's
     graded degrees and HN type, the invariant, the row's stratum, and the
     outcome's polystability.  Outcome fragments are formatted once per
-    outcome object (x.1 data of a row share one), row fragments once per
-    row.
+    outcome object (equal outcomes of a table are one object), row
+    fragments once per row.
     """
     # Line breaks with the indent of a record's braces and of its fields.
     record_line = "\n    "
     field_line = record_line + "  "
     parts = ["["]
     separator = record_line
+    fragments: dict[int, tuple[str, str, str]] = {}  # by outcome id
     for row in table.rows:
         feasible = _json([k for k in row.feasible_set if k is not None], field_line)
         row_feasible = f'{feasible},{field_line}"graded_degrees": '
@@ -277,21 +281,19 @@ def records_json(table: IncidenceTable) -> str:
             f',{field_line}"stratum": {_json_string(format_hn_type(row.stratum.hn))},'
             f'{field_line}"strictly_polystable": '
         )
-        previous = None
         for key, outcome in row.entries:
-            if outcome is not previous:
-                previous = outcome
-                head = (
+            outcome_parts = fragments.get(id(outcome))
+            if outcome_parts is None:
+                outcome_parts = fragments[id(outcome)] = (
                     f'{{{field_line}"case": {_json_string(outcome.case_tag.value)},'
                     f'{field_line}"component": {_json_string(format_label(outcome.component))},'
-                    f'{field_line}"feasible_set": '
-                )
-                middle = (
+                    f'{field_line}"feasible_set": ',
                     f"{_json(outcome.graded_degrees, field_line)},"
                     f'{field_line}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
-                    f'{field_line}"invariant": '
+                    f'{field_line}"invariant": ',
+                    ("true" if outcome.strictly_polystable else "false") + record_line + "}",
                 )
-                tail = ("true" if outcome.strictly_polystable else "false") + record_line + "}"
+            head, middle, tail = outcome_parts
             parts += (separator, head, row_feasible, middle, _json(key, field_line), row_stratum, tail)
             separator = "," + record_line
     if len(parts) == 1:
@@ -308,13 +310,13 @@ def table_to_csv(table: IncidenceTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    outcome_fields: dict[int, tuple[str, str, str]] = {}  # by outcome id
     for row in table.rows:
         hn_text = format_hn_type(row.stratum.hn)
-        previous = None
         for key, outcome in row.entries:
-            if outcome is not previous:
-                previous = outcome
-                fields = (
+            fields = outcome_fields.get(id(outcome))
+            if fields is None:
+                fields = outcome_fields[id(outcome)] = (
                     outcome.case_tag.value,
                     format_label(outcome.component),
                     format_hn_type(outcome.hnt_limit),
@@ -343,12 +345,16 @@ def table_to_dot(table: IncidenceTable) -> str:
     for label, _ in table.bb_index:
         lines.append(f'  "bb:{format_label(label)}" [shape=ellipse];')
     edges: dict[str, None] = {}  # insertion-ordered set
+    labels: dict[int, str] = {}  # component text by outcome id
     for hn_text, row in zip(strata, table.rows):
         previous = None
         for _, outcome in row.entries:
-            if outcome is not previous:  # an outcome object has one edge
+            if outcome is not previous:  # a row's x.1 data share one edge
                 previous = outcome
-                edges[f'  "hn:{hn_text}" -> "bb:{format_label(outcome.component)}";'] = None
+                label = labels.get(id(outcome))
+                if label is None:
+                    label = labels[id(outcome)] = format_label(outcome.component)
+                edges[f'  "hn:{hn_text}" -> "bb:{label}";'] = None
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -356,5 +362,5 @@ def table_to_dot(table: IncidenceTable) -> str:
 
 def table_case_tags(table: IncidenceTable) -> list[str]:
     """Sorted case tags occurring in the table (for output metadata)."""
-    tags = {outcome.case_tag.value for row in table.rows for _, outcome in row.entries}
-    return sorted(tags)
+    tags = {outcome.case_tag for row in table.rows for _, outcome in row.entries}
+    return sorted(tag.value for tag in tags)

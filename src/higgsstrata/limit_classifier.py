@@ -142,7 +142,7 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
         # point lies at or above the threshold.
         component = _hodge_bundle(fam.x1_type, _sub_quotient(stratum, fam))
         return _limit_outcome(fam.tags[0], component, stratum.hn)
-    return _refined_outcomes(stratum, fam, (v,))[0]
+    return _refined_outcomes(stratum, fam, (v,), {})[0]
 
 
 def _sub_quotient(stratum: AdmissibleStratum, fam: _SlopeFamily) -> tuple[int, int]:
@@ -152,12 +152,15 @@ def _sub_quotient(stratum: AdmissibleStratum, fam: _SlopeFamily) -> tuple[int, i
 
 
 def _refined_outcomes(
-    stratum: AdmissibleStratum, fam: _SlopeFamily, values
+    stratum: AdmissibleStratum, fam: _SlopeFamily, values, interned: dict
 ) -> list[LimitOutcome]:
     """The outcomes of case x.2, x.3 or x.4 of feasible integers at or
     above the window's threshold, one per value.  Nothing here refuses:
     the caller has placed every value in the window.  What depends on
-    the row alone is computed once."""
+    the row alone is computed once.  A case x.2 or x.3 outcome depends
+    only on the family, on whether the value is at the threshold and on
+    the graded degrees, so ``interned`` keeps each under those integers:
+    rows given the same dict share equal outcomes as one object."""
     _, gap_low6, _, threshold6 = stratum.window6
     pair = _sub_quotient(stratum, fam)
     i, split = fam.refined, fam.split
@@ -173,14 +176,19 @@ def _refined_outcomes(
             continue
         rest = refined - v  # degree of Q or R
         graded = before + (v, rest) + after  # weight order
-        hnt_limit = _hn_lines(*before, rest, v, *after)  # slope order
-        if v6 == threshold6:
-            line = graded[split : split + 1]
-            coupled = graded[:split] + graded[split + 1 :]
-            tag, component = fam.tags[1], PolystableSum((coupled, line))
-        else:
-            tag, component = fam.tags[2], _hodge_bundle((1, 1, 1), graded)
-        outcomes.append(_limit_outcome(tag, component, hnt_limit))
+        at_threshold = v6 == threshold6
+        key = (i, at_threshold, *graded)
+        outcome = interned.get(key)
+        if outcome is None:
+            hnt_limit = _hn_lines(*before, rest, v, *after)  # slope order
+            if at_threshold:
+                line = graded[split : split + 1]
+                coupled = graded[:split] + graded[split + 1 :]
+                tag, component = fam.tags[1], PolystableSum((coupled, line))
+            else:
+                tag, component = fam.tags[2], _hodge_bundle((1, 1, 1), graded)
+            outcome = interned[key] = _limit_outcome(tag, component, hnt_limit)
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -274,7 +282,7 @@ def feasible_inputs(stratum: AdmissibleStratum) -> list[Invariant]:
 
 
 def classify_stratum(
-    stratum: AdmissibleStratum,
+    stratum: AdmissibleStratum, interned: dict
 ) -> tuple[tuple[Invariant, LimitOutcome], ...]:
     """Every feasible invariant of the stratum with its outcome, in
     feasible_inputs order: one row of the incidence table.
@@ -286,24 +294,27 @@ def classify_stratum(
     and their outcome depends on the stratum alone: the whole run shares
     the one object classify returned.  The values from the threshold on
     go to one call of the row routine, which computes what they share
-    once.
+    once and interns the x.2 and x.3 outcomes in ``interned`` (pass {}
+    for a row on its own; a table passes one dict for all its rows).
     """
     inputs = feasible_inputs(stratum)
     if not inputs:
         return ()
     first = classify(ClassifierInput(stratum, inputs[0]))
-    entries = [(inputs[0], first)]
-    if len(inputs) > 1:  # an unstable rank-3 stratum
-        fam = _FAMILIES.get(stratum.case_family)
-        if fam is None:
-            entries += [(v, _classify_case3(stratum, v)) for v in inputs[1:]]
-        else:
-            # Index of the first value at or above the threshold, where
-            # 6*v >= threshold6.
-            refined = bisect_left(inputs, -(-stratum.window6[3] // 6), 1)
-            entries += [(v, first) for v in inputs[1:refined]]
-            values = inputs[refined:]
-            entries += zip(values, _refined_outcomes(stratum, fam, values))
+    if inputs[0] is None:  # a semistable or rank-2 stratum: one value
+        return ((None, first),)
+    fam = _FAMILIES.get(stratum.case_family)
+    if fam is None:
+        return ((inputs[0], first), *((v, _classify_case3(stratum, v)) for v in inputs[1:]))
+    # The values below the threshold (6*v < threshold6) take classify's
+    # outcome, and so does a row whose one value is the isolated point:
+    # no other row shares its outcome.  The row routine builds the rest,
+    # the first value too when it is refined, so that it is interned.
+    _, gap_low6, _, threshold6 = stratum.window6
+    refined = bisect_left(inputs, -(-threshold6 // 6), 1 if 6 * inputs[0] > gap_low6 else 0)
+    entries = [(v, first) for v in inputs[:refined]]
+    values = inputs[refined:]
+    entries += zip(values, _refined_outcomes(stratum, fam, values, interned))
     return tuple(entries)
 
 

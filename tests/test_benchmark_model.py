@@ -72,7 +72,7 @@ def check_stratum(stratum, genus: int) -> None:
     steps = stratum.hn.steps
     where = f"{model.hn_text(steps)} at g={genus}"
     assert feasible_inputs(stratum) == model.feasible(steps, genus), where
-    for invariant, outcome in classify_stratum(stratum):
+    for invariant, outcome in classify_stratum(stratum, {}):
         want = model.predict_limit(steps, genus, invariant)
         assert (True, outcome.case_tag.value) == want, f"{where}, {invariant}"
     if model.family(steps) == "3":

@@ -55,7 +55,7 @@ def reference_pair_labels(
     TestClassifyStratum checks the rows against classify value by value."""
     t12, t21 = set(), set()
     for stratum in enumerate_strata(3, degree, genus):
-        for _, outcome in limit_classifier.classify_stratum(stratum):
+        for _, outcome in limit_classifier.classify_stratum(stratum, {}):
             if outcome.case_tag is CaseTag.C1_1:
                 t12.add(outcome.component)
             elif outcome.case_tag is CaseTag.C2_1:

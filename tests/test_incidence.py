@@ -1,6 +1,7 @@
 """Incidence tables, the two coincidence checks, and serialization."""
 
 import csv
+import enum
 import io
 import json
 from copy import copy
@@ -301,6 +302,43 @@ class TestSharedOutcomes:
         distinct = len({id(outcome) for outcome in outcomes})
         assert calls == {"validate": distinct, "oracle": distinct}
         assert distinct < len(outcomes)
+
+    @pytest.mark.parametrize("genus", [10, 30])
+    def test_equal_outcomes_of_a_table_are_one_object(self, genus):
+        # Case x.2/x.3 outcomes recur across rows; the table interns them.
+        table = build_table(3, 0, Genus(genus))
+        outcomes = [outcome for row in table.rows for _, outcome in row.entries]
+        assert len({id(outcome) for outcome in outcomes}) == len(set(outcomes))
+
+    def test_a_fault_in_a_shared_outcome_names_a_stratum_reaching_it(self, monkeypatch):
+        table = build_table(3, 0, Genus(10))
+        reaching: dict = {}  # outcome value -> HN types of the rows holding it
+        for row in table.rows:
+            for _, outcome in row.entries:
+                reaching.setdefault(outcome, set()).add(row.stratum.hn)
+        shared, strata = next((o, hns) for o, hns in reaching.items() if len(hns) > 1)
+        oracle = matrix_oracle.oracle_check
+        monkeypatch.setattr(
+            matrix_oracle, "oracle_check", lambda outcome: outcome != shared and oracle(outcome)
+        )
+        with pytest.raises(AssertionError) as failure:
+            build_table(3, 0, Genus(10))
+        head, _, hn_text = str(failure.value).rpartition(" of stratum ")
+        assert head == f"gauge-scaling check failed for case {shared.case_tag.value}"
+        assert parse_hn_type(hn_text) in strata
+
+    def test_build_table_hashes_no_enum_member_in_python(self, monkeypatch):
+        # CaseTag and CaseFamily members hash by identity, in C.
+        calls = []
+        enum_hash = enum.Enum.__hash__
+
+        def counting_hash(member):
+            calls.append(member)
+            return enum_hash(member)
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+        build_table(3, 0, Genus(10))
+        assert calls == []
 
     def test_shared_outcomes_serialize_like_separate_ones(self):
         table = build_table(3, 1, Genus(6))

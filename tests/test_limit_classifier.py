@@ -360,16 +360,17 @@ def test_invariant_refusal_messages():
 
 
 def test_table_entries_round_trip_through_classify():
+    # The small grid, then the g=30, d=0 table, in which most outcomes
+    # are shared across rows.
+    points = [(rank, d, g) for rank in (2, 3) for g in (2, 3, 4, 5) for d in range(-6, 7)]
     entries = 0
-    for rank in (2, 3):
-        for g in (2, 3, 4, 5):
-            for d in range(-6, 7):
-                for row in build_table(rank, d, Genus(g)).rows:
-                    assert feasible_inputs(row.stratum) == list(row.feasible_set)
-                    for invariant, outcome in row.entries:
-                        assert classify(ClassifierInput(row.stratum, invariant)) == outcome
-                        entries += 1
-    assert entries > 2000
+    for rank, d, g in [*points, (3, 0, 30)]:
+        for row in build_table(rank, d, Genus(g)).rows:
+            assert feasible_inputs(row.stratum) == list(row.feasible_set)
+            for invariant, outcome in row.entries:
+                assert classify(ClassifierInput(row.stratum, invariant)) == outcome
+                entries += 1
+    assert entries > 2000 + 13402
 
 
 class TestClassifyStratum:
@@ -382,7 +383,7 @@ class TestClassifyStratum:
             for g in range(2, 9):
                 for d in range(-8, 9):
                     for s in enumerate_strata(rank, d, Genus(g)):
-                        row = classify_stratum(s)
+                        row = classify_stratum(s, {})
                         assert list(row) == [
                             (v, classify(ClassifierInput(s, v))) for v in feasible_inputs(s)
                         ]

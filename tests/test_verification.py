@@ -166,11 +166,11 @@ def test_relabelled_isolated_point_fails_criterion_2(monkeypatch, fresh_grid_pas
     # the oracle and the audit accept; only criterion 2 tells them apart.
     classify_stratum = limit_classifier.classify_stratum
 
-    def relabelled(stratum):
+    def relabelled(stratum, outcomes):
         return tuple(
             (v, replace(outcome, case_tag=CaseTag.C1_3) if outcome.case_tag is CaseTag.C1_4
              else outcome)
-            for v, outcome in classify_stratum(stratum)
+            for v, outcome in classify_stratum(stratum, outcomes)
         )
 
     monkeypatch.setattr(limit_classifier, "classify_stratum", relabelled)
