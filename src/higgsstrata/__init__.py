@@ -66,7 +66,6 @@ from .limit_classifier import (
     InvalidInvariant,
     Invariant,
     SlopeOutOfBounds,
-    case1_threshold,
     classify,
     classify_rank3,
     classify_stratum,
@@ -77,7 +76,6 @@ from .limit_classifier import (
 from .matrix_oracle import (
     BlockPattern,
     LimitPattern,
-    format_block_pattern,
     nonzero_set,
     oracle_check,
     parse_block_pattern,

@@ -10,9 +10,9 @@ rank 3; in rank 2 the correspondence is a bijection.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
+from types import SimpleNamespace
 
 from . import fixed_points, limit_classifier, matrix_oracle
 from .admissibility import AdmissibleStratum, RankUnsupported, enumerate_strata
@@ -25,16 +25,24 @@ from .core import (
     format_hn_type,
     format_label,
 )
-from .limit_classifier import Invariant
+from .limit_classifier import Invariant, Run
+
 
 @dataclass(frozen=True)
 class IncidenceRow:
+    """A stratum's feasible invariants and outcomes, as classify_stratum's runs."""
+
     stratum: AdmissibleStratum
-    entries: tuple[tuple[Invariant, LimitOutcome], ...]
+    runs: tuple[Run, ...]
+
+    @property
+    def entries(self) -> tuple[tuple[Invariant, LimitOutcome], ...]:
+        """Each (invariant, outcome) pair of the runs, in sweep order."""
+        return tuple((key, outcome) for values, outcome in self.runs for key in values)
 
     @property
     def feasible_set(self) -> tuple[Invariant, ...]:
-        return tuple(key for key, _ in self.entries)
+        return tuple(key for values, _ in self.runs for key in values)
 
 
 @dataclass(frozen=True)
@@ -46,9 +54,17 @@ class IncidenceTable:
     #: Association list (sorted by label text) from each fixed-component
     #: label to the HN types of the strata reaching it.
     bb_index: tuple[tuple[FixedComponentLabel, tuple[HNType, ...]], ...]
+    #: The text of each component object in ``rows``, by its id: build_table
+    #: formats each distinct component once.  Empty in any other table.
+    label_texts: dict[int, str] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def bb_map(self) -> dict[FixedComponentLabel, tuple[HNType, ...]]:
         return dict(self.bb_index)
+
+    def label_text(self, component: FixedComponentLabel) -> str:
+        """format_label(component), as build_table formatted it."""
+        text = self.label_texts.get(id(component))
+        return format_label(component) if text is None else text
 
 
 def check_outcome(stratum: AdmissibleStratum, outcome: LimitOutcome) -> None:
@@ -82,31 +98,37 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     """
     rows = []
     interned: dict = {}  # equal outcomes of the table are one object
-    reaching: dict[FixedComponentLabel, list[HNType]] = {}
+    # Each distinct component's text and the strata reaching it.
+    reaching: dict[FixedComponentLabel, tuple[str, list[HNType]]] = {}
     # Each distinct outcome is checked, and its component looked up, once:
-    # by the first stratum reaching it.  Later rows find it by its id.
+    # by the first stratum reaching it.  Later runs find it by its id.
     reached_by: dict[int, list[HNType]] = {}
+    texts: dict[int, str] = {}
     for stratum in enumerate_strata(rank, degree, genus):
-        entries = limit_classifier.classify_stratum(stratum, interned)
-        previous = None
-        for _, outcome in entries:
-            if outcome is previous:  # a row's x.1 data share one outcome
-                continue
-            previous = outcome
+        hn = stratum.hn
+        runs = limit_classifier.classify_stratum(stratum, interned)
+        for _, outcome in runs:
             reached = reached_by.get(id(outcome))
             if reached is None:
                 check_outcome(stratum, outcome)
-                reached = reached_by[id(outcome)] = reaching.setdefault(outcome.component, [])
+                component = outcome.component
+                known = reaching.get(component)
+                if known is None:
+                    known = reaching[component] = (format_label(component), [])
+                texts[id(component)] = known[0]
+                reached = reached_by[id(outcome)] = known[1]
             # Rows are distinct strata, so a stratum already listed for
             # this component is the last one listed.
-            if not reached or reached[-1] is not stratum.hn:
-                reached.append(stratum.hn)
-        rows.append(IncidenceRow(stratum, entries))
+            if not reached or reached[-1] is not hn:
+                reached.append(hn)
+        rows.append(IncidenceRow(stratum, runs))
     bb_index = tuple(
-        (label, tuple(reaching[label]))
-        for label in sorted(reaching, key=format_label)
+        (label, tuple(strata))
+        for label, (_, strata) in sorted(reaching.items(), key=lambda item: item[1][0])
     )
-    return IncidenceTable(rank, degree, genus, tuple(rows), bb_index)
+    table = IncidenceTable(rank, degree, genus, tuple(rows), bb_index)
+    table.label_texts.update(texts)
+    return table
 
 
 def check_rank2_coincidence(table: IncidenceTable) -> bool:
@@ -121,13 +143,10 @@ def check_rank2_coincidence(table: IncidenceTable) -> bool:
     )
     seen = []
     for row in table.rows:
-        if len(row.entries) != 1:
-            return False
-        outcome = row.entries[0][1]
         ranks, degrees = zip(*row.stratum.hn.steps)
-        if outcome.component != HodgeBundle(ranks, degrees):
+        if len(row.feasible_set) != 1 or row.runs[0][1].component != HodgeBundle(ranks, degrees):
             return False
-        seen.append(outcome.component)
+        seen.append(row.runs[0][1].component)
     return len(seen) == len(set(seen)) and set(seen) == set(components)
 
 
@@ -146,9 +165,9 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[HodgeBundle]:
     k = table.genus.canonical_degree
     preimages: dict[HodgeBundle, list[tuple[AdmissibleStratum, Invariant]]] = {}
     for row in table.rows:
-        for key, outcome in row.entries:
+        for values, outcome in row.runs:
             if not outcome.strictly_polystable and outcome.component.ranks == (1, 1, 1):
-                preimages.setdefault(outcome.component, []).append((row.stratum, key))
+                preimages.setdefault(outcome.component, []).extend((row.stratum, key) for key in values)
     rows = {row.stratum.hn: row for row in table.rows}
     verified = []
     for label in sorted(preimages, key=lambda t: t.degrees):
@@ -162,11 +181,11 @@ def check_hn_bb_theorem(table: IncidenceTable) -> list[HodgeBundle]:
                 f"label {format_label(label)}: preimage strata "
                 f"{sorted(map(format_hn_type, strata))} != {{{expected_hn}}}"
             )
-        row = rows[expected_hn]
-        if len(pairs) != len(row.entries):
+        feasible = len(rows[expected_hn].feasible_set)
+        if len(pairs) != feasible:
             raise AssertionError(
                 f"label {format_label(label)}: only {len(pairs)} of "
-                f"{len(row.entries)} feasible values reach it"
+                f"{feasible} feasible values reach it"
             )
         verified.append(label)
     return verified
@@ -198,8 +217,9 @@ def table_to_records(table: IncidenceTable) -> list[dict]:
     records = []
     for row in table.rows:
         feasible = [k for k in row.feasible_set if k is not None]
-        for key, outcome in row.entries:
-            records.append(outcome_record(row.stratum.hn, key, outcome, feasible))
+        for values, outcome in row.runs:
+            for key in values:
+                records.append(outcome_record(row.stratum.hn, key, outcome, feasible))
     return records
 
 
@@ -266,13 +286,13 @@ def records_json(table: IncidenceTable) -> str:
     graded degrees and HN type, the invariant, the row's stratum, and the
     outcome's polystability.  Outcome fragments are formatted once per
     outcome object (equal outcomes of a table are one object), row
-    fragments once per row.
+    fragments once per row; per value only the invariant is written.
     """
     # Line breaks with the indent of a record's braces and of its fields.
     record_line = "\n    "
     field_line = record_line + "  "
+    separator = "," + record_line
     parts = ["["]
-    separator = record_line
     fragments: dict[int, tuple[str, str, str]] = {}  # by outcome id
     for row in table.rows:
         feasible = _json([k for k in row.feasible_set if k is not None], field_line)
@@ -281,12 +301,12 @@ def records_json(table: IncidenceTable) -> str:
             f',{field_line}"stratum": {_json_string(format_hn_type(row.stratum.hn))},'
             f'{field_line}"strictly_polystable": '
         )
-        for key, outcome in row.entries:
+        for values, outcome in row.runs:
             outcome_parts = fragments.get(id(outcome))
             if outcome_parts is None:
                 outcome_parts = fragments[id(outcome)] = (
                     f'{{{field_line}"case": {_json_string(outcome.case_tag.value)},'
-                    f'{field_line}"component": {_json_string(format_label(outcome.component))},'
+                    f'{field_line}"component": {_json_string(table.label_text(outcome.component))},'
                     f'{field_line}"feasible_set": ',
                     f"{_json(outcome.graded_degrees, field_line)},"
                     f'{field_line}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
@@ -294,41 +314,38 @@ def records_json(table: IncidenceTable) -> str:
                     ("true" if outcome.strictly_polystable else "false") + record_line + "}",
                 )
             head, middle, tail = outcome_parts
-            parts += (separator, head, row_feasible, middle, _json(key, field_line), row_stratum, tail)
-            separator = "," + record_line
+            for text in map(_JSON_SCALARS[type(values[0])], values):  # one type a run
+                parts += (separator, head, row_feasible, middle, text, row_stratum, tail)
     if len(parts) == 1:
         return "[]"
+    parts[1] = record_line  # the first record follows "[" without a comma
     parts.append("\n  ]")
     return "".join(parts)
 
 
 CSV_HEADER = ("stratum", "invariant", "case", "component", "hnt_limit")
+#: The CSV text of an invariant by its exact type; no such text needs quoting.
+_CSV_INVARIANTS = {**_JSON_SCALARS, type(None): lambda _: ""}
 
 
 def table_to_csv(table: IncidenceTable) -> str:
-    """One line per (stratum, invariant, outcome) under the fixed header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    outcome_fields: dict[int, tuple[str, str, str]] = {}  # by outcome id
+    """One line per (stratum, invariant, outcome) under the fixed header.
+    csv.writer quotes each row's stratum and each outcome's fields once;
+    an invariant's text never needs quoting, so it is written as it is."""
+    # writerow returns what the file's write returns: here, the line.
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    parts = [line(CSV_HEADER)]
+    tails: dict[int, str] = {}  # ",case,component,hnt_limit\n" by outcome id
     for row in table.rows:
-        hn_text = format_hn_type(row.stratum.hn)
-        for key, outcome in row.entries:
-            fields = outcome_fields.get(id(outcome))
-            if fields is None:
-                fields = outcome_fields[id(outcome)] = (
-                    outcome.case_tag.value,
-                    format_label(outcome.component),
-                    format_hn_type(outcome.hnt_limit),
-                )
-            if key is None:
-                inv = ""
-            elif isinstance(key, bool):
-                inv = "true" if key else "false"
-            else:
-                inv = str(key)
-            writer.writerow((hn_text, inv, *fields))
-    return buf.getvalue()
+        head = line((format_hn_type(row.stratum.hn), ""))[:-1]  # "stratum,"
+        for values, outcome in row.runs:
+            tail = tails.get(id(outcome))
+            if tail is None:
+                case, label = outcome.case_tag.value, table.label_text(outcome.component)
+                tail = tails[id(outcome)] = line(("", case, label, format_hn_type(outcome.hnt_limit)))
+            for text in map(_CSV_INVARIANTS[type(values[0])], values):  # one type a run
+                parts += (head, text, tail)
+    return "".join(parts)
 
 
 def table_to_dot(table: IncidenceTable) -> str:
@@ -343,18 +360,11 @@ def table_to_dot(table: IncidenceTable) -> str:
     for hn_text in strata:
         lines.append(f'  "hn:{hn_text}" [shape=box];')
     for label, _ in table.bb_index:
-        lines.append(f'  "bb:{format_label(label)}" [shape=ellipse];')
+        lines.append(f'  "bb:{table.label_text(label)}" [shape=ellipse];')
     edges: dict[str, None] = {}  # insertion-ordered set
-    labels: dict[int, str] = {}  # component text by outcome id
     for hn_text, row in zip(strata, table.rows):
-        previous = None
-        for _, outcome in row.entries:
-            if outcome is not previous:  # a row's x.1 data share one edge
-                previous = outcome
-                label = labels.get(id(outcome))
-                if label is None:
-                    label = labels[id(outcome)] = format_label(outcome.component)
-                edges[f'  "hn:{hn_text}" -> "bb:{label}";'] = None
+        for _, outcome in row.runs:
+            edges[f'  "hn:{hn_text}" -> "bb:{table.label_text(outcome.component)}";'] = None
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -362,5 +372,5 @@ def table_to_dot(table: IncidenceTable) -> str:
 
 def table_case_tags(table: IncidenceTable) -> list[str]:
     """Sorted case tags occurring in the table (for output metadata)."""
-    tags = {outcome.case_tag for row in table.rows for _, outcome in row.entries}
+    tags = {outcome.case_tag for row in table.rows for _, outcome in row.runs}
     return sorted(tag.value for tag in tags)

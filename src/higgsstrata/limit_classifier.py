@@ -64,17 +64,14 @@ class AlignmentImpossible(ClassificationError):
 #: alignment flag (case family 3), or None for semistable and rank-2 strata.
 Invariant = int | bool | None
 
+#: A run of an incidence row: consecutive invariants and their one outcome.
+Run = tuple[range | tuple[Invariant, ...], LimitOutcome]
+
 
 @dataclass(frozen=True)
 class ClassifierInput:
     stratum: AdmissibleStratum
     invariant: Invariant
-
-
-def case1_threshold(stratum: AdmissibleStratum) -> Fraction:
-    """Slope threshold t = -mu1/3 + 2*mu2/3 + 2*mu3/3 separating the
-    type-(1,2) limits from the type-(1,1,1) limits in case family 1."""
-    return Fraction(stratum.threshold6, 6)
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
         # point lies at or above the threshold.
         component = _hodge_bundle(fam.x1_type, _sub_quotient(stratum, fam))
         return _limit_outcome(fam.tags[0], component, stratum.hn)
-    return _refined_outcomes(stratum, fam, (v,), {})[0]
+    return _refined_runs(stratum, fam, (v,), {})[0][1]
 
 
 def _sub_quotient(stratum: AdmissibleStratum, fam: _SlopeFamily) -> tuple[int, int]:
@@ -151,45 +148,50 @@ def _sub_quotient(stratum: AdmissibleStratum, fam: _SlopeFamily) -> tuple[int, i
     return sub, stratum.hn.total_degree - sub
 
 
-def _refined_outcomes(
-    stratum: AdmissibleStratum, fam: _SlopeFamily, values, interned: dict
-) -> list[LimitOutcome]:
-    """The outcomes of case x.2, x.3 or x.4 of feasible integers at or
-    above the window's threshold, one per value.  Nothing here refuses:
-    the caller has placed every value in the window.  What depends on
-    the row alone is computed once.  A case x.2 or x.3 outcome depends
-    only on the family, on whether the value is at the threshold and on
-    the graded degrees, so ``interned`` keeps each under those integers:
-    rows given the same dict share equal outcomes as one object."""
+def _refined_runs(
+    stratum: AdmissibleStratum, fam: _SlopeFamily, values, interned: dict, built=None
+) -> list[Run]:
+    """The runs, one value each, of case x.2, x.3 or x.4 of feasible
+    integers at or above the window's threshold.  Nothing here refuses:
+    the caller has placed every value in the window.  A case x.2 or x.3
+    outcome depends only on the family, on whether the value is at the
+    threshold and on the graded degrees, which the row's (sub, quotient)
+    degrees and the value fix; ``interned`` keeps each under those
+    integers, so rows given the same dict share equal outcomes as one
+    object.  The first value's outcome, if the caller has ``built`` it,
+    is interned unless an equal one is."""
     _, gap_low6, _, threshold6 = stratum.window6
     pair = _sub_quotient(stratum, fam)
     i, split = fam.refined, fam.split
     before, refined, after = pair[:i], pair[i], pair[i + 1 :]
-    outcomes = []
+    runs = []
     for v in values:
         v6 = 6 * v
         if v6 > gap_low6:
             # The isolated point: I = E2/E1 in family 1, N = E1 in
             # family 2, so the limit keeps the HN filtration.
             component = _hodge_bundle((1, 1, 1), tuple(m // 6 for m in stratum.mu6_vector))
-            outcomes.append(_limit_outcome(fam.tags[3], component, stratum.hn))
+            runs.append(((v,), _limit_outcome(fam.tags[3], component, stratum.hn)))
             continue
-        rest = refined - v  # degree of Q or R
-        graded = before + (v, rest) + after  # weight order
         at_threshold = v6 == threshold6
-        key = (i, at_threshold, *graded)
+        key = (i, at_threshold, pair, v)
         outcome = interned.get(key)
         if outcome is None:
-            hnt_limit = _hn_lines(*before, rest, v, *after)  # slope order
-            if at_threshold:
-                line = graded[split : split + 1]
-                coupled = graded[:split] + graded[split + 1 :]
-                tag, component = fam.tags[1], PolystableSum((coupled, line))
-            else:
-                tag, component = fam.tags[2], _hodge_bundle((1, 1, 1), graded)
-            outcome = interned[key] = _limit_outcome(tag, component, hnt_limit)
-        outcomes.append(outcome)
-    return outcomes
+            if built is None:
+                rest = refined - v  # degree of Q or R
+                graded = before + (v, rest) + after  # weight order
+                hnt_limit = _hn_lines(*before, rest, v, *after)  # slope order
+                if at_threshold:
+                    line = graded[split : split + 1]
+                    coupled = graded[:split] + graded[split + 1 :]
+                    tag, component = fam.tags[1], PolystableSum((coupled, line))
+                else:
+                    tag, component = fam.tags[2], _hodge_bundle((1, 1, 1), graded)
+                built = _limit_outcome(tag, component, hnt_limit)
+            outcome = interned[key] = built
+        built = None
+        runs.append(((v,), outcome))
+    return runs
 
 
 def _classify_case3(stratum: AdmissibleStratum, aligned: bool) -> LimitOutcome:
@@ -281,41 +283,36 @@ def feasible_inputs(stratum: AdmissibleStratum) -> list[Invariant]:
     return [True, False] if m1 - m3 <= 6 * stratum.genus.canonical_degree else [True]
 
 
-def classify_stratum(
-    stratum: AdmissibleStratum, interned: dict
-) -> tuple[tuple[Invariant, LimitOutcome], ...]:
-    """Every feasible invariant of the stratum with its outcome, in
-    feasible_inputs order: one row of the incidence table.
+def classify_stratum(stratum: AdmissibleStratum, interned: dict) -> tuple[Run, ...]:
+    """One row of the incidence table: the stratum's feasible invariants,
+    in feasible_inputs order, as maximal runs of one outcome.
 
     classify decides the first value, with every refusal check.  Every
     other value is feasible by construction, so it goes straight to the
     outcome of its case.  In families 1 and 2 the case-x.1 values are the
-    feasible values below the window's threshold, so they come first,
-    and their outcome depends on the stratum alone: the whole run shares
-    the one object classify returned.  The values from the threshold on
-    go to one call of the row routine, which computes what they share
-    once and interns the x.2 and x.3 outcomes in ``interned`` (pass {}
-    for a row on its own; a table passes one dict for all its rows).
+    feasible values below the window's threshold: they come first and
+    share classify's outcome, as one run (a range).  The values from the
+    threshold on go to one call of the row routine, which interns the x.2
+    and x.3 outcomes in ``interned`` (pass {} for a row on its own; a
+    table passes one dict for all its rows).  Each of them, each flag and
+    None is a run of one value.
     """
     inputs = feasible_inputs(stratum)
     if not inputs:
         return ()
     first = classify(ClassifierInput(stratum, inputs[0]))
-    if inputs[0] is None:  # a semistable or rank-2 stratum: one value
-        return ((None, first),)
-    fam = _FAMILIES.get(stratum.case_family)
-    if fam is None:
-        return ((inputs[0], first), *((v, _classify_case3(stratum, v)) for v in inputs[1:]))
+    if inputs[0] is None or (fam := _FAMILIES.get(stratum.case_family)) is None:
+        # One value (semistable or rank 2), or the alignment flags.
+        return (((inputs[0],), first), *(((v,), _classify_case3(stratum, v)) for v in inputs[1:]))
     # The values below the threshold (6*v < threshold6) take classify's
     # outcome, and so does a row whose one value is the isolated point:
-    # no other row shares its outcome.  The row routine builds the rest,
-    # the first value too when it is refined, so that it is interned.
+    # no other row shares its outcome.  The row routine does the rest.
     _, gap_low6, _, threshold6 = stratum.window6
     refined = bisect_left(inputs, -(-threshold6 // 6), 1 if 6 * inputs[0] > gap_low6 else 0)
-    entries = [(v, first) for v in inputs[:refined]]
-    values = inputs[refined:]
-    entries += zip(values, _refined_outcomes(stratum, fam, values, interned))
-    return tuple(entries)
+    runs = [(range(inputs[0], inputs[0] + refined), first)] if refined else []
+    if refined < len(inputs):
+        runs += _refined_runs(stratum, fam, inputs[refined:], interned, None if refined else first)
+    return tuple(runs)
 
 
 def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:

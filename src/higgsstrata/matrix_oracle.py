@@ -192,16 +192,6 @@ def oracle_check(outcome: LimitOutcome) -> bool:
 # Higgs grid, then n rows for the dbar grid.
 
 
-def format_block_pattern(p: BlockPattern) -> str:
-    def rows(grid: Grid) -> list[str]:
-        return ["".join("*" if flag else "." for flag in row) for row in grid]
-
-    lines = ["w:" + ",".join(str(w) for w in p.weights)]
-    lines.extend(rows(p.higgs_blocks))
-    lines.extend(rows(p.dbar_blocks))
-    return "\n".join(lines)
-
-
 def parse_block_pattern(text: str) -> BlockPattern:
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
     if not lines or not lines[0].startswith("w:"):

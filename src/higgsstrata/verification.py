@@ -193,10 +193,10 @@ def _rank3_grid_pass(
 
     Each grid point's table is built once, checked by all six criteria
     and dropped before the next one is built, so the pass holds one table
-    at a time.  Each entry of a table row pairs an invariant with its
-    outcome.  build_table has also put every entry through the oracle, so
-    a rejection shows up here as a table that could not be built
-    (criterion 7).
+    at a time.  Each run of a table row pairs consecutive invariants with
+    their outcome.  build_table has also put every outcome through the
+    oracle, so a rejection shows up here as a table that could not be
+    built (criterion 7).
     The results are kept per grid, so each criterion can run alone or
     after the others at the cost of one pass.
     """
@@ -211,43 +211,40 @@ def _rank3_grid_pass(
             if coprime and stratum.case_family is CaseFamily.CASE3_FLAG:
                 failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
             # Computed once per row: what depends on the row alone.
-            # Dominance depends on the outcome alone, so it is checked once
-            # per outcome object (a row's x.1 data share one).
             inequalities = _case_inequalities(stratum)
             polygon = polygon_of(stratum.hn)
-            previous = None
-            for datum, outcome in row.entries:
-                classified += 1
-                if inequalities is None:
-                    expected = CaseTag.C3_1 if datum else CaseTag.C3_2
-                    if outcome.case_tag is not expected:
-                        failures[2].append(f"{stratum.hn} flag={datum}: {outcome.case_tag}")
-                else:
-                    matches = _case_matches(inequalities, datum)
-                    if len(matches) != 1 or matches[0] is not outcome.case_tag:
-                        failures[2].append(
-                            f"{stratum.hn} v={datum}: classifier says "
-                            f"{outcome.case_tag.value}, inequalities match {matches}"
-                        )
-                if outcome is not previous:
-                    previous = outcome
-                    rises = dominates(polygon_of(outcome.hnt_limit), polygon)
-                if not rises:
-                    failures[3].append(f"{stratum.hn} -> {outcome.hnt_limit} fails to rise")
-                if coprime:
-                    coprime_count += 1
-                    if outcome.strictly_polystable:
-                        failures[4].append(f"polystable limit for {stratum.hn} at d={d}")
-                checks = limit_classifier.stability_audit(
-                    outcome, limit_classifier.ClassifierInput(stratum, datum)
-                )
-                if not all(c.holds for c in checks):
-                    failures[8].append(f"audit fails for {outcome.case_tag.value} of {stratum.hn}")
-                equalities = sum(1 for c in checks if c.is_equality)
-                if equalities != (1 if outcome.strictly_polystable else 0):
-                    failures[8].append(
-                        f"{stratum.hn} case {outcome.case_tag.value}: {equalities} equalities"
+            for values, outcome in row.runs:
+                # Dominance depends on the outcome alone: once per run.
+                rises = dominates(polygon_of(outcome.hnt_limit), polygon)
+                for datum in values:
+                    classified += 1
+                    if inequalities is None:
+                        expected = CaseTag.C3_1 if datum else CaseTag.C3_2
+                        if outcome.case_tag is not expected:
+                            failures[2].append(f"{stratum.hn} flag={datum}: {outcome.case_tag}")
+                    else:
+                        matches = _case_matches(inequalities, datum)
+                        if len(matches) != 1 or matches[0] is not outcome.case_tag:
+                            failures[2].append(
+                                f"{stratum.hn} v={datum}: classifier says "
+                                f"{outcome.case_tag.value}, inequalities match {matches}"
+                            )
+                    if not rises:
+                        failures[3].append(f"{stratum.hn} -> {outcome.hnt_limit} fails to rise")
+                    if coprime:
+                        coprime_count += 1
+                        if outcome.strictly_polystable:
+                            failures[4].append(f"polystable limit for {stratum.hn} at d={d}")
+                    checks = limit_classifier.stability_audit(
+                        outcome, limit_classifier.ClassifierInput(stratum, datum)
                     )
+                    if not all(c.holds for c in checks):
+                        failures[8].append(f"audit fails for {outcome.case_tag.value} of {stratum.hn}")
+                    equalities = sum(1 for c in checks if c.is_equality)
+                    if equalities != (1 if outcome.strictly_polystable else 0):
+                        failures[8].append(
+                            f"{stratum.hn} case {outcome.case_tag.value}: {equalities} equalities"
+                        )
             for v in limit_classifier.excluded_gap_integers(stratum):
                 gap_checked += 1
                 _check_gap_value(stratum, inequalities, v, failures[2])

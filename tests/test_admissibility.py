@@ -14,7 +14,6 @@ from higgsstrata import (
     Rank2BoundViolated,
     Rank3BoundViolated,
     RankUnsupported,
-    case1_threshold,
     enumerate_strata,
     invariant_range,
     parse_hn_type,
@@ -194,7 +193,7 @@ def test_threshold_below_mu3_iff_case1():
                 if stratum.is_semistable:
                     continue
                 mu2, mu3 = stratum.mu_vector[1], stratum.mu_vector[2]
-                t = case1_threshold(stratum)
+                t = Fraction(stratum.threshold6, 6)  # the case-1 threshold
                 assert (mu2 < stratum.mu) == (mu3 > t)
                 assert (mu2 >= stratum.mu) == (mu3 <= t)
 

@@ -72,9 +72,10 @@ def check_stratum(stratum, genus: int) -> None:
     steps = stratum.hn.steps
     where = f"{model.hn_text(steps)} at g={genus}"
     assert feasible_inputs(stratum) == model.feasible(steps, genus), where
-    for invariant, outcome in classify_stratum(stratum, {}):
-        want = model.predict_limit(steps, genus, invariant)
-        assert (True, outcome.case_tag.value) == want, f"{where}, {invariant}"
+    for values, outcome in classify_stratum(stratum, {}):
+        for invariant in values:
+            want = model.predict_limit(steps, genus, invariant)
+            assert (True, outcome.case_tag.value) == want, f"{where}, {invariant}"
     if model.family(steps) == "3":
         for flag in (True, False):
             assert _verdict(stratum, flag) == model.predict_limit(steps, genus, flag), where
@@ -95,6 +96,29 @@ def test_rank3_fixed_labels_match_the_model(genus):
     for degree in DEGREES:
         labels = enumerate_fixed_components(3, degree, Genus(genus))
         assert tuple(map(format_label, labels)) == model.fixed_labels(degree, genus), degree
+
+
+def _run_lengths(degree: int, genus: int) -> int:
+    """The summed lengths of the runs of every row of a rank-3 table."""
+    interned: dict = {}  # one dict for the table, as build_table passes
+    return sum(
+        len(values)
+        for stratum in enumerate_strata(3, degree, Genus(genus))
+        for values, _ in classify_stratum(stratum, interned)
+    )
+
+
+@pytest.mark.parametrize("genus", GENERA, ids=[f"g{g}" for g in GENERA])
+def test_run_lengths_sum_to_the_model_entries(genus):
+    for degree in DEGREES:
+        assert _run_lengths(degree, genus) == model.entries(3, degree, genus), degree
+
+
+def test_incidence_wide_run_lengths_sum_to_the_model_entries():
+    # The benchmark's entries_per_s counts model.entries per table.
+    for argv in workloads.incidence_queries():
+        degree, genus = int(argv[argv.index("--degree") + 1]), int(argv[argv.index("--genus") + 1])
+        assert _run_lengths(degree, genus) == model.entries(3, degree, genus), argv
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

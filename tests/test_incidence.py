@@ -25,8 +25,8 @@ from higgsstrata import (
     table_to_dot,
     table_to_records,
 )
-from higgsstrata import fixed_points, matrix_oracle
-from higgsstrata.core import CaseTag
+from higgsstrata import fixed_points, incidence, matrix_oracle
+from higgsstrata.core import CaseTag, format_hn_type
 from higgsstrata.incidence import CSV_HEADER, records_json, table_case_tags
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -241,6 +241,60 @@ def reference_json(table):
     return text.replace("\n", "\n  ")
 
 
+def reference_csv(table):
+    """table_to_csv's text from one csv.writer.writerow per entry."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in table.rows:
+        for key, outcome in row.entries:
+            if key is None:
+                inv = ""
+            elif isinstance(key, bool):
+                inv = "true" if key else "false"
+            else:
+                inv = str(key)
+            writer.writerow((
+                format_hn_type(row.stratum.hn),
+                inv,
+                outcome.case_tag.value,
+                format_label(outcome.component),
+                format_hn_type(outcome.hnt_limit),
+            ))
+    return buf.getvalue()
+
+
+class TestCsv:
+    """The run writer gives a per-entry csv.writer's bytes."""
+
+    @pytest.mark.parametrize("rank,degree,genus", golden_incidence_points())
+    def test_golden_points(self, rank, degree, genus):
+        table = build_table(rank, degree, Genus(genus))
+        assert table_to_csv(table) == reference_csv(table)
+
+    @pytest.mark.parametrize("rank", (2, 3))
+    def test_small_grid(self, rank):
+        quoted = 0
+        for g in range(2, 7):
+            for d in range(-6, 7):
+                table = build_table(rank, d, Genus(g))
+                text = table_to_csv(table)
+                assert text == reference_csv(table)
+                quoted += text.count('\n"')  # a line whose stratum holds a comma
+        assert quoted > 0
+
+    def test_comma_bearing_strata_and_labels_are_quoted(self):
+        rank2 = table_to_csv(build_table(2, 0, Genus(2))).splitlines()
+        assert '"1:1,1:-1",,rk2,r2:1,"1:1,1:-1"' in rank2
+        rank3 = table_to_csv(build_table(3, 0, Genus(2))).splitlines()
+        assert '"2:1,1:-1",0,2.2,"poly:[1,-1]+[0]","1:1,1:0,1:-1"' in rank3
+
+    def test_empty_table(self):
+        table = build_table(3, 0, Genus(2))
+        empty = type(table)(table.rank, table.degree, table.genus, (), ())
+        assert table_to_csv(empty) == reference_csv(empty) == ",".join(CSV_HEADER) + "\n"
+
+
 class TestRecordsJson:
     """The fragment writer gives json.dumps's bytes for table_to_records."""
 
@@ -340,10 +394,28 @@ class TestSharedOutcomes:
         build_table(3, 0, Genus(10))
         assert calls == []
 
+    def test_each_component_is_formatted_once_per_table(self, monkeypatch):
+        # build_table formats each distinct component for bb_index; the
+        # three writers reuse its texts.
+        calls = []
+        format_component = incidence.format_label
+
+        def counting(label):
+            calls.append(label)
+            return format_component(label)
+
+        monkeypatch.setattr(incidence, "format_label", counting)
+        table = build_table(3, 0, Genus(10))
+        records_json(table)
+        table_to_csv(table)
+        table_to_dot(table)
+        components = {outcome.component for row in table.rows for _, outcome in row.entries}
+        assert 0 < len(calls) <= len(components)
+
     def test_shared_outcomes_serialize_like_separate_ones(self):
         table = build_table(3, 1, Genus(6))
         rows = tuple(
-            type(row)(row.stratum, tuple((key, copy(out)) for key, out in row.entries))
+            type(row)(row.stratum, tuple((values, copy(out)) for values, out in row.runs))
             for row in table.rows
         )
         unshared = type(table)(table.rank, table.degree, table.genus, rows, table.bb_index)

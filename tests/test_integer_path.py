@@ -20,6 +20,7 @@ from higgsstrata import (
     ClassifierInput,
     Genus,
     HNType,
+    IncidenceRow,
     InfeasibleBySpecialization,
     InvalidHNType,
     SlopeOutOfBounds,
@@ -350,7 +351,9 @@ def test_stability_audit_matches_fraction_reference():
         for d in range(-8, 9):
             for rank in (2, 3):
                 for stratum in enumerate_strata(rank, d, Genus(g)):
-                    for invariant, outcome in classify_stratum(stratum, {}):
+                    for invariant, outcome in IncidenceRow(
+                        stratum, classify_stratum(stratum, {})
+                    ).entries:
                         inp = ClassifierInput(stratum, invariant)
                         got = stability_audit(outcome, inp)
                         want = reference_audit(outcome, inp)

@@ -35,6 +35,9 @@ from higgsstrata import (
 from higgsstrata import limit_classifier
 from higgsstrata.core import CaseTag
 
+X1_TAGS = (CaseTag.C1_1, CaseTag.C2_1)
+REFINED_TAGS = (CaseTag.C1_2, CaseTag.C1_3, CaseTag.C2_2, CaseTag.C2_3)
+
 
 def stratum(hn_text: str, g: int):
     return validate(parse_hn_type(hn_text), Genus(g))
@@ -361,37 +364,95 @@ def test_invariant_refusal_messages():
 
 def test_table_entries_round_trip_through_classify():
     # The small grid, then the g=30, d=0 table, in which most outcomes
-    # are shared across rows.
+    # are shared across rows.  A row's entries, derived from its runs,
+    # are classify's outcome of each feasible value in turn.
     points = [(rank, d, g) for rank in (2, 3) for g in (2, 3, 4, 5) for d in range(-6, 7)]
     entries = 0
     for rank, d, g in [*points, (3, 0, 30)]:
         for row in build_table(rank, d, Genus(g)).rows:
-            assert feasible_inputs(row.stratum) == list(row.feasible_set)
-            for invariant, outcome in row.entries:
-                assert classify(ClassifierInput(row.stratum, invariant)) == outcome
-                entries += 1
+            feasible = feasible_inputs(row.stratum)
+            assert list(row.feasible_set) == feasible
+            assert row.entries == tuple(
+                (v, classify(ClassifierInput(row.stratum, v))) for v in feasible
+            )
+            assert sum(len(values) for values, _ in row.runs) == len(row.entries)
+            entries += len(row.entries)
     assert entries > 2000 + 13402
 
 
 class TestClassifyStratum:
     def test_row_equals_classify_per_feasible_value(self):
-        # Rank 2 and 3, g 2..8, |d| <= 8: the row is classify's outcome for
-        # each feasible value, and its x.1 run (its first values) is one
-        # object.
+        # Rank 2 and 3, g 2..8, |d| <= 8: the row's runs, value by value,
+        # are classify's outcome for each feasible value, and its x.1
+        # values (its first values) are one run.
         shared_runs = 0
         for rank in (2, 3):
             for g in range(2, 9):
                 for d in range(-8, 9):
                     for s in enumerate_strata(rank, d, Genus(g)):
-                        row = classify_stratum(s, {})
-                        assert list(row) == [
+                        runs = classify_stratum(s, {})
+                        assert [(v, out) for values, out in runs for v in values] == [
                             (v, classify(ClassifierInput(s, v))) for v in feasible_inputs(s)
                         ]
-                        x1 = [out for _, out in row if out.case_tag in (CaseTag.C1_1, CaseTag.C2_1)]
-                        assert [out for _, out in row[: len(x1)]] == x1
-                        assert all(out is x1[0] for out in x1)
-                        shared_runs += len(x1) > 1
+                        x1 = [values for values, out in runs if out.case_tag in X1_TAGS]
+                        assert x1 == [runs[0][0]] or x1 == []
+                        shared_runs += bool(x1) and len(x1[0]) > 1
         assert shared_runs > 0
+
+    def test_runs_are_maximal_and_consecutive(self):
+        # Rank 2 and 3, g 2..8, |d| <= 8: neighbouring runs hold different
+        # outcome objects, and a run's values are consecutive integers.
+        # Every run but an x.1 run holds one value.
+        long_runs = 0
+        for rank in (2, 3):
+            for g in range(2, 9):
+                for d in range(-8, 9):
+                    interned: dict = {}  # shared by the rows, as in a table
+                    for s in enumerate_strata(rank, d, Genus(g)):
+                        runs = classify_stratum(s, interned)
+                        for (_, left), (_, right) in zip(runs, runs[1:]):
+                            assert left is not right, s.hn
+                        for values, outcome in runs:
+                            assert len(values) > 0, s.hn
+                            if len(values) > 1:
+                                assert outcome.case_tag in X1_TAGS, s.hn
+                                assert list(values) == list(range(values[0], values[-1] + 1))
+                                long_runs += 1
+        assert long_runs > 0
+
+    def test_build_table_builds_no_outcome_twice(self, monkeypatch):
+        # Each outcome object of the g=30, d=0 table is built once.  The
+        # only other build is classify's outcome of a row's first value
+        # when that value is refined and an earlier row already holds an
+        # equal outcome: classify builds it with a dict of its own, and
+        # the table keeps the earlier object.  The row routine is never
+        # called without values.
+        built = []
+        routine_values = []
+        make, routine = limit_classifier._limit_outcome, limit_classifier._refined_runs
+
+        def counting_make(*args):
+            built.append(make(*args))
+            return built[-1]
+
+        def counting_routine(stratum, fam, values, *rest):
+            routine_values.append(len(values))
+            return routine(stratum, fam, values, *rest)
+
+        monkeypatch.setattr(limit_classifier, "_limit_outcome", counting_make)
+        monkeypatch.setattr(limit_classifier, "_refined_runs", counting_routine)
+        table = build_table(3, 0, Genus(30))
+        seen: set[int] = set()
+        refined_first = repeated_first = 0
+        for row in table.rows:
+            first = row.entries[0][1]
+            if first.case_tag in REFINED_TAGS:
+                refined_first += 1
+                repeated_first += id(first) in seen
+            seen.update(id(outcome) for _, outcome in row.entries)
+        assert 0 < repeated_first < refined_first
+        assert len(built) == len(seen) + repeated_first
+        assert 0 not in routine_values
 
     def test_build_table_classifies_each_row_with_one_call(self, monkeypatch):
         calls = {"classify": Counter(), "classify_rank3": Counter()}

@@ -12,7 +12,6 @@ from higgsstrata import (
     LimitOutcome,
     classify,
     classify_rank3,
-    format_block_pattern,
     nonzero_set,
     oracle_check,
     parse_block_pattern,
@@ -156,6 +155,15 @@ class TestBlockPatternValidation:
     def test_grid_shape_checked(self):
         with pytest.raises(ValueError):
             BlockPattern((0, 1), ((True,),), ((False, False), (False, False)))
+
+
+def format_block_pattern(p: BlockPattern) -> str:
+    """The text format parse_block_pattern reads."""
+    def rows(grid) -> list[str]:
+        return ["".join("*" if flag else "." for flag in row) for row in grid]
+
+    weights = "w:" + ",".join(map(str, p.weights))
+    return "\n".join([weights, *rows(p.higgs_blocks), *rows(p.dbar_blocks)])
 
 
 class TestTextFormat:

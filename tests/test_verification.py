@@ -168,9 +168,9 @@ def test_relabelled_isolated_point_fails_criterion_2(monkeypatch, fresh_grid_pas
 
     def relabelled(stratum, outcomes):
         return tuple(
-            (v, replace(outcome, case_tag=CaseTag.C1_3) if outcome.case_tag is CaseTag.C1_4
-             else outcome)
-            for v, outcome in classify_stratum(stratum, outcomes)
+            (values, replace(outcome, case_tag=CaseTag.C1_3)
+             if outcome.case_tag is CaseTag.C1_4 else outcome)
+            for values, outcome in classify_stratum(stratum, outcomes)
         )
 
     monkeypatch.setattr(limit_classifier, "classify_stratum", relabelled)
