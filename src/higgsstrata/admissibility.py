@@ -70,12 +70,21 @@ class AdmissibleStratum:
         # values live in the instance __dict__, which the frozen
         # dataclass's __eq__, __hash__ and __repr__ never look at.
         hn = self.hn
-        mu6_vector = tuple(6 * d // r for r, d in hn.steps for _ in range(r))
+        steps = hn.steps
         mu6 = 6 * hn.total_degree // hn.total_rank
-        vars(self).update(mu6_vector=mu6_vector, mu6=mu6)
         if hn.total_rank != 3:
+            mu6_vector = tuple(6 * d // r for r, d in steps for _ in range(r))
+            vars(self).update(mu6_vector=mu6_vector, mu6=mu6)
             return
-        m1, m2, m3 = mu6_vector
+        if len(steps) == 1:  # semistable
+            m1 = m2 = m3 = mu6
+        elif len(steps) == 3:  # three lines
+            (_, d1), (_, d2), (_, d3) = steps
+            m1, m2, m3 = 6 * d1, 6 * d2, 6 * d3
+        else:  # a line and a rank-2 piece, in either order
+            (r1, d1), (_, d2) = steps
+            m1, m3 = 6 * d1 // r1, 6 * d2 // (3 - r1)
+            m2 = m1 if r1 == 2 else m3
         # 6 * t for the case-1 threshold t = (-mu1 + 2*mu2 + 2*mu3)/3.  3t
         # has denominator at most 2 (each mu_i has denominator 1 or 2 in
         # rank 3), so 6t is an integer and the division is exact.
@@ -88,9 +97,9 @@ class AdmissibleStratum:
         # x.1 (below it), x.2 (at it) and x.3: it is t in family 1 and mu
         # in family 2.  Family 2 is family 1 on the dual bundle, which is
         # why the two windows mirror each other.
-        k6 = 6 * self.genus.canonical_degree
+        k6 = 12 * self.genus.g - 12  # 6 * (2g-2)
         window6 = None
-        if hn.is_semistable:
+        if len(steps) == 1:
             family = CaseFamily.NONE
         elif m2 < mu6:
             family, window6 = CaseFamily.CASE1_I, (m1 - k6, m3, m2, threshold6)
@@ -109,8 +118,8 @@ class AdmissibleStratum:
             if gap_high6 > gap_low6 and gap_high6 % 6 == 0:
                 feasible += (gap_high6 // 6,)
         vars(self).update(
-            case_family=family, threshold6=threshold6, window6=window6,
-            feasible_integers=feasible,
+            mu6_vector=(m1, m2, m3), mu6=mu6, case_family=family, threshold6=threshold6,
+            window6=window6, feasible_integers=feasible,
         )
 
     def __getattr__(self, name: str):
@@ -203,10 +212,9 @@ def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStr
             found.append(_hn_type(((2, e), (1, d - e)), 3, d))
         # Three distinct integer slopes a > b > c with both gaps <= 2g-2.
         for a in range(d // 3 + 1, d // 3 + 2 * k + 2):
-            for b in range(a - k, a):
-                c = d - a - b
-                if c < b and b - c <= k:
-                    found.append(_hn_type(((1, a), (1, b), (1, c)), 3, d))
+            # c = d - a - b < b and b - c <= k bound b, with a - k <= b < a.
+            for b in range(max(a - k, (d - a) // 2 + 1), min(a, (d - a + k) // 2 + 1)):
+                found.append(_hn_type(((1, a), (1, b), (1, d - a - b)), 3, d))
     strata = [validate(hn, genus) for hn in found]
     strata.sort(key=_sort_key)
     return strata

@@ -205,7 +205,7 @@ def _hn_type(steps: tuple[tuple[int, int], ...], total_rank: int, total_degree: 
 
 def format_hn_type(hn: HNType) -> str:
     """Canonical text encoding: comma-separated "rank:degree" pairs."""
-    return ",".join(f"{r}:{d}" for r, d in hn.steps)
+    return ",".join([f"{r}:{d}" for r, d in hn.steps])
 
 
 def parse_hn_steps(text: str) -> tuple[tuple[int, int], ...]:

@@ -20,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .admissibility import AdmissibleStratum, CaseFamily
 from .core import (
@@ -327,18 +328,24 @@ def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:
 # Stability audit
 
 
-@dataclass(frozen=True)
-class AuditCheck:
-    """A Higgs-invariant subobject of the limit, of the given degree and
-    rank, against the whole bundle's degree d and rank r: its slope must
-    be smaller, or no larger if allow_equal.  The text is built on read."""
+class AuditCheck(NamedTuple):
+    """A Higgs-invariant subobject of the limit, the sum of the named
+    lines, of the given degree and rank, against the whole bundle's degree
+    d and rank r: its slope must be smaller, or no larger if allow_equal.
+    ``datum`` marks the one check that reads the invariant, a strict one:
+    its subobject holds the datum line I or N.  Texts are built on read."""
 
-    subobject: str
+    lines: tuple[str, ...]
     degree: int
     rank: int
     d: int
     r: int
     allow_equal: bool = False
+    datum: bool = False
+
+    @property
+    def subobject(self) -> str:
+        return " + ".join(self.lines)
 
     @property
     def holds(self) -> bool:
@@ -389,7 +396,7 @@ def stability_audit(outcome: LimitOutcome, inp: ClassifierInput) -> list[AuditCh
         coupled = names[:split] + names[split + 1 :]
         chains = [((1,) * len(s), s, coupled) for s in component.summands if len(s) > 1]
         singles = [s for s in component.summands if len(s) == 1]
-        checks = [AuditCheck(names[split], s[0], 1, d, r, allow_equal=True) for s in singles]
+        checks = [AuditCheck((names[split],), s[0], 1, d, r, True) for s in singles]
     else:
         ranks, degrees = component.ranks, component.degrees
         chains, checks = [(ranks, degrees, names)], []
@@ -400,10 +407,10 @@ def stability_audit(outcome: LimitOutcome, inp: ClassifierInput) -> list[AuditCh
             w = ranks.index(2)
             steepest = stratum.mu6_vector[w] + 6 * sum(degrees[w + 1 :]), 6 * (2 - w)
             datum = sum(degrees[:w]) + inp.invariant, w + 1
-            checks.append(AuditCheck(" + ".join(["L", *names[w + 2 :]]), *steepest, d, r))
-            checks.append(AuditCheck(" + ".join(names[: w + 1]), *datum, d, r))
+            checks.append(AuditCheck(("L", *names[w + 2 :]), *steepest, d, r))
+            checks.append(AuditCheck(names[: w + 1], *datum, d, r, False, True))
     for ranks, degrees, line_names in chains:
         for w in range(1, len(ranks)):
-            tail = " + ".join(line_names[sum(ranks[:w]) :])
+            tail = line_names[sum(ranks[:w]) :]
             checks.append(AuditCheck(tail, sum(degrees[w:]), sum(ranks[w:]), d, r))
     return checks

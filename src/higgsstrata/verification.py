@@ -214,19 +214,32 @@ def _rank3_grid_pass(
             inequalities = _case_inequalities(stratum)
             polygon = polygon_of(stratum.hn)
             for values, outcome in row.runs:
-                # Dominance depends on the outcome alone: once per run.
+                # Dominance depends on the outcome alone: once per run.  So
+                # does the audit, but for its datum check, which only a
+                # case-x.1 run has: audited at the run's first value, it is
+                # re-decided per value, its degree moving with the value.
                 rises = dominates(polygon_of(outcome.hnt_limit), polygon)
-                for datum in values:
+                checks = limit_classifier.stability_audit(
+                    outcome, limit_classifier.ClassifierInput(stratum, values[0])
+                )
+                fixed_hold, fixed_equalities, moving = True, 0, None
+                for c in checks:
+                    if c.datum:
+                        moving = c
+                    else:
+                        fixed_hold = fixed_hold and c.holds
+                        fixed_equalities += c.is_equality
+                for value in values:
                     classified += 1
                     if inequalities is None:
-                        expected = CaseTag.C3_1 if datum else CaseTag.C3_2
+                        expected = CaseTag.C3_1 if value else CaseTag.C3_2
                         if outcome.case_tag is not expected:
-                            failures[2].append(f"{stratum.hn} flag={datum}: {outcome.case_tag}")
+                            failures[2].append(f"{stratum.hn} flag={value}: {outcome.case_tag}")
                     else:
-                        matches = _case_matches(inequalities, datum)
+                        matches = _case_matches(inequalities, value)
                         if len(matches) != 1 or matches[0] is not outcome.case_tag:
                             failures[2].append(
-                                f"{stratum.hn} v={datum}: classifier says "
+                                f"{stratum.hn} v={value}: classifier says "
                                 f"{outcome.case_tag.value}, inequalities match {matches}"
                             )
                     if not rises:
@@ -235,12 +248,13 @@ def _rank3_grid_pass(
                         coprime_count += 1
                         if outcome.strictly_polystable:
                             failures[4].append(f"polystable limit for {stratum.hn} at d={d}")
-                    checks = limit_classifier.stability_audit(
-                        outcome, limit_classifier.ClassifierInput(stratum, datum)
-                    )
-                    if not all(c.holds for c in checks):
+                    holds, equalities = fixed_hold, fixed_equalities
+                    if moving is not None:  # a strict check, at this value's degree
+                        excess = (moving.degree + value - values[0]) * moving.r
+                        excess -= moving.d * moving.rank
+                        holds, equalities = holds and excess < 0, equalities + (excess == 0)
+                    if not holds:
                         failures[8].append(f"audit fails for {outcome.case_tag.value} of {stratum.hn}")
-                    equalities = sum(1 for c in checks if c.is_equality)
                     if equalities != (1 if outcome.strictly_polystable else 0):
                         failures[8].append(
                             f"{stratum.hn} case {outcome.case_tag.value}: {equalities} equalities"

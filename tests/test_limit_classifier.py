@@ -280,6 +280,15 @@ class TestStabilityAudit:
         assert len(checks) == 3
         assert all(c.holds and not c.is_equality for c in checks)
 
+    def test_checks_are_immutable_and_mark_the_datum_check(self):
+        inp = ClassifierInput(stratum("1:1,2:0", 3), -1)
+        checks = stability_audit(classify_rank3(inp), inp)
+        assert [(c.subobject, c.datum) for c in checks] == [
+            ("L", False), ("E1 + I", True), ("I + Q", False),
+        ]
+        with pytest.raises(AttributeError):
+            checks[1].degree = 5
+
     def test_case_1_2_exactly_one_equality_at_the_split_summand(self):
         inp = ClassifierInput(stratum("1:1,2:-1", 2), -1)
         checks = stability_audit(classify_rank3(inp), inp)

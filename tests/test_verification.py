@@ -208,3 +208,48 @@ def test_pair_label_missing_from_the_closed_form_fails_criterion_5(monkeypatch, 
     results = verification.run_all()
     failed = {r.number: r.details for r in results if not r.passed}
     assert failed == {5: "g=3, d=1: type-(1,2)/(2,1) labels differ from the fixed components"}
+
+
+def test_run_all_audits_each_run_once(monkeypatch, fresh_grid_pass):
+    # 1534 runs hold the default grid's 2188 classified values; criterion 8
+    # still reports one audit per value.
+    audited = []
+    stability_audit = limit_classifier.stability_audit
+
+    def counting(outcome, inp):
+        audited.append(inp)
+        return stability_audit(outcome, inp)
+
+    monkeypatch.setattr(limit_classifier, "stability_audit", counting)
+    results = verification.run_all()
+    assert [r for r in results if not r.passed] == []
+    assert len(audited) == 1534
+    assert results[7].details == "2188 audits with exact strictness"
+
+
+def test_value_past_a_case_x1_run_fails_criteria_2_and_8(monkeypatch, fresh_grid_pass):
+    # The first case-1.1 run of more than one value that ends just below
+    # an integer threshold t gets t as one more value.  At t the datum
+    # check, E1 + I < mu, is an equality, so the audit fails at the run's
+    # last value only, not at its first.
+    classify_stratum = limit_classifier.classify_stratum
+    widened = []
+
+    def widening(stratum, interned):
+        runs = classify_stratum(stratum, interned)
+        if widened or not runs or not isinstance(runs[0][0], range) or len(runs[0][0]) < 2:
+            return runs
+        (values, outcome), threshold6 = runs[0], stratum.threshold6
+        if stratum.case_family is not CaseFamily.CASE1_I or threshold6 != 6 * values.stop:
+            return runs
+        widened.append((str(stratum), stratum.genus.g, range(values.start, values.stop + 1)))
+        return ((widened[0][2], outcome), *runs[1:])
+
+    monkeypatch.setattr(limit_classifier, "classify_stratum", widening)
+    results = verification.run_all()
+    assert widened == [("1:-1,2:-5", 3, range(-5, -2))]
+    failed = {r.number: r.details for r in results if not r.passed}
+    assert list(failed) == [2, 8]
+    assert failed[8] == (
+        "audit fails for 1.1 of 1:-1,2:-5; 1:-1,2:-5 case 1.1: 1 equalities"
+    )
