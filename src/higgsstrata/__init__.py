@@ -29,13 +29,10 @@ from .core import (
     dominates,
     format_hn_type,
     format_label,
-    format_rational,
     parse_hn_steps,
     parse_hn_type,
     parse_label,
-    parse_rational,
     polygon_of,
-    slope,
 )
 from .fixed_points import (
     MInvariants,

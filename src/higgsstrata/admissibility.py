@@ -129,14 +129,6 @@ class AdmissibleStratum:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
-    def mu(self) -> Fraction:
-        return self.hn.slope
-
-    @property
-    def mu_vector(self) -> tuple[Fraction, ...]:
-        return self.hn.mu_vector
-
-    @property
     def is_semistable(self) -> bool:
         return self.hn.is_semistable
 

@@ -1,10 +1,10 @@
 """Exact arithmetic and the shared vocabulary of stratum labels.
 
-Slopes, Harder-Narasimhan data, fixed-component labels and limit
-outcomes are immutable values built on exact rationals; nothing in this
-package ever touches floating point, because strict-versus-non-strict
-comparisons at rational thresholds decide which classification case
-applies.
+Harder-Narasimhan data, fixed-component labels and limit outcomes are
+immutable values built on integers: slopes are compared by
+cross-multiplying or held scaled by 6.  Nothing in this package ever
+touches floating point, because strict-versus-non-strict comparisons at
+rational thresholds decide which classification case applies.
 
 Every constructor checks its arguments.  The few values that the
 package builds from data it has already checked also have a private
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Union
 
 
@@ -38,20 +39,12 @@ class InvalidGenus(StrataError, ValueError):
     """A genus below 2."""
 
 
-def slope(rank: int, degree: int) -> Fraction:
-    """Slope degree/rank of a bundle, in lowest terms."""
-    if rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank}")
-    return Fraction(degree, rank)
-
-
-def format_rational(q: Fraction | int) -> str:
-    """Render as "p/q", or bare "p" when the denominator is 1."""
-    return str(Fraction(q))
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _sixths(n: int) -> str:
+    """str(Fraction(n, 6)) in integers: n/6 in lowest terms, as "p/q" or
+    "p".  The writer of slopes held scaled by 6 (mu6_vector, window6)."""
+    common = gcd(n, 6)
+    p, q = n // common, 6 // common
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 # The trusted constructors below set a frozen dataclass's fields as its
@@ -145,14 +138,10 @@ class HNType:
         if not slopes_decrease:
             raise InvalidHNType(f"subquotient slopes must be strictly decreasing: {tuple(raw)}")
         # total_rank and total_degree are plain attributes.  Like the
-        # cached slope and mu_vector below, they live in the instance
+        # cached mu_vector below, they live in the instance
         # __dict__, which the frozen dataclass's __eq__, __hash__ and
         # __repr__ never look at.
         vars(self).update(steps=tuple(merged), total_rank=rank, total_degree=degree)
-
-    @cached_property
-    def slope(self) -> Fraction:
-        return Fraction(self.total_degree, self.total_rank)
 
     @property
     def is_semistable(self) -> bool:
@@ -253,13 +242,9 @@ class HNPolygon:
     def total_degree(self) -> int:
         return self.vertices[-1][1]
 
-    def height_at(self, x: int | Fraction) -> Fraction:
-        """Exact height of the piecewise-linear upper boundary at rank x."""
-        return Fraction(*self._height(Fraction(x)))
-
-    def _height(self, x: int | Fraction) -> tuple[int | Fraction, int]:
-        """Height at rank x as (numerator, segment length): integers at an
-        integer rank, and the length is positive."""
+    def _height(self, x: int) -> tuple[int, int]:
+        """Height of the upper boundary at integer rank x, as the fraction
+        (numerator, segment length); the length is positive."""
         for (r0, d0), (r1, d1) in zip(self.vertices, self.vertices[1:]):
             if r0 <= x <= r1:
                 return d0 * (r1 - r0) + (d1 - d0) * (x - r0), r1 - r0

@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .admissibility import AdmissibleStratum, CaseFamily
@@ -31,6 +30,7 @@ from .core import (
     _hn_lines,
     _hodge_bundle,
     _limit_outcome,
+    _sixths,
 )
 
 
@@ -109,13 +109,6 @@ _FAMILIES = {
         x1_type=(2, 1), refined=0, split=0,
     ),
 }
-
-
-def _sixths(n: int) -> str:
-    """str(Fraction(n, 6)) in integers: n/6 in lowest terms, as "p/q" or "p"."""
-    common = gcd(n, 6)
-    p, q = n // common, 6 // common
-    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> LimitOutcome:
@@ -330,10 +323,12 @@ def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:
 
 class AuditCheck(NamedTuple):
     """A Higgs-invariant subobject of the limit, the sum of the named
-    lines, of the given degree and rank, against the whole bundle's degree
-    d and rank r: its slope must be smaller, or no larger if allow_equal.
-    ``datum`` marks the one check that reads the invariant, a strict one:
-    its subobject holds the datum line I or N.  Texts are built on read."""
+    lines, against the whole bundle's degree d and rank r: its slope, the
+    ratio degree/rank, must be smaller, or no larger if allow_equal.  The
+    steepest-line check (L) scales both by 6, as L's slope may be a
+    half-integer.  ``datum`` marks the one check that reads the invariant,
+    a strict one: its subobject holds the datum line I or N.  Texts are
+    built on read."""
 
     lines: tuple[str, ...]
     degree: int

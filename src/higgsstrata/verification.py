@@ -194,9 +194,10 @@ def _rank3_grid_pass(
     Each grid point's table is built once, checked by all six criteria
     and dropped before the next one is built, so the pass holds one table
     at a time.  Each run of a table row pairs consecutive invariants with
-    their outcome.  build_table has also put every outcome through the
-    oracle, so a rejection shows up here as a table that could not be
-    built (criterion 7).
+    their outcome; criterion 2 checks that a row's runs hold each
+    feasible value once, in order.  build_table has also put every
+    outcome through the oracle, so a rejection shows up here as a table
+    that could not be built (criterion 7).
     The results are kept per grid, so each criterion can run alone or
     after the others at the cost of one pass.
     """
@@ -210,6 +211,8 @@ def _rank3_grid_pass(
                 continue
             if coprime and stratum.case_family is CaseFamily.CASE3_FLAG:
                 failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
+            if row.feasible_set != tuple(limit_classifier.feasible_inputs(stratum)):
+                failures[2].append(f"runs of {stratum.hn} at g={genus.g} miss or repeat a value")
             # Computed once per row: what depends on the row alone.
             inequalities = _case_inequalities(stratum)
             polygon = polygon_of(stratum.hn)

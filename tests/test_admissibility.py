@@ -59,7 +59,7 @@ class TestValidate:
 
     def test_valid_triple(self):
         stratum = validate(parse_hn_type("1:1,1:0,1:-1"), Genus(2))
-        assert stratum.mu_vector == (Fraction(1), Fraction(0), Fraction(-1))
+        assert stratum.hn.mu_vector == (Fraction(1), Fraction(0), Fraction(-1))
 
     def test_semistable_always_valid(self):
         assert validate(parse_hn_type("3:0"), Genus(2)).is_semistable
@@ -101,7 +101,7 @@ class TestEnumerateStrata:
                 strata = enumerate_strata(3, d, Genus(g))
                 assert sum(1 for s in strata if s.is_semistable) == 1
                 for s in strata:
-                    mu1, mu2, mu3 = s.mu_vector
+                    mu1, mu2, mu3 = s.hn.mu_vector
                     assert 0 <= mu1 - mu2 <= 2 * g - 2
                     assert 0 <= mu2 - mu3 <= 2 * g - 2
 
@@ -192,10 +192,11 @@ def test_threshold_below_mu3_iff_case1():
             for stratum in enumerate_strata(3, d, Genus(g)):
                 if stratum.is_semistable:
                     continue
-                mu2, mu3 = stratum.mu_vector[1], stratum.mu_vector[2]
+                mu2, mu3 = stratum.hn.mu_vector[1], stratum.hn.mu_vector[2]
+                mu = Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
                 t = Fraction(stratum.threshold6, 6)  # the case-1 threshold
-                assert (mu2 < stratum.mu) == (mu3 > t)
-                assert (mu2 >= stratum.mu) == (mu3 <= t)
+                assert (mu2 < mu) == (mu3 > t)
+                assert (mu2 >= mu) == (mu3 <= t)
 
 
 def test_wide_spread_forces_singleton_feasible_set():
@@ -207,7 +208,7 @@ def test_wide_spread_forces_singleton_feasible_set():
             for stratum in enumerate_strata(3, d, Genus(g)):
                 if stratum.is_semistable:
                     continue
-                mu1, mu2, mu3 = stratum.mu_vector
+                mu1, mu2, mu3 = stratum.hn.mu_vector
                 if mu1 - mu3 <= 2 * g - 2:
                     continue
                 seen += 1
@@ -226,8 +227,8 @@ RANK3_DATA = ("case_family", "threshold6", "window6", "feasible_integers")
 def reference_rank3_data(stratum) -> dict:
     """The rank-3 integer data from Fraction slopes, as the definitions
     state them."""
-    mu1, mu2, mu3 = stratum.mu_vector
-    mu = stratum.mu
+    mu1, mu2, mu3 = stratum.hn.mu_vector
+    mu = Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
     k = stratum.genus.canonical_degree
     t = (-mu1 + 2 * mu2 + 2 * mu3) / 3
     window = None
@@ -265,8 +266,8 @@ class TestEagerIntegerData:
                         assert set(names) <= vars(stratum).keys()
                         assert {"total_rank", "total_degree"} <= vars(stratum.hn).keys()
                         assert (stratum.hn.total_rank, stratum.hn.total_degree) == (rank, d)
-                        assert stratum.mu6_vector == tuple(6 * m for m in stratum.mu_vector)
-                        assert stratum.mu6 == 6 * stratum.mu
+                        assert stratum.mu6_vector == tuple(6 * m for m in stratum.hn.mu_vector)
+                        assert stratum.mu6 == 6 * Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
                         if rank == 3:
                             got = {name: getattr(stratum, name) for name in RANK3_DATA}
                             assert got == reference_rank3_data(stratum), stratum.hn

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from higgsstrata import core
 from higgsstrata import (
     ClassificationError,
     ClassifierInput,
@@ -163,3 +164,15 @@ def test_incidence_wide_outputs_match_the_benchmark_digests():
     assert len(queries) == 6
     for argv in queries:
         assert _digest(argv) == expected["incidence-wide"][" ".join(argv)], " ".join(argv)
+
+
+def test_every_traced_layer_resolves_in_the_package():
+    # perfbench/layers.py's Tracer.install looks up every (module, name) of
+    # TRACED and wraps the HNType.mu_vector property, whose calls run.py's
+    # MUST_CALL requires.  So invariant_range stays, though nothing in the
+    # package calls it, and so does HNType.mu_vector, while the benchmark
+    # names them.
+    layers = _perfbench("layers")
+    for module, name in layers.TRACED:
+        assert callable(getattr(importlib.import_module(f"higgsstrata.{module}"), name, None)), name
+    assert "mu_vector" in core.HNType.__dict__

@@ -23,29 +23,13 @@ from higgsstrata import (
     enumerate_strata,
     format_hn_type,
     format_label,
-    format_rational,
     parse_hn_type,
     parse_label,
-    parse_rational,
     polygon_of,
-    slope,
 )
 from higgsstrata.core import CaseTag
 
 fractions = st.fractions(min_value=-100, max_value=100)
-
-
-@pytest.mark.parametrize(
-    "rank,degree,expected",
-    [(3, 0, Fraction(0)), (2, 1, Fraction(1, 2)), (3, 4, Fraction(4, 3))],
-)
-def test_slope(rank, degree, expected):
-    assert slope(rank, degree) == expected
-
-
-def test_slope_rejects_zero_rank():
-    with pytest.raises(ValueError):
-        slope(0, 3)
 
 
 @given(fractions, fractions)
@@ -59,12 +43,6 @@ def test_rational_arithmetic_closed_and_reduced(a, b):
 def test_rational_order_transitive(a, b, c):
     x, y, z = sorted((a, b, c))
     assert x <= y <= z and x <= z
-
-
-@pytest.mark.parametrize("value,text", [(Fraction(1, 2), "1/2"), (Fraction(-3), "-3"), (Fraction(4, 3), "4/3")])
-def test_rational_text_encoding(value, text):
-    assert format_rational(value) == text
-    assert parse_rational(text) == value
 
 
 def test_genus():
@@ -142,7 +120,6 @@ class TestHNType:
         hn = HNType(((2, 1), (1, -1)))
         assert not hn.is_semistable
         assert (hn.total_rank, hn.total_degree) == (3, 0)
-        assert hn.slope == 0
         assert HNType(((3, 0),)).is_semistable
 
     def test_text_encoding_round_trip(self):
@@ -223,13 +200,6 @@ class TestTrustedPolygons:
             HNPolygon(((0, 0), vertex, (3, 3)))
 
 
-def test_polygon_heights_are_exact():
-    poly = polygon_of(HNType(((1, 1), (2, -1))))
-    assert poly.height_at(2) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        poly.height_at(4)
-
-
 class TestDominates:
     def test_spec_examples(self):
         p = polygon_of(HNType(((1, 2), (1, 0), (1, -2))))
@@ -268,7 +238,7 @@ def fraction_height(vertices, x):
 
 
 class TestIntegerPolygonArithmetic:
-    """Convexity, heights and dominance agree with Fraction references."""
+    """Convexity, and dominance by heights, agree with Fraction references."""
 
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-9, 9)), min_size=1, max_size=4))
     def test_convexity_and_heights(self, steps):
@@ -280,11 +250,7 @@ class TestIntegerPolygonArithmetic:
             with pytest.raises(ValueError, match="not strictly convex"):
                 HNPolygon(tuple(vertices))
             return
-        poly = HNPolygon(tuple(vertices))
-        for half_ranks in range(2 * poly.total_rank + 1):
-            x = Fraction(half_ranks, 2)
-            assert poly.height_at(x) == fraction_height(vertices, x)
-            assert isinstance(poly.height_at(x), Fraction)
+        assert HNPolygon(tuple(vertices)).vertices == tuple(vertices)
 
     def test_dominance_on_admissible_types(self):
         from higgsstrata import enumerate_strata

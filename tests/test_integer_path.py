@@ -5,7 +5,8 @@ orders steps by cross-multiplying, and the stability audit compares
 each subobject's degree and rank with (d, r).  The references below keep
 the original Fraction formulation of the same rules, branch for branch;
 every outcome and every refusal (class and message) must agree.  The
-last test keeps Fraction-free arithmetic in the package as a whole.
+last tests keep floating point out of the package source, and the name
+Fraction inside the few scopes of its API boundary.
 """
 
 import ast
@@ -33,13 +34,12 @@ from higgsstrata import (
     validate,
 )
 from higgsstrata.admissibility import CaseFamily
-from higgsstrata.limit_classifier import _sixths
 from higgsstrata.core import (
     CaseTag,
     HodgeBundle,
     LimitOutcome,
     PolystableSum,
-    format_rational,
+    _sixths,
 )
 
 # ---------------------------------------------------------------------------
@@ -56,24 +56,21 @@ def _outcome(tag, component, graded, hnt_limit, polystable=False):
 
 
 def reference_case1(stratum, v: int) -> LimitOutcome:
-    mu1, mu2, mu3 = stratum.mu_vector
+    mu1, mu2, mu3 = stratum.hn.mu_vector
     k = stratum.genus.canonical_degree
     d = stratum.hn.total_degree
     d1 = stratum.hn.steps[0][1]
     if v > mu2:
-        raise SlopeOutOfBounds(f"mu(I) = {v} > mu2 = {format_rational(mu2)}")
+        raise SlopeOutOfBounds(f"mu(I) = {v} > mu2 = {mu2}")
     if mu3 < v < mu2:
         raise InfeasibleBySpecialization(
-            f"mu(I) = {v} lies strictly between mu3 = {format_rational(mu3)} "
-            f"and mu2 = {format_rational(mu2)}"
+            f"mu(I) = {v} lies strictly between mu3 = {mu3} and mu2 = {mu2}"
         )
     if v == mu2 and mu2 > mu3:
         degrees = tuple(int(m) for m in (mu1, mu2, mu3))
         return _outcome(CaseTag.C1_4, HodgeBundle((1, 1, 1), degrees), degrees, stratum.hn)
     if v < mu1 - k:
-        raise SlopeOutOfBounds(
-            f"mu(I) = {v} < mu1 - (2g-2) = {format_rational(mu1 - k)}"
-        )
+        raise SlopeOutOfBounds(f"mu(I) = {v} < mu1 - (2g-2) = {mu1 - k}")
     t = Fraction(-mu1 + 2 * mu2 + 2 * mu3, 3)
     if v < t:
         return _outcome(CaseTag.C1_1, HodgeBundle((1, 2), (d1, d - d1)), (d1, d - d1), stratum.hn)
@@ -86,26 +83,24 @@ def reference_case1(stratum, v: int) -> LimitOutcome:
 
 
 def reference_case2(stratum, v: int) -> LimitOutcome:
-    mu1, mu2, mu3 = stratum.mu_vector
-    mu = stratum.mu
+    mu1, mu2, mu3 = stratum.hn.mu_vector
+    mu = Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
     k = stratum.genus.canonical_degree
     d = stratum.hn.total_degree
     d3 = stratum.hn.steps[-1][1]
     e2 = d - d3
     if v > mu1:
-        raise SlopeOutOfBounds(f"mu(N) = {v} > mu1 = {format_rational(mu1)}")
+        raise SlopeOutOfBounds(f"mu(N) = {v} > mu1 = {mu1}")
     if mu2 < v < mu1:
         raise InfeasibleBySpecialization(
-            f"mu(N) = {v} lies strictly between mu2 = {format_rational(mu2)} "
-            f"and mu1 = {format_rational(mu1)}"
+            f"mu(N) = {v} lies strictly between mu2 = {mu2} and mu1 = {mu1}"
         )
     if v == mu1 and mu1 > mu2:
         degrees = tuple(int(m) for m in (mu1, mu2, mu3))
         return _outcome(CaseTag.C2_4, HodgeBundle((1, 1, 1), degrees), degrees, stratum.hn)
     if v < mu1 + mu2 - mu3 - k:
         raise SlopeOutOfBounds(
-            f"mu(N) = {v} < mu1 + mu2 - mu3 - (2g-2) = "
-            f"{format_rational(mu1 + mu2 - mu3 - k)}"
+            f"mu(N) = {v} < mu1 + mu2 - mu3 - (2g-2) = {mu1 + mu2 - mu3 - k}"
         )
     if v < mu:
         return _outcome(CaseTag.C2_1, HodgeBundle((2, 1), (e2, d3)), (e2, d3), stratum.hn)
@@ -118,7 +113,7 @@ def reference_case2(stratum, v: int) -> LimitOutcome:
 
 
 def reference_case3(stratum, aligned: bool) -> LimitOutcome:
-    mu1, mu2, mu3 = (int(m) for m in stratum.mu_vector)
+    mu1, mu2, mu3 = (int(m) for m in stratum.hn.mu_vector)
     k = stratum.genus.canonical_degree
     if aligned:
         component = HodgeBundle((1, 1, 1), (mu1, mu2, mu3))
@@ -156,9 +151,9 @@ def _assert_agree(stratum, invariant, reference, *args):
 def check_stratum(stratum) -> None:
     """Every invariant from 3 below the lower bound to 3 above the upper
     bound (gap and both out-of-bounds sides included), or both flags."""
-    mu1, mu2, mu3 = stratum.mu_vector
-    assert stratum.mu6_vector == tuple(6 * m for m in stratum.mu_vector)
-    assert stratum.mu6 == 6 * stratum.mu
+    mu1, mu2, mu3 = stratum.hn.mu_vector
+    assert stratum.mu6_vector == tuple(6 * m for m in stratum.hn.mu_vector)
+    assert stratum.mu6 == 6 * Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
     assert stratum.threshold6 == 2 * (-mu1 + 2 * mu2 + 2 * mu3)
     k = stratum.genus.canonical_degree
     family = stratum.case_family
@@ -211,7 +206,7 @@ def unstable_rank3(g: int, d: int):
 
 
 def test_sixths_writes_what_fraction_writes():
-    # The refusal messages write the window's ends with _sixths.
+    # The refusal messages and strata's slope texts are written with _sixths.
     for n in range(-600, 601):
         assert _sixths(n) == str(Fraction(n, 6)), n
 
@@ -267,7 +262,8 @@ def test_hn_type_matches_fraction_reference(steps, by_slope):
     assert got.mu_vector == tuple(
         Fraction(d, r) for r, d in want for _ in range(r)
     )
-    assert got.slope == Fraction(sum(d for _, d in want), sum(r for r, _ in want))
+    assert got.total_rank == sum(r for r, _ in want)
+    assert got.total_degree == sum(d for _, d in want)
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +291,21 @@ def test_build_table_never_takes_a_limit(monkeypatch):
 def _reference_check(subobject, lhs, rhs, allow_equal):
     rel = "<=" if allow_equal else "<"
     holds = lhs <= rhs if allow_equal else lhs < rhs
-    return subobject, f"{format_rational(lhs)} {rel} {format_rational(rhs)}", holds, lhs == rhs
+    return subobject, f"{Fraction(lhs)} {rel} {Fraction(rhs)}", holds, lhs == rhs
 
 
 def reference_audit(outcome, inp) -> list[tuple[str, str, bool, bool]]:
     """(subobject, inequality, holds, is_equality) of each check, one
     branch per case tag, from the stratum and the invariant alone."""
     stratum = inp.stratum
-    mu = stratum.mu
+    mu = Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
     tag = outcome.case_tag
     check = _reference_check
     if tag is CaseTag.SEMISTABLE:
         return []
     if tag is CaseTag.RANK2:
         return [check("E/E1", Fraction(stratum.hn.steps[1][1]), mu, False)]
-    mu1, mu2, mu3 = stratum.mu_vector
+    mu1, mu2, mu3 = stratum.hn.mu_vector
     d = stratum.hn.total_degree
     v = inp.invariant
     if tag is CaseTag.C1_1:
@@ -419,3 +415,56 @@ def test_package_source_has_no_floating_point():
     assert len(SOURCES) >= 9
     for path in SOURCES:
         assert inexact_nodes(ast.parse(path.read_text(), str(path))) == [], path.name
+
+
+#: The scopes that may name Fraction: the slope API the benchmark still
+#: reads (HNType.mu_vector, invariant_range and its InvariantRange), the
+#: check that a slope invariant is integral, and the audit's text.
+FRACTION_SCOPES = (
+    "HNType.mu_vector",
+    "InvariantRange",
+    "invariant_range",
+    "classify_rank3",
+    "AuditCheck.inequality",
+)
+
+
+def fraction_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, scope) of each use of the name Fraction outside imports,
+    annotations included; the scope is the dotted class and function
+    path, "" at module level."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Name) and child.id == "Fraction" or (
+                isinstance(child, ast.Attribute) and child.attr == "Fraction"
+            ):
+                found.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_fraction_uses_names_each_scope():
+    source = (
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "x: Fraction = fractions.Fraction(1)\n"
+        "class A:\n"
+        "    def f(self) -> tuple[Fraction, ...]:\n"
+        "        return ()\n"
+    )
+    assert fraction_uses(ast.parse(source)) == [(3, ""), (3, ""), (5, "A.f")]
+
+
+def test_package_names_fraction_only_at_its_api_boundary():
+    for path in SOURCES:
+        for line, scope in fraction_uses(ast.parse(path.read_text(), str(path))):
+            assert any(
+                scope == allowed or scope.startswith(f"{allowed}.") for allowed in FRACTION_SCOPES
+            ), f"{path.name} line {line}: Fraction in {scope or 'module scope'}"

@@ -261,7 +261,7 @@ def test_wide_spread_strata_keep_their_graded_bundle():
             for st in enumerate_strata(3, d, Genus(g)):
                 if st.is_semistable:
                     continue
-                mu1, _, mu3 = st.mu_vector
+                mu1, _, mu3 = st.hn.mu_vector
                 if mu1 - mu3 <= 2 * g - 2:
                     continue
                 inputs = feasible_inputs(st)

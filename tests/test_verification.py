@@ -94,8 +94,8 @@ SLOPE_TAGS = (
 def _fraction_case_matches(stratum, v):
     # Reference for criterion 2: the case inequalities read directly,
     # in Fraction arithmetic on the stratum's slopes.
-    mu1, mu2, mu3 = stratum.mu_vector
-    mu = stratum.mu
+    mu1, mu2, mu3 = stratum.hn.mu_vector
+    mu = Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
     k = stratum.genus.canonical_degree
     t = Fraction(-mu1 + 2 * mu2 + 2 * mu3, 3)
     family = stratum.case_family
@@ -136,7 +136,7 @@ def test_integer_case_inequalities_match_the_fraction_reference():
                 if family not in (CaseFamily.CASE1_I, CaseFamily.CASE2_N):
                     assert inequalities is None
                     continue
-                mu1, mu2, mu3 = stratum.mu_vector
+                mu1, mu2, mu3 = stratum.hn.mu_vector
                 if family is CaseFamily.CASE1_I:
                     low, gap_high = mu1 - k, mu2
                 else:
@@ -225,6 +225,29 @@ def test_run_all_audits_each_run_once(monkeypatch, fresh_grid_pass):
     assert [r for r in results if not r.passed] == []
     assert len(audited) == 1534
     assert results[7].details == "2188 audits with exact strictness"
+
+
+def test_repeated_run_fails_criterion_2(monkeypatch, fresh_grid_pass):
+    # The first rank-3 row of more than one run lists its last run twice.
+    # Each repeated value keeps its outcome, so the case inequalities, the
+    # dominance and the audit all still agree; only the check that a row
+    # holds each feasible value once tells.
+    classify_stratum = limit_classifier.classify_stratum
+    repeated = []
+
+    def repeating(stratum, interned):
+        runs = classify_stratum(stratum, interned)
+        if repeated or stratum.hn.total_rank != 3 or len(runs) < 2:
+            return runs
+        repeated.append((str(stratum), stratum.genus.g, stratum.hn.total_degree))
+        return (*runs, runs[-1])
+
+    monkeypatch.setattr(limit_classifier, "classify_stratum", repeating)
+    results = verification.run_all()
+    assert repeated == [("1:-1,1:-2,1:-3", 2, -6)]
+    failed = {r.number: r.details for r in results if not r.passed}
+    assert list(failed) == [2]
+    assert "runs of 1:-1,1:-2,1:-3 at g=2 miss or repeat a value" in failed[2]
 
 
 def test_value_past_a_case_x1_run_fails_criteria_2_and_8(monkeypatch, fresh_grid_pass):
