@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from higgsstrata import core
 from higgsstrata import (
     ClassificationError,
     ClassifierInput,
@@ -26,6 +25,7 @@ from higgsstrata import (
     classify,
     classify_stratum,
     cli,
+    core,
     enumerate_fixed_components,
     enumerate_strata,
     feasible_inputs,
