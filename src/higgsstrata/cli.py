@@ -303,15 +303,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_grammar(command: str, subparser: argparse.ArgumentParser) -> tuple:
+    """A subcommand parser's plain store actions by exact option string, its
+    required actions, and the namespace of a parse that gives no flag:
+    ``_defaults(command)`` overlaid by each action's default, as argparse
+    sets them."""
+    plain = {
+        flag: action
+        for flag, action in subparser._option_string_actions.items()
+        if type(action) is argparse._StoreAction
+    }
+    required = frozenset(action for action in subparser._actions if action.required)
+    start = {}
+    for action in subparser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            start.setdefault(action.dest, action.default)
+    return plain, required, {**_defaults(command), **start}
+
+
+def _parse_plain(command: str, subparser, tokens) -> argparse.Namespace | None:
+    """The namespace of ``tokens`` when they are exact ``--flag value``
+    pairs that argparse would read the same way: each flag a plain store
+    action's own option string, no dest given twice, each value a string
+    that argparse takes as an argument and that the action's type converts
+    into its choices, and no required action left out.  A value may start
+    with "-" only as a negative integer in ASCII digits, which argparse
+    reads as a value because no option of these parsers looks like a
+    negative number.  None for any other tokens, which argparse then
+    parses and words."""
+    if len(tokens) % 2:
+        return None
+    plain, required, start = _plain_grammar(command, subparser)
+    given, seen = {}, set()
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        action = plain.get(flag)
+        if action is None or action.dest in given or not isinstance(value, str):
+            return None
+        if value[:1] == "-" and not (value[1:].isdigit() and value[1:].isascii()):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**{**start, **given})
+
+
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     """build_parser().parse_args(argv): the same namespace, exit status and
-    messages.  When argv[0] names a subcommand, its parser parses the
-    rest directly, as the subparsers action would, without the top-level
-    pass over argv; any other argv takes the full parse."""
+    messages.  When argv[0] names a subcommand and the rest is plain
+    ``--flag value`` pairs, they are read against that subcommand's own
+    argparse actions (``_parse_plain``).  Any other argv that starts with
+    a subcommand goes to that subcommand's parser, as the subparsers
+    action would hand it over, and any other argv takes the full parse;
+    argparse parses, and words, every error, usage line and help text."""
     parser = build_parser()
     subparser = parser.subcommands.choices.get(argv[0]) if argv else None
     if subparser is None:
         return parser.parse_args(argv)
+    args = _parse_plain(argv[0], subparser, argv[1:])
+    if args is not None:
+        return args
     args, extras = subparser.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -50,7 +50,10 @@ argv = st.one_of(
         "limit",
         genus,
         degree,
-        hn_text.map(lambda text: [f"--hn={text}"]),
+        # Joined, argparse parses it; as two tokens, the plain path may read it.
+        st.tuples(st.booleans(), hn_text).map(
+            lambda drawn: ["--hn", drawn[1]] if drawn[0] else [f"--hn={drawn[1]}"]
+        ),
         st.one_of(
             flag("--inv", small_degree),
             flag("--aligned", st.sampled_from(["true", "false", "no", "maybe"])),

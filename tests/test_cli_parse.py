@@ -1,10 +1,14 @@
 """``cli.parse_args`` against the full parse it short-cuts.
 
-When argv[0] names a subcommand, ``parse_args`` hands the rest of argv
-straight to that subcommand's parser.  Over the benchmark's cli-mix
-command lines and over mutations of them, its namespace, exit status,
-stdout and stderr must equal those of ``build_parser().parse_args``.
+When argv[0] names a subcommand, ``parse_args`` reads plain ``--flag
+value`` pairs against that subcommand's own argparse actions, and hands
+any other rest of argv straight to that subcommand's parser.  Over the
+benchmark's cli-mix command lines and over mutations of them, its
+namespace, exit status, stdout and stderr must equal those of
+``build_parser().parse_args``.
 """
+
+import argparse
 
 import contextlib
 import functools
@@ -74,10 +78,27 @@ def test_cli_mix_argvs_parse_as_the_full_parser_does():
         ["fix", "--genus", "2"],
         ["--genus", "2", "fixed"],
         ("fixed", "--genus", "2", "--rank", "2", "--degree", "1"),
+        ["limit", "--genus", "2", "--hn", "1:0,2:-2", "--inv", "1", "--inv", "2"],
+        ["limit", "--genus", "2", "--hn", "1:1,1:0,1:-1", "--inv", "1", "--aligned", "true"],
+        ["strata", "--genus", "2", "--rank", "3", "--degree", "0", "--format", "xml"],
+        ["limit", "--genus", "2", "--hn", "-1:0"],
+        ["verify", "--format"],
     ],
 )
 def test_edge_argvs_parse_as_the_full_parser_does(argv):
     assert_same_parse(argv)
+
+
+def test_cli_mix_argvs_never_reach_argparse(monkeypatch):
+    """Every cli-mix command line is plain ``--flag value`` pairs, read
+    from the subcommand's actions without an argparse parse."""
+    full = [cli.build_parser().parse_args(argv) for argv in mix_argvs()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [cli.parse_args(argv) for argv in mix_argvs()] == full
 
 
 def test_no_argv_reads_sys_argv(monkeypatch):
@@ -87,11 +108,13 @@ def test_no_argv_reads_sys_argv(monkeypatch):
 
 
 # Tokens a mutation inserts: help, the end-of-options marker, abbreviated
-# and joined flags, flags of other subcommands, values and stray words.
+# and joined flags, flags of other subcommands, values and stray words, and
+# values near the plain path's edge: dashed words and non-ASCII digits.
 TOKENS = [
     "-h", "--help", "--", "--gen", "--ge", "--g", "--genus=3", "--hn=1:0,2:-2",
     "--rank", "--degree", "--deg", "--inv", "--aligned", "--format", "--output",
     "json", "csv", "3", "-2", "0", "1:1,2:0", "true", "extra", "fixed", "verify", "",
+    "-1:0", "-1.5", "-²", "-x", "-", "٣", " -3", "1e3", "--inv=-2", "-0",
 ]
 
 
