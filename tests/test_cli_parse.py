@@ -9,7 +9,6 @@ namespace, exit status, stdout and stderr must equal those of
 """
 
 import argparse
-
 import contextlib
 import functools
 import importlib
