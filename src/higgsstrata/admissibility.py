@@ -9,12 +9,12 @@ and sweep in this package relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Genus, HNType, StrataError, _hn_type
+from .core import Frozen, Genus, HNType, StrataError, _hn_type, _set
 
 
 class AdmissibilityError(StrataError):
@@ -44,8 +44,7 @@ class CaseFamily(Enum):
     __hash__ = object.__hash__  # by identity, in C, as CaseTag
 
 
-@dataclass(frozen=True)
-class AdmissibleStratum:
+class AdmissibleStratum(Frozen):
     """A Shatz stratum label that passes the slope bounds for its genus.
 
     "Admissible" means the bounds necessary for the stratum to contain a
@@ -59,17 +58,17 @@ class AdmissibleStratum:
     another rank raises RankUnsupported.
     """
 
-    hn: HNType
-    genus: Genus
+    _fields = ("hn", "genus")
 
-    def __post_init__(self) -> None:
+    def __init__(self, hn: HNType, genus: Genus) -> None:
         # Slopes scaled by 6, as integers.  Every step of a rank-2 or
         # rank-3 type has rank 1, 2 or 3, so 6*mu_i = 6*d_i/r_i is an
         # integer, and so is 6*mu = 6*d/r.  Comparing 6*v with these
         # decides exactly what comparing v with the slopes decides.  The
-        # values live in the instance __dict__, which the frozen
-        # dataclass's __eq__, __hash__ and __repr__ never look at.
-        hn = self.hn
+        # values live in the instance __dict__ outside _fields, so
+        # __eq__, __hash__ and __repr__ never look at them.
+        _set(self, "hn", hn)
+        _set(self, "genus", genus)
         steps = hn.steps
         mu6 = 6 * hn.total_degree // hn.total_rank
         if hn.total_rank != 3:
@@ -97,7 +96,7 @@ class AdmissibleStratum:
         # x.1 (below it), x.2 (at it) and x.3: it is t in family 1 and mu
         # in family 2.  Family 2 is family 1 on the dual bundle, which is
         # why the two windows mirror each other.
-        k6 = 12 * self.genus.g - 12  # 6 * (2g-2)
+        k6 = 12 * genus.g - 12  # 6 * (2g-2)
         window6 = None
         if len(steps) == 1:
             family = CaseFamily.NONE
@@ -123,7 +122,7 @@ class AdmissibleStratum:
         )
 
     def __getattr__(self, name: str):
-        # Reached only for a name __post_init__ did not set.
+        # Reached only for a name __init__ did not set.
         if name in _RANK3_DATA:
             raise RankUnsupported("case families are defined for rank 3 only")
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -212,22 +211,20 @@ def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStr
     return strata
 
 
-@dataclass(frozen=True)
-class InvariantRange:
+class InvariantRange(namedtuple(
+    "InvariantRange", "case_family interval_low interval_high isolated_point feasible_integers"
+)):
     """Feasible values of the auxiliary slope invariant of a stratum.
 
     The closed interval is the a-priori bound on the invariant; the
     isolated point is the extra value allowed at the far end of the
     excluded open gap (the interior of which is infeasible because the
-    HN polygon rises under specialization).  ``feasible_integers``
+    HN polygon rises under specialization): Fractions, or None for a
+    stratum that takes no slope invariant.  ``feasible_integers``
     collects every integer in the interval plus the isolated point.
     """
 
-    case_family: CaseFamily
-    interval_low: Fraction | None
-    interval_high: Fraction | None
-    isolated_point: Fraction | None
-    feasible_integers: tuple[int, ...]
+    __slots__ = ()
 
 
 def invariant_range(stratum: AdmissibleStratum) -> InvariantRange:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import incidence as incidence_mod
 from . import verification
@@ -36,16 +36,8 @@ from .fixed_points import enumerate_fixed_components
 from .limit_classifier import ClassifierInput, Invariant, classify
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    genus: int
-    rank: int | None = None
-    degree: int | None = None
-    hn: str | None = None
-    invariant: Invariant = None
-    format: str = "table"
-    output: str | None = None
+RunConfig = namedtuple("RunConfig", "command genus rank degree hn invariant format output",
+                       defaults=(None, None, None, None, "table", None))
 
 
 class UsageError(StrataError):
@@ -249,7 +241,7 @@ def _defaults(command: str | None) -> dict:
     """Every RunConfig field's value before parsing, so that each field has
     one whichever subcommand runs; verify takes no --genus and runs at the
     default."""
-    return vars(RunConfig(command=command, genus=2))
+    return RunConfig(command=command, genus=2)._asdict()
 
 
 @functools.cache

@@ -19,12 +19,11 @@ another module builds directly stays checked, with every error text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Union
+from operator import attrgetter
 
 
 class StrataError(Exception):
@@ -47,10 +46,40 @@ def _sixths(n: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-# The trusted constructors below set a frozen dataclass's fields as its
-# generated __init__ does, through object.__setattr__.
+# Frozen objects get their fields through object.__setattr__: in the
+# checked __init__, and in the trusted constructors below, which skip it.
 _new = object.__new__
 _set = object.__setattr__
+
+
+class FrozenInstanceError(AttributeError):
+    """Assigning or deleting an attribute of a Frozen value."""
+
+
+class Frozen:
+    """Base of the checked value types: immutable, equal only to an object
+    of its own class with equal ``_fields``, hashed as the tuple of those
+    fields and printed as Name(field=value, ...).  Each subclass's
+    __init__ checks its arguments and sets the fields with _set."""
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls._fields)  # of one name: the value, not a 1-tuple
+        key = (lambda self: (get(self),)) if len(cls._fields) == 1 else get
+
+        def __eq__(self, other):
+            return get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
+
+        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _ints(values) -> tuple[int, ...] | None:
@@ -63,30 +92,28 @@ def _ints(values) -> tuple[int, ...] | None:
     return ints if ints == values or ints == tuple(values) else None
 
 
-@dataclass(frozen=True)
-class Genus:
+class Genus(Frozen):
     """Genus of the base curve; the theory requires g >= 2."""
 
-    g: int
+    _fields = ("g",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, g: int) -> None:
         try:
-            g = int(self.g)
+            n = int(g)
         except (TypeError, ValueError, OverflowError):
-            g = None
-        if g is None or g != self.g:
-            raise InvalidGenus(f"genus must be an integer, got {self.g!r}")
-        if g < 2:
-            raise InvalidGenus(f"genus must be >= 2, got {g}")
-        object.__setattr__(self, "g", g)
+            n = None
+        if n is None or n != g:
+            raise InvalidGenus(f"genus must be an integer, got {g!r}")
+        if n < 2:
+            raise InvalidGenus(f"genus must be >= 2, got {n}")
+        _set(self, "g", n)
 
     @property
     def canonical_degree(self) -> int:
         return 2 * self.g - 2
 
 
-@dataclass(frozen=True)
-class HNType:
+class HNType(Frozen):
     """Harder-Narasimhan type: (rank, degree) subquotients, steepest first.
 
     Consecutive steps of equal slope are merged at construction, so
@@ -96,14 +123,13 @@ class HNType:
     type.
     """
 
-    steps: tuple[tuple[int, int], ...]
+    _fields = ("steps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: tuple[tuple[int, int], ...]) -> None:
         # One pass converts the steps, merges equal slopes and sums the
         # totals; the checks it notes raise afterwards, in a fixed order.
         # Once ranks are positive, d/r against pd/pr compares as d*pr
         # against pd*r: exact without building rationals.
-        steps = self.steps
         raw: list[tuple[int, int]] = []
         merged: list[tuple[int, int]] = []
         rank = degree = 0
@@ -137,11 +163,11 @@ class HNType:
             raise InvalidHNType(f"step ranks must be positive: {tuple(raw)}")
         if not slopes_decrease:
             raise InvalidHNType(f"subquotient slopes must be strictly decreasing: {tuple(raw)}")
-        # total_rank and total_degree are plain attributes.  Like the
-        # cached mu_vector below, they live in the instance
-        # __dict__, which the frozen dataclass's __eq__, __hash__ and
-        # __repr__ never look at.
-        vars(self).update(steps=tuple(merged), total_rank=rank, total_degree=degree)
+        # total_rank, total_degree and the cached mu_vector below are outside
+        # _fields: __eq__, __hash__ and __repr__ never look at them.
+        _set(self, "steps", tuple(merged))
+        _set(self, "total_rank", rank)
+        _set(self, "total_degree", degree)
 
     @property
     def is_semistable(self) -> bool:
@@ -213,16 +239,15 @@ def parse_hn_type(text: str) -> HNType:
     return HNType(parse_hn_steps(text))
 
 
-@dataclass(frozen=True)
-class HNPolygon:
+class HNPolygon(Frozen):
     """Convex polygon of cumulative (rank, degree) pairs from (0,0)."""
 
-    vertices: tuple[tuple[int, int], ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self) -> None:
-        v = tuple(map(_ints, self.vertices))
+    def __init__(self, vertices: tuple[tuple[int, int], ...]) -> None:
+        v = tuple(map(_ints, vertices))
         if any(p is None or len(p) != 2 for p in v):
-            raise ValueError(f"polygon vertices must be pairs of integers: {self.vertices!r}")
+            raise ValueError(f"polygon vertices must be pairs of integers: {vertices!r}")
         if len(v) < 2 or v[0] != (0, 0):
             raise ValueError(f"polygon must start at (0,0): {v}")
         segs = list(zip(v, v[1:]))
@@ -232,7 +257,7 @@ class HNPolygon:
         runs = [(r1 - r0, d1 - d0) for (r0, d0), (r1, d1) in segs]
         if any(d1 * r0 >= d0 * r1 for (r0, d0), (r1, d1) in zip(runs, runs[1:])):
             raise ValueError(f"polygon is not strictly convex: {v}")
-        object.__setattr__(self, "vertices", v)
+        _set(self, "vertices", v)
 
     @property
     def total_rank(self) -> int:
@@ -306,8 +331,7 @@ _LABEL_TEXT = {
 _HODGE_TYPES = {ranks: ranks for ranks in _LABEL_TEXT}
 
 
-@dataclass(frozen=True)
-class HodgeBundle:
+class HodgeBundle(Frozen):
     """A non-polystable fixed point: a Hodge bundle of the given type.
 
     ``ranks`` are the ranks of the weight pieces and ``degrees`` their
@@ -316,24 +340,23 @@ class HodgeBundle:
     rank-2 component, and (1,2), (2,1) and (1,1,1) the rank-3 ones.
     """
 
-    ranks: tuple[int, ...]
-    degrees: tuple[int, ...]
+    _fields = ("ranks", "degrees")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ranks: tuple[int, ...], degrees: tuple[int, ...]) -> None:
         try:
-            ranks = _HODGE_TYPES.get(tuple(self.ranks))
+            shared = _HODGE_TYPES.get(tuple(ranks))
         except TypeError:  # not iterable, or unhashable items
-            ranks = None
-        if ranks is None:
-            raise ValueError(f"not a supported Hodge type: {self.ranks!r}")
-        degrees = _ints(self.degrees)
-        if degrees is None or len(degrees) != len(ranks):
+            shared = None
+        if shared is None:
+            raise ValueError(f"not a supported Hodge type: {ranks!r}")
+        ints = _ints(degrees)
+        if ints is None or len(ints) != len(shared):
             raise ValueError(
-                f"a Hodge bundle of type {ranks} needs {len(ranks)} integer "
-                f"degrees, got {self.degrees!r}"
+                f"a Hodge bundle of type {shared} needs {len(shared)} integer "
+                f"degrees, got {degrees!r}"
             )
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "degrees", degrees)
+        _set(self, "ranks", shared)
+        _set(self, "degrees", ints)
 
 
 def _hodge_bundle(ranks: tuple[int, ...], degrees: tuple[int, ...]) -> HodgeBundle:
@@ -355,8 +378,7 @@ def _hodge_bundle(ranks: tuple[int, ...], degrees: tuple[int, ...]) -> HodgeBund
     return bundle
 
 
-@dataclass(frozen=True)
-class PolystableSum:
+class PolystableSum(Frozen):
     """Strictly polystable limit: an unordered direct sum of stable summands.
 
     Each summand is the tuple of its pieces' degrees in Hodge-weight
@@ -365,18 +387,17 @@ class PolystableSum:
     through different cases compare equal.
     """
 
-    summands: tuple[tuple[int, ...], ...]
+    _fields = ("summands",)
 
-    def __post_init__(self) -> None:
-        summands = tuple(map(_ints, self.summands))
-        if not summands:
+    def __init__(self, summands: tuple[tuple[int, ...], ...]) -> None:
+        ints = tuple(map(_ints, summands))
+        if not ints:
             raise ValueError("polystable sum needs at least one summand")
-        if None in summands:
-            raise ValueError(f"summand degrees must be integers: {self.summands!r}")
-        if () in summands:
-            raise ValueError(f"polystable summands must be nonempty: {self.summands!r}")
-        canon = tuple(sorted(summands, key=lambda s: (-len(s), s)))
-        object.__setattr__(self, "summands", canon)
+        if None in ints:
+            raise ValueError(f"summand degrees must be integers: {summands!r}")
+        if () in ints:
+            raise ValueError(f"polystable summands must be nonempty: {summands!r}")
+        _set(self, "summands", tuple(sorted(ints, key=lambda s: (-len(s), s))))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -384,7 +405,7 @@ class PolystableSum:
         return tuple(d for s in self.summands for d in s)
 
 
-FixedComponentLabel = Union[HodgeBundle, PolystableSum]
+FixedComponentLabel = HodgeBundle | PolystableSum
 
 
 def format_label(label: FixedComponentLabel) -> str:
@@ -458,8 +479,7 @@ class CaseTag(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class LimitOutcome:
+class LimitOutcome(Frozen):
     """Full description of the limiting Hodge bundle of a downward flow.
 
     ``graded_degrees`` lists the degrees of the summands of the limit's
@@ -470,18 +490,19 @@ class LimitOutcome:
     separately, since the two orders genuinely differ.
     """
 
-    case_tag: CaseTag
-    component: FixedComponentLabel
-    hnt_limit: HNType
+    _fields = ("case_tag", "component", "hnt_limit")
 
-    def __post_init__(self) -> None:
-        graded = _ints(self.graded_degrees)
+    def __init__(
+        self, case_tag: CaseTag, component: FixedComponentLabel, hnt_limit: HNType
+    ) -> None:
+        graded = _ints(component.degrees)
         if graded is None:
-            raise ValueError(f"graded degrees must be integers: {self.graded_degrees!r}")
-        if sum(graded) != self.hnt_limit.total_degree:
-            raise ValueError(
-                f"graded degrees {graded} do not sum to {self.hnt_limit.total_degree}"
-            )
+            raise ValueError(f"graded degrees must be integers: {component.degrees!r}")
+        if sum(graded) != hnt_limit.total_degree:
+            raise ValueError(f"graded degrees {graded} do not sum to {hnt_limit.total_degree}")
+        _set(self, "case_tag", case_tag)
+        _set(self, "component", component)
+        _set(self, "hnt_limit", hnt_limit)
 
     @property
     def graded_degrees(self) -> tuple[int, ...]:

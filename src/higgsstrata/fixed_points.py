@@ -24,7 +24,7 @@ the acceptance suite checks the list against each incidence table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .admissibility import RankUnsupported
 from .core import (
@@ -41,8 +41,7 @@ class NoIntegerSolution(StrataError):
     """The (m1, m2, degree) data admit no integer line degrees."""
 
 
-@dataclass(frozen=True)
-class MInvariants:
+class MInvariants(namedtuple("MInvariants", "m1 m2 genus degree")):
     """Coupling zero-counts of a type-(1,1,1) fixed point.
 
     m1 counts the zeros of the weight-raising map L1 -> L2 (x) K and m2
@@ -51,10 +50,7 @@ class MInvariants:
     coordinate change is useful outside the region too).
     """
 
-    m1: int
-    m2: int
-    genus: Genus
-    degree: int
+    __slots__ = ()
 
 
 def validate_m_invariants(m: MInvariants) -> bool:

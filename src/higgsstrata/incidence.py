@@ -10,7 +10,6 @@ rank 3; in rank 2 the correspondence is a bijection.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 from types import SimpleNamespace
 
@@ -18,22 +17,26 @@ from . import fixed_points, limit_classifier, matrix_oracle
 from .admissibility import AdmissibleStratum, RankUnsupported, enumerate_strata
 from .core import (
     FixedComponentLabel,
+    Frozen,
     Genus,
     HNType,
     HodgeBundle,
     LimitOutcome,
+    _set,
     format_hn_type,
     format_label,
 )
 from .limit_classifier import Invariant, Run
 
 
-@dataclass(frozen=True)
-class IncidenceRow:
+class IncidenceRow(Frozen):
     """A stratum's feasible invariants and outcomes, as classify_stratum's runs."""
 
-    stratum: AdmissibleStratum
-    runs: tuple[Run, ...]
+    _fields = ("stratum", "runs")
+
+    def __init__(self, stratum: AdmissibleStratum, runs: tuple[Run, ...]) -> None:
+        _set(self, "stratum", stratum)
+        _set(self, "runs", runs)
 
     @property
     def entries(self) -> tuple[tuple[Invariant, LimitOutcome], ...]:
@@ -45,18 +48,22 @@ class IncidenceRow:
         return tuple(key for values, _ in self.runs for key in values)
 
 
-@dataclass(frozen=True)
-class IncidenceTable:
-    rank: int
-    degree: int
-    genus: Genus
-    rows: tuple[IncidenceRow, ...]
-    #: Association list (sorted by label text) from each fixed-component
-    #: label to the HN types of the strata reaching it.
-    bb_index: tuple[tuple[FixedComponentLabel, tuple[HNType, ...]], ...]
-    #: The text of each component object in ``rows``, by its id: build_table
-    #: formats each distinct component once.  Empty in any other table.
-    label_texts: dict[int, str] = field(default_factory=dict, init=False, compare=False, repr=False)
+class IncidenceTable(Frozen):
+    """One (rank, degree, genus) point's rows; ``bb_index`` lists, sorted by
+    label text, each fixed-component label with the HN types of the strata
+    reaching it.  ``label_texts``, outside _fields, holds each component's
+    text in ``rows`` by its id, as build_table formats each distinct
+    component once; it is empty in any other table."""
+
+    _fields = ("rank", "degree", "genus", "rows", "bb_index")
+
+    def __init__(
+        self, rank: int, degree: int, genus: Genus, rows: tuple[IncidenceRow, ...],
+        bb_index: tuple[tuple[FixedComponentLabel, tuple[HNType, ...]], ...],
+    ) -> None:
+        for name, value in zip(self._fields, (rank, degree, genus, rows, bb_index)):
+            _set(self, name, value)
+        _set(self, "label_texts", {})
 
     def bb_map(self) -> dict[FixedComponentLabel, tuple[HNType, ...]]:
         return dict(self.bb_index)

@@ -17,9 +17,8 @@ built anywhere else keep every check.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .admissibility import AdmissibleStratum, CaseFamily
 from .core import (
@@ -69,14 +68,10 @@ Invariant = int | bool | None
 Run = tuple[range | tuple[Invariant, ...], LimitOutcome]
 
 
-@dataclass(frozen=True)
-class ClassifierInput:
-    stratum: AdmissibleStratum
-    invariant: Invariant
+ClassifierInput = namedtuple("ClassifierInput", "stratum invariant")
 
 
-@dataclass(frozen=True)
-class _SlopeFamily:
+class _SlopeFamily(namedtuple("_SlopeFamily", "relation datum ends tags x1_type refined split")):
     """What tells case family 2 from case family 1.
 
     Both read the window AdmissibleStratum.window6.  Below the threshold
@@ -86,15 +81,15 @@ class _SlopeFamily:
     Q = (E/E1)/I, N refines E2 into N and R = E2/N.  Family 2 is family 1
     on the dual bundle, which swaps sub and quotient; the table holds
     the names and positions that swap.
+
+    relation: how mu2 compares with mu; datum: the line the invariant
+    measures; ends: the names of the window's low, gap_low and gap_high;
+    tags: cases x.1 to x.4; x1_type: the Hodge type of case x.1's (sub,
+    quotient) limit; refined: the rank-2 piece the datum line refines, 0
+    sub or 1 quotient; split: the line, in weight order, split off in x.2.
     """
 
-    relation: str  # how mu2 compares with mu
-    datum: str  # the line the invariant measures
-    ends: tuple[str, str, str]  # names of the window's low, gap_low, gap_high
-    tags: tuple[CaseTag, CaseTag, CaseTag, CaseTag]  # cases x.1 to x.4
-    x1_type: tuple[int, int]  # Hodge type of case x.1's (sub, quotient) limit
-    refined: int  # the rank-2 piece, which the datum line refines: 0 sub, 1 quotient
-    split: int  # the line, in weight order, that splits off in case x.2
+    __slots__ = ()
 
 
 _FAMILIES = {
@@ -321,7 +316,9 @@ def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:
 # Stability audit
 
 
-class AuditCheck(NamedTuple):
+class AuditCheck(namedtuple(
+    "AuditCheck", "lines degree rank d r allow_equal datum", defaults=(False, False)
+)):
     """A Higgs-invariant subobject of the limit, the sum of the named
     lines, against the whole bundle's degree d and rank r: its slope, the
     ratio degree/rank, must be smaller, or no larger if allow_equal.  The
@@ -330,13 +327,7 @@ class AuditCheck(NamedTuple):
     a strict one: its subobject holds the datum line I or N.  Texts are
     built on read."""
 
-    lines: tuple[str, ...]
-    degree: int
-    rank: int
-    d: int
-    r: int
-    allow_equal: bool = False
-    datum: bool = False
+    __slots__ = ()
 
     @property
     def subobject(self) -> str:

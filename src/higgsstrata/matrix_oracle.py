@@ -9,16 +9,15 @@ exponents and on which blocks vanish, never on the entries themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import CaseTag, LimitOutcome
+from .core import CaseTag, Frozen, LimitOutcome, _set
 
 Grid = tuple[tuple[bool, ...], ...]
 IntGrid = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class BlockPattern:
+class BlockPattern(Frozen):
     """Zero/nonzero block flags for a Higgs field and a dbar operator,
     with one Hodge weight per graded piece.
 
@@ -28,29 +27,31 @@ class BlockPattern:
     computations only ever use (0,1), (0,1,2) and (0,0,1).
     """
 
-    weights: tuple[int, ...]
-    higgs_blocks: Grid
-    dbar_blocks: Grid
+    _fields = ("weights", "higgs_blocks", "dbar_blocks")
 
-    def __post_init__(self) -> None:
-        n = len(self.weights)
-        for name, grid in (("higgs", self.higgs_blocks), ("dbar", self.dbar_blocks)):
+    def __init__(self, weights: tuple[int, ...], higgs_blocks: Grid, dbar_blocks: Grid) -> None:
+        n = len(weights)
+        for name, grid in (("higgs", higgs_blocks), ("dbar", dbar_blocks)):
             if len(grid) != n or any(len(row) != n for row in grid):
                 raise ValueError(f"{name} grid must be {n}x{n}")
         for i in range(n):
             for j in range(i + 1):
-                if self.dbar_blocks[i][j]:
+                if dbar_blocks[i][j]:
                     raise ValueError(
                         f"dbar block ({i + 1},{j + 1}) on or below the diagonal"
                     )
+        _set(self, "weights", weights)
+        _set(self, "higgs_blocks", higgs_blocks)
+        _set(self, "dbar_blocks", dbar_blocks)
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class LimitPattern:
+class LimitPattern(namedtuple(
+    "LimitPattern", "converges limit_higgs limit_dbar exponents dbar_exponents divergent_blocks"
+)):
     """Result of letting z -> 0 on a scaled block pattern.
 
     Converges iff every nonzero block scales with nonnegative exponent;
@@ -58,12 +59,7 @@ class LimitPattern:
     ``exponents`` is the Higgs exponent grid.
     """
 
-    converges: bool
-    limit_higgs: Grid
-    limit_dbar: Grid
-    exponents: IntGrid
-    dbar_exponents: IntGrid
-    divergent_blocks: tuple[tuple[str, int, int], ...]
+    __slots__ = ()
 
 
 def scale_exponents(p: BlockPattern) -> tuple[IntGrid, IntGrid]:

@@ -19,23 +19,18 @@ shows as a disagreement instead of being shared.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from . import fixed_points, incidence, limit_classifier, matrix_oracle
 from .admissibility import CaseFamily
-from .core import CaseTag, Genus, HodgeBundle, dominates, polygon_of
+from .core import CaseTag, Genus, HodgeBundle, StrataError, dominates, polygon_of
 
 GENERA = (2, 3, 4, 5)
 DEGREES = tuple(range(-6, 7))
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    details: str
+CriterionResult = namedtuple("CriterionResult", "number name passed details")
 
 
 def _result(number: int, name: str, failures: list[str], detail: str) -> CriterionResult:
@@ -51,14 +46,17 @@ def _grid(genera, degrees):
     return [(Genus(g), d) for g in genera for d in degrees]
 
 
-def _tables(rank: int, genera, degrees, failures: list[str]):
-    # Each grid point's table in turn.  build_table raises AssertionError when
-    # its fixed-point or oracle check rejects an outcome: a failure, not a crash.
+def _tables(rank: int, genera, degrees, rejections: list[str], errors: list[str]):
+    # Each grid point's table in turn.  A rejected outcome (AssertionError) and
+    # a refused feasible value (StrataError) become failures, not crashes.
     for genus, d in _grid(genera, degrees):
         try:
             table = incidence.build_table(rank, d, genus)
         except AssertionError as exc:
-            failures.append(f"g={genus.g}, d={d}: {exc}")
+            rejections.append(f"g={genus.g}, d={d}: {exc}")
+            continue
+        except StrataError as exc:
+            errors.append(f"g={genus.g}, d={d}: {type(exc).__name__}: {exc}")
             continue
         yield genus, d, table
 
@@ -68,7 +66,7 @@ def criterion_rank2_coincidence(genera=GENERA, degrees=DEGREES) -> CriterionResu
     count recomputed from the bound d < 2*d1 <= d + 2g-2."""
     failures = []
     checked = 0
-    for genus, d, table in _tables(2, genera, degrees, failures):
+    for genus, d, table in _tables(2, genera, degrees, failures, failures):
         if not incidence.check_rank2_coincidence(table):
             failures.append(f"coincidence fails at rank 2, d={d}, g={genus.g}")
         k = genus.canonical_degree
@@ -197,13 +195,14 @@ def _rank3_grid_pass(
     their outcome; criterion 2 checks that a row's runs hold each
     feasible value once, in order.  build_table has also put every
     outcome through the oracle, so a rejection shows up here as a table
-    that could not be built (criterion 7).
+    that could not be built (criterion 7); so does a classifier error on
+    a feasible value (criterion 2).
     The results are kept per grid, so each criterion can run alone or
     after the others at the cost of one pass.
     """
     failures: dict[int, list[str]] = {n: [] for n in (2, 3, 4, 5, 7, 8)}
     classified = gap_checked = coprime_count = verified_total = 0
-    for genus, d, table in _tables(3, genera, degrees, failures[7]):
+    for genus, d, table in _tables(3, genera, degrees, failures[7], failures[2]):
         coprime = gcd(3, d) == 1
         for row in table.rows:
             stratum = row.stratum
@@ -359,8 +358,9 @@ def criterion_determinism() -> CriterionResult:
         try:
             code1, out1 = cli.run(config)
             code2, out2 = cli.run(config)
-        except AssertionError as exc:
-            failures.append(f"incidence run failed for rank {rank}, d={degree}: {exc}")
+        except (AssertionError, StrataError) as exc:
+            kind = type(exc).__name__
+            failures.append(f"incidence run failed for rank {rank}, d={degree}: {kind}: {exc}")
             continue
         if code1 != 0 or code2 != 0:
             failures.append(f"incidence run failed for rank {rank}, d={degree}")

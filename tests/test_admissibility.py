@@ -1,6 +1,5 @@
 """Slope bounds, stratum enumeration and invariant ranges."""
 
-from dataclasses import fields
 from fractions import Fraction
 from math import ceil, floor
 
@@ -287,8 +286,8 @@ class TestEagerIntegerData:
             stratum.no_such_attribute
 
     def test_equality_hash_and_repr_see_only_the_fields(self):
-        assert [f.name for f in fields(AdmissibleStratum)] == ["hn", "genus"]
-        assert [f.name for f in fields(HNType)] == ["steps"]
+        assert AdmissibleStratum._fields == ("hn", "genus")
+        assert HNType._fields == ("steps",)
         hn = HNType(((1, 1), (1, 0), (1, 0)))
         assert repr(hn) == "HNType(steps=((1, 1), (2, 0)))"
         assert hn == HNType(((1, 1), (2, 0)))

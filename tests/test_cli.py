@@ -315,3 +315,18 @@ class TestSharedParser:
         assert shared[4][2].endswith(
             "error: argument --aligned: not allowed with argument --inv\n"
         )
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # Without site, the interpreter loads only what the import asks for.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys\n"
+        "import higgsstrata.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"

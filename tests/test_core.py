@@ -27,7 +27,10 @@ from higgsstrata import (
     parse_label,
     polygon_of,
 )
-from higgsstrata.core import CaseTag
+from higgsstrata.admissibility import AdmissibleStratum
+from higgsstrata.core import CaseTag, Frozen
+from higgsstrata.incidence import IncidenceRow, IncidenceTable, build_table
+from higgsstrata.matrix_oracle import BlockPattern
 
 fractions = st.fractions(min_value=-100, max_value=100)
 
@@ -163,10 +166,10 @@ class TestTrustedPolygons:
                 assert all(type(x) is int for vertex in trusted.vertices for x in vertex)
 
     def test_polygon_of_runs_no_check(self, monkeypatch):
-        def refuse(self):
+        def refuse(self, *args):
             raise AssertionError("HNPolygon checks ran")
 
-        monkeypatch.setattr(HNPolygon, "__post_init__", refuse)
+        monkeypatch.setattr(HNPolygon, "__init__", refuse)
         assert polygon_of(HNType(((1, 2), (1, 0), (1, -2)))).vertices == (
             (0, 0), (1, 2), (2, 2), (3, 0),
         )
@@ -416,3 +419,80 @@ class TestLimitOutcome:
     def test_polystable_flag_is_read_from_the_component(self, component, polystable):
         out = LimitOutcome(CaseTag.C1_3, component, HNType(((1, 1), (1, 0), (1, -1))))
         assert out.strictly_polystable is polystable
+
+
+# One instance of each Frozen type, and its repr: Name(field=value, ...),
+# the text a frozen dataclass prints.
+_HN = HNType(((1, 1), (1, 0), (1, -1)))
+_POLY = PolystableSum(((0,), (1, -1)))
+FROZEN_VALUES = {
+    Genus: (lambda: Genus(3), "Genus(g=3)"),
+    HNType: (lambda: HNType(((1, 1), (2, 0))), "HNType(steps=((1, 1), (2, 0)))"),
+    HNPolygon: (
+        lambda: HNPolygon(((0, 0), (1, 1), (3, 1))),
+        "HNPolygon(vertices=((0, 0), (1, 1), (3, 1)))",
+    ),
+    HodgeBundle: (
+        lambda: HodgeBundle((1, 2), (1, -1)), "HodgeBundle(ranks=(1, 2), degrees=(1, -1))"
+    ),
+    PolystableSum: (lambda: PolystableSum(((0,), (1, -1))), "PolystableSum(summands=((1, -1), (0,)))"),
+    LimitOutcome: (
+        lambda: LimitOutcome(CaseTag.C1_2, _POLY, _HN),
+        "LimitOutcome(case_tag=<CaseTag.C1_2: '1.2'>, "
+        "component=PolystableSum(summands=((1, -1), (0,))), "
+        "hnt_limit=HNType(steps=((1, 1), (1, 0), (1, -1))))",
+    ),
+    AdmissibleStratum: (
+        lambda: AdmissibleStratum(HNType(((1, 1), (2, 0))), Genus(3)),
+        "AdmissibleStratum(hn=HNType(steps=((1, 1), (2, 0))), genus=Genus(g=3))",
+    ),
+    BlockPattern: (
+        lambda: BlockPattern((0, 1), ((False, False), (True, False)), ((False, True), (False, False))),
+        "BlockPattern(weights=(0, 1), higgs_blocks=((False, False), (True, False)), "
+        "dbar_blocks=((False, True), (False, False)))",
+    ),
+    IncidenceRow: (
+        lambda: IncidenceRow(AdmissibleStratum(HNType(((2, 1),)), Genus(2)), ()),
+        "IncidenceRow(stratum=AdmissibleStratum(hn=HNType(steps=((2, 1),)), "
+        "genus=Genus(g=2)), runs=())",
+    ),
+    IncidenceTable: (
+        lambda: IncidenceTable(2, 1, Genus(2), (), ()),
+        "IncidenceTable(rank=2, degree=1, genus=Genus(g=2), rows=(), bb_index=())",
+    ),
+}
+
+
+class TestFrozenValues:
+    """Each Frozen type compares, hashes and prints by its fields alone,
+    as the frozen dataclass did, and refuses assignment."""
+
+    def test_every_frozen_type_is_listed(self):
+        assert set(Frozen.__subclasses__()) == set(FROZEN_VALUES)
+
+    @pytest.mark.parametrize("cls", FROZEN_VALUES, ids=lambda cls: cls.__name__)
+    def test_fields_decide_equality_hash_and_repr(self, cls):
+        make, text = FROZEN_VALUES[cls]
+        value, twin = make(), make()
+        fields = tuple(getattr(value, name) for name in cls._fields)
+        assert value is not twin and value == twin and not value != twin
+        assert hash(value) == hash(twin) == hash(fields)
+        assert value != fields and fields != value
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("cls", FROZEN_VALUES, ids=lambda cls: cls.__name__)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        value = FROZEN_VALUES[cls][0]()
+        before = repr(value)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == before
+
+    def test_label_texts_stay_outside_equality_hash_and_repr(self):
+        table = build_table(2, 1, Genus(2))
+        bare = IncidenceTable(table.rank, table.degree, table.genus, table.rows, table.bb_index)
+        assert table.label_texts and not bare.label_texts
+        assert table == bare and hash(table) == hash(bare) and repr(table) == repr(bare)

@@ -3,14 +3,13 @@ rank-3 grid, criterion 2's integer case inequalities against a Fraction
 reference, mutations the pass must catch, and grids beyond the default."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from higgsstrata import fixed_points, limit_classifier, matrix_oracle, verification
+from higgsstrata import cli, fixed_points, limit_classifier, matrix_oracle, verification
 from higgsstrata.admissibility import CaseFamily, enumerate_strata
-from higgsstrata.core import CaseTag, Genus
+from higgsstrata.core import CaseTag, Genus, LimitOutcome
 
 GRID_CRITERIA = (
     verification.criterion_exhaustive_classification,
@@ -168,7 +167,7 @@ def test_relabelled_isolated_point_fails_criterion_2(monkeypatch, fresh_grid_pas
 
     def relabelled(stratum, outcomes):
         return tuple(
-            (values, replace(outcome, case_tag=CaseTag.C1_3)
+            (values, LimitOutcome(CaseTag.C1_3, outcome.component, outcome.hnt_limit)
              if outcome.case_tag is CaseTag.C1_4 else outcome)
             for values, outcome in classify_stratum(stratum, outcomes)
         )
@@ -276,3 +275,38 @@ def test_value_past_a_case_x1_run_fails_criteria_2_and_8(monkeypatch, fresh_grid
     assert failed[8] == (
         "audit fails for 1.1 of 1:-1,2:-5; 1:-1,2:-5 case 1.1: 1 equalities"
     )
+
+
+def test_classifier_error_in_a_table_fails_criterion_2(monkeypatch, fresh_grid_pass, capsys):
+    # The mutant "mu1 - mu3 >= k" of case 3.2's bound refuses a balanced
+    # stratum with mu1 - mu3 = 2g-2, which is feasible.  Every table that
+    # holds one then fails to build with AlignmentImpossible: verify names
+    # the grid point and the error kind, and still reports all nine
+    # criteria.
+    classify_case3 = limit_classifier._classify_case3
+
+    def mutant(stratum, aligned):
+        mu1, _, mu3 = (m // 6 for m in stratum.mu6_vector)
+        k = stratum.genus.canonical_degree
+        if not aligned and mu1 - mu3 == k:
+            raise limit_classifier.AlignmentImpossible(
+                f"mu1 - mu3 = {mu1 - mu3} > 2g-2 = {k} forces N = E1"
+            )
+        return classify_case3(stratum, aligned)
+
+    monkeypatch.setattr(limit_classifier, "_classify_case3", mutant)
+    results = verification.run_all()
+    failed = {r.number: r.details for r in results if not r.passed}
+    assert list(failed) == [2, 9]
+    assert failed[2].startswith(
+        "g=2, d=-6: AlignmentImpossible: mu1 - mu3 = 2 > 2g-2 = 2 forces N = E1; "
+    )
+    assert "incidence run failed for rank 3, d=0: AlignmentImpossible" in failed[9]
+
+    verification._rank3_grid_pass.cache_clear()
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 10 and lines[-1] == "7/9 criteria passed"
+    assert lines[1].startswith("FAIL 2. exhaustive-classification: g=2, d=-6: AlignmentImpossible")
+    assert err == ""
