@@ -435,7 +435,9 @@ FROZEN_VALUES = {
     HodgeBundle: (
         lambda: HodgeBundle((1, 2), (1, -1)), "HodgeBundle(ranks=(1, 2), degrees=(1, -1))"
     ),
-    PolystableSum: (lambda: PolystableSum(((0,), (1, -1))), "PolystableSum(summands=((1, -1), (0,)))"),
+    PolystableSum: (
+        lambda: PolystableSum(((0,), (1, -1))), "PolystableSum(summands=((1, -1), (0,)))"
+    ),
     LimitOutcome: (
         lambda: LimitOutcome(CaseTag.C1_2, _POLY, _HN),
         "LimitOutcome(case_tag=<CaseTag.C1_2: '1.2'>, "
@@ -447,7 +449,9 @@ FROZEN_VALUES = {
         "AdmissibleStratum(hn=HNType(steps=((1, 1), (2, 0))), genus=Genus(g=3))",
     ),
     BlockPattern: (
-        lambda: BlockPattern((0, 1), ((False, False), (True, False)), ((False, True), (False, False))),
+        lambda: BlockPattern(
+            (0, 1), ((False, False), (True, False)), ((False, True), (False, False))
+        ),
         "BlockPattern(weights=(0, 1), higgs_blocks=((False, False), (True, False)), "
         "dbar_blocks=((False, True), (False, False)))",
     ),
@@ -465,7 +469,7 @@ FROZEN_VALUES = {
 
 class TestFrozenValues:
     """Each Frozen type compares, hashes and prints by its fields alone,
-    as the frozen dataclass did, and refuses assignment."""
+    as a frozen dataclass does, and refuses assignment."""
 
     def test_every_frozen_type_is_listed(self):
         assert set(Frozen.__subclasses__()) == set(FROZEN_VALUES)
