@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from collections import namedtuple
 
@@ -374,25 +375,40 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = config_from_args(parse_args(argv))
+    """Run one command line and return its exit status.
+
+    The cyclic garbage collector is paused for the whole command (parse,
+    run and write) and re-enabled on the way out only if it was enabled
+    on entry.  A command builds large tables, outcomes and texts that hold
+    no reference cycles, so reference counting frees all it drops, and
+    the collector's passes over those containers would find nothing.
+    Library calls such as ``incidence.build_table`` or
+    ``verification.run_all`` keep their caller's collector state."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        code, text = run(config)
-    except (UsageError, InvalidGenus) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except StrataError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    if config.output:
+        config = config_from_args(parse_args(argv))
         try:
-            with open(config.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {config.output}: {exc.strerror or exc}", file=sys.stderr)
+            code, text = run(config)
+        except (UsageError, InvalidGenus) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except StrataError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-    else:
-        sys.stdout.write(text)
-    return code
+        if config.output:
+            try:
+                with open(config.output, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                print(f"error: cannot write {config.output}: {exc.strerror or exc}", file=sys.stderr)
+                return 1
+        else:
+            sys.stdout.write(text)
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

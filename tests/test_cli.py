@@ -1,14 +1,16 @@
 """Command-line behaviour: the documented queries, formats and exit codes."""
 
 import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
-from higgsstrata import cli, matrix_oracle
+from higgsstrata import cli, incidence, matrix_oracle
 
 
 def run_cli(argv, capsys):
@@ -330,3 +332,114 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state and debug flags after a test
+    that changes them."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    yield
+    gc.set_debug(debug)
+    gc.garbage.clear()
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic garbage collector for the whole command.
+    That is safe because no command path leaves cyclic garbage: what a
+    command drops, reference counting frees."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        return code
+
+    REFUSALS = [
+        # limit: in the gap of the feasible set, then a slope out of bounds.
+        (["limit", "--genus", "2", "--hn", "1:0,2:-2", "--inv", "5"], 1),
+        (["limit", "--genus", "2", "--degree", "0", "--hn", "1:1,2:-1", "--inv", "0"], 1),
+        # A usage error, and an --output into a missing directory.
+        (["limit", "--genus", "2", "--hn", "1:1,1:0,1:-1", "--inv", "0"], 2),
+        (["strata", "--genus", "2", "--rank", "3", "--degree", "0",
+          "--output", "{tmp}/missing/x"], 1),
+    ]
+
+    def test_no_command_path_leaves_cyclic_garbage(self, capsys, tmp_path, collector):
+        from test_golden import GOLDEN_RUNS
+
+        self.outcome(["strata", "--genus", "2", "--rank", "3", "--degree", "0"], capsys)
+        gc.disable()
+        gc.collect()  # what building the shared parser left
+        runs = [(argv, 0) for argv, _ in GOLDEN_RUNS] + [
+            ([arg.format(tmp=tmp_path) for arg in argv], code) for argv, code in self.REFUSALS
+        ]
+        for argv, code in runs:
+            assert self.outcome(argv, capsys) == code, argv
+            assert gc.collect() == 0, argv
+
+    def test_an_argparse_error_leaves_only_argparse_formatter_cycles(self, capsys, collector):
+        # argparse's HelpFormatter refers to itself through its sections;
+        # each usage or help text leaves one such cycle.  The error ends a
+        # console-script process, and in a longer-lived caller the
+        # collector, re-enabled on the way out, frees it.
+        self.outcome(["strata", "--genus", "2", "--rank", "3", "--degree", "0"], capsys)
+        gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for argv in (["strata", "--genus", "2", "--rank", "3"], ["strata", "--bogus"], ["--help"]):
+            self.outcome(argv, capsys)
+            gc.collect()
+            kinds = {type(obj) for obj in gc.garbage}
+            assert argparse.HelpFormatter in kinds, argv
+            assert kinds <= {
+                argparse.HelpFormatter, argparse.HelpFormatter._Section,
+                list, tuple, dict, types.MethodType,
+            }, argv
+            gc.garbage.clear()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv,code", [
+        (["strata", "--genus", "2", "--rank", "3", "--degree", "0"], 0),
+        (["limit", "--genus", "2", "--hn", "1:0,2:-2", "--inv", "5"], 1),
+        (["strata", "--genus", "1", "--rank", "3", "--degree", "0"], 2),
+        (["--help"], 0),
+        (["strata", "--bogus"], 2),
+    ], ids=["exit0", "exit1", "exit2", "help", "bad-flag"])
+    def test_main_leaves_the_collector_as_it_found_it(self, enabled, argv, code, capsys, collector):
+        (gc.enable if enabled else gc.disable)()
+        assert self.outcome(argv, capsys) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_an_escaping_exception_restores_the_collector(self, enabled, monkeypatch, collector):
+        def failing(stratum, outcome):
+            raise AssertionError("check failed")
+
+        monkeypatch.setattr(incidence, "check_outcome", failing)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(AssertionError, match="check failed"):
+            cli.main(["limit", "--genus", "2", "--hn", "3:0"])
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_runs_while_a_table_is_built(self, capsys, collector):
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            code = cli.main(["incidence", "--rank", "3", "--degree", "0", "--genus", "12",
+                             "--format", "csv"])
+        finally:
+            gc.callbacks.remove(hook)
+        assert code == 0
+        assert capsys.readouterr().out.startswith("stratum,invariant,case,component,hnt_limit\n")
+        assert starts == []
