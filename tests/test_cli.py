@@ -352,12 +352,7 @@ class TestCollectorPause:
 
     @staticmethod
     def outcome(argv, capsys):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        capsys.readouterr()
-        return code
+        return TestSharedParser.outcome(argv, capsys)[0]
 
     REFUSALS = [
         # limit: in the gap of the feasible set, then a slope out of bounds.
