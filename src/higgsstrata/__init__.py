@@ -31,7 +31,6 @@ from .core import (
     format_label,
     parse_hn_steps,
     parse_hn_type,
-    parse_label,
     polygon_of,
 )
 from .fixed_points import (
@@ -75,7 +74,6 @@ from .matrix_oracle import (
     LimitPattern,
     nonzero_set,
     oracle_check,
-    parse_block_pattern,
     scale_exponents,
     take_limit,
 )

@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(**_defaults(None))
     sub = parser.add_subparsers(dest="command", required=True)
-    # Kept for parse_args, which hands argv straight to a subcommand's parser.
+    # Kept for parse_args, which reads plain argv against a subcommand's actions.
     parser.subcommands = sub
 
     def add_common(p, *, rank: bool, degree_required: bool):
@@ -353,25 +353,16 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     """build_parser().parse_args(argv): the same namespace, exit status and
     messages.  When argv[0] names a subcommand and the rest is plain
     ``--flag value`` pairs, they are read against that subcommand's own
-    argparse actions (``_parse_plain``).  Any other argv that starts with
-    a subcommand goes to that subcommand's parser, as the subparsers
-    action would hand it over, and any other argv takes the full parse;
-    argparse parses, and words, every error, usage line and help text."""
+    argparse actions (``_parse_plain``).  Any other argv takes the full
+    parse, so argparse parses, and words, every error, usage line and help
+    text."""
     parser = build_parser()
     subparser = parser.subcommands.choices.get(argv[0]) if argv else None
-    if subparser is None:
-        return parser.parse_args(argv)
-    args = _parse_plain(argv[0], subparser, argv[1:])
-    if args is not None:
-        return args
-    args, extras = subparser.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return argparse.Namespace(**{**_defaults(argv[0]), **vars(args)})
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**vars(args))
+    if subparser is not None:
+        args = _parse_plain(argv[0], subparser, argv[1:])
+        if args is not None:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -387,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        config = config_from_args(parse_args(argv))
+        config = RunConfig(**vars(parse_args(argv)))
         try:
             code, text = run(config)
         except (UsageError, InvalidGenus) as exc:

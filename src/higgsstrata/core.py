@@ -417,43 +417,6 @@ def format_label(label: FixedComponentLabel) -> str:
     raise TypeError(f"not a fixed-component label: {label!r}")
 
 
-def parse_label(
-    text: str, *, rank: int | None = None, degree: int | None = None
-) -> FixedComponentLabel:
-    """Inverse of format_label.  The ambient rank and degree give what a
-    label does not show: "min" needs both, "r2" the degree."""
-    text = text.strip()
-    if text == "min":
-        if rank is None or degree is None:
-            raise ValueError("parsing 'min' requires ambient rank and degree")
-        return HodgeBundle((rank,), (degree,))
-    kind, _, rest = text.partition(":")
-
-    def numbers(parts: list[str]) -> tuple[int, ...]:
-        try:
-            return tuple(map(int, parts))
-        except ValueError:
-            raise ValueError(f"unrecognized component label {text!r}") from None
-
-    if kind == "poly":
-        label = PolystableSum(
-            tuple(numbers(part.strip("[]").split(",")) for part in rest.split("+"))
-        )
-        if format_label(label) == text:
-            return label
-    for ranks, template in _LABEL_TEXT.items():
-        if template.startswith(f"{kind}:"):
-            degrees = numbers(rest.replace("|", ",").split(","))
-            if template.count("{}") < len(ranks):
-                if degree is None:
-                    raise ValueError(f"parsing {kind!r} requires ambient degree")
-                degrees += (degree - sum(degrees),)
-            label = HodgeBundle(ranks, degrees)
-            if format_label(label) == text:
-                return label
-    raise ValueError(f"unrecognized component label {text!r}")
-
-
 # ---------------------------------------------------------------------------
 # Limit outcomes
 

@@ -50,7 +50,7 @@ class BlockPattern(Frozen):
 
 
 class LimitPattern(namedtuple(
-    "LimitPattern", "converges limit_higgs limit_dbar exponents dbar_exponents divergent_blocks"
+    "LimitPattern", "converges limit_higgs limit_dbar exponents divergent_blocks"
 )):
     """Result of letting z -> 0 on a scaled block pattern.
 
@@ -99,7 +99,6 @@ def take_limit(p: BlockPattern) -> LimitPattern:
         limit_higgs=limit_higgs,
         limit_dbar=limit_dbar,
         exponents=higgs_exp,
-        dbar_exponents=dbar_exp,
         divergent_blocks=tuple(divergent),
     )
 
@@ -182,24 +181,3 @@ def oracle_check(outcome: LimitOutcome) -> bool:
         return computed == stated
     return stated < computed and computed - stated == zeroed and len(zeroed) == 1
 
-
-# ---------------------------------------------------------------------------
-# Text format: weights line "w:0,1,2", then n rows of '.'/'*' for the
-# Higgs grid, then n rows for the dbar grid.
-
-
-def parse_block_pattern(text: str) -> BlockPattern:
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("w:"):
-        raise ValueError("block pattern must start with a 'w:' weights line")
-    weights = tuple(int(x) for x in lines[0][2:].split(","))
-    n = len(weights)
-    if len(lines) != 1 + 2 * n:
-        raise ValueError(f"expected {2 * n} grid rows, got {len(lines) - 1}")
-
-    def grid(rows: list[str]) -> Grid:
-        if any(len(row) != n for row in rows):
-            raise ValueError(f"grid rows must have width {n}")
-        return tuple(tuple(c == "*" for c in row) for row in rows)
-
-    return BlockPattern(weights, grid(lines[1 : 1 + n]), grid(lines[1 + n :]))

@@ -25,6 +25,7 @@ from math import gcd
 from . import fixed_points, incidence, limit_classifier, matrix_oracle
 from .admissibility import CaseFamily
 from .core import CaseTag, Genus, HodgeBundle, StrataError, dominates, polygon_of
+from .matrix_oracle import BlockPattern
 
 GENERA = (2, 3, 4, 5)
 DEGREES = tuple(range(-6, 7))
@@ -175,10 +176,16 @@ def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
 # then the limit's exponents and nonzero Higgs blocks, and their shape.
 _ANCHORED_LIMITS = (
     # Weights (0,1), everything nonzero.
-    ("two-piece", "w:0,1\n**\n**\n.*\n..",
+    ("two-piece",
+     BlockPattern((0, 1), ((True, True), (True, True)), ((False, True), (False, False))),
      ((1, 2), (0, 1)), {(2, 1)}, "the single subdiagonal block"),
     # Weights (0,1,2), bottom-left block zero.
-    ("three-piece", "w:0,1,2\n***\n***\n.**\n.**\n..*\n...",
+    ("three-piece",
+     BlockPattern(
+         (0, 1, 2),
+         ((True, True, True), (True, True, True), (False, True, True)),
+         ((False, True, True), (False, False, True), (False, False, False)),
+     ),
      ((1, 2, 3), (0, 1, 2), (-1, 0, 1)), {(2, 1), (3, 2)}, "the subdiagonal chain"),
 )
 
@@ -266,7 +273,7 @@ def _rank3_grid_pass(
                 _check_gap_value(stratum, inequalities, v, failures[2])
         verified_total += _check_hn_bb(table, failures[5])
     for name, pattern, exponents, higgs, shape in _ANCHORED_LIMITS:
-        lim = matrix_oracle.take_limit(matrix_oracle.parse_block_pattern(pattern))
+        lim = matrix_oracle.take_limit(pattern)
         if lim.exponents != exponents:
             failures[7].append(f"{name} exponents {lim.exponents}")
         if not lim.converges or matrix_oracle.nonzero_set(lim.limit_higgs) != higgs:

@@ -1,11 +1,11 @@
 """``cli.parse_args`` against the full parse it short-cuts.
 
-When argv[0] names a subcommand, ``parse_args`` reads plain ``--flag
-value`` pairs against that subcommand's own argparse actions, and hands
-any other rest of argv straight to that subcommand's parser.  Over the
-benchmark's cli-mix command lines and over mutations of them, its
-namespace, exit status, stdout and stderr must equal those of
-``build_parser().parse_args``.
+``parse_args`` has two paths.  When argv[0] names a subcommand and the
+rest is plain ``--flag value`` pairs, it reads them against that
+subcommand's own argparse actions; any other argv takes the full parse,
+``build_parser().parse_args``.  Over the benchmark's cli-mix command lines
+and over mutations of them, its namespace, exit status, stdout and stderr
+must equal those of the full parse.
 """
 
 import argparse
@@ -82,6 +82,12 @@ def test_cli_mix_argvs_parse_as_the_full_parser_does():
         ["strata", "--genus", "2", "--rank", "3", "--degree", "0", "--format", "xml"],
         ["limit", "--genus", "2", "--hn", "-1:0"],
         ["verify", "--format"],
+        # Shapes the plain path refuses: a joined flag, an abbreviated
+        # flag, a trailing end-of-options marker, help after valid flags.
+        ["fixed", "--genus=2", "--rank", "3", "--degree", "1"],
+        ["incidence", "--genus", "2", "--rank", "3", "--degree", "0", "--form", "csv"],
+        ["fixed", "--genus", "2", "--rank", "3", "--degree", "1", "--"],
+        ["limit", "--genus", "2", "--hn", "1:0,2:-2", "--inv", "-2", "-h"],
     ],
 )
 def test_edge_argvs_parse_as_the_full_parser_does(argv):

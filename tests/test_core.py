@@ -1,6 +1,5 @@
 """Exact arithmetic, HN types, polygons, dominance and label encodings."""
 
-import re
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -24,7 +23,6 @@ from higgsstrata import (
     format_hn_type,
     format_label,
     parse_hn_type,
-    parse_label,
     polygon_of,
 )
 from higgsstrata.admissibility import AdmissibleStratum
@@ -283,39 +281,15 @@ class TestLabels:
     )
     def test_encoding_round_trip(self, label, text):
         assert format_label(label) == text
-        assert parse_label(text, degree=sum(label.degrees)) == label
 
     def test_min_needs_context(self):
+        # "min" shows neither rank nor degree: the ambient ones fix both.
         assert format_label(HodgeBundle((3,), (0,))) == "min"
-        assert parse_label("min", rank=3, degree=0) == HodgeBundle((3,), (0,))
-        with pytest.raises(ValueError):
-            parse_label("min")
 
     def test_r2_needs_the_ambient_degree(self):
-        # "r2:d1" shows d1 only; d2 = d - d1.
-        assert parse_label("r2:1", degree=1) == HodgeBundle((1, 1), (1, 0))
-        with pytest.raises(ValueError, match="'r2' requires ambient degree"):
-            parse_label("r2:1")
-
-    @pytest.mark.parametrize(
-        "text", ["t12:1", "t111:1,0", "r2:1,0", "t12:1,-1", "t111:1|0,-1", "min:0", "t13:1|0", ""]
-    )
-    def test_malformed_label_text_is_refused(self, text):
-        with pytest.raises(ValueError, match="unrecognized component label|integer degrees"):
-            parse_label(text, rank=3, degree=0)
-
-    @pytest.mark.parametrize("text", ["poly:[1,-1]+[]", "poly:", "t12:a|b"])
-    def test_malformed_label_numbers_are_refused_by_name(self, text):
-        with pytest.raises(ValueError, match=f"^unrecognized component label {re.escape(repr(text))}$"):
-            parse_label(text, rank=3, degree=0)
-
-    @pytest.mark.parametrize(
-        "text", ["poly:[1_0]+[ -3]", "poly:1,-1+0", "poly:[0]+[1,-1]", "poly:[1, -1]+[0]"]
-    )
-    def test_polystable_label_must_format_back_to_its_text(self, text):
-        # Each parses to a PolystableSum whose label text differs.
-        with pytest.raises(ValueError, match=f"^unrecognized component label {re.escape(repr(text))}$"):
-            parse_label(text)
+        # "r2:d1" shows d1 only; d2 = d - d1 comes from the ambient degree.
+        assert format_label(HodgeBundle((1, 1), (1, 0))) == "r2:1"
+        assert format_label(HodgeBundle((1, 1), (1, -3))) == "r2:1"
 
     def test_format_label_refuses_a_non_label(self):
         with pytest.raises(TypeError, match="not a fixed-component label"):

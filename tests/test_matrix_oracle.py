@@ -14,7 +14,6 @@ from higgsstrata import (
     classify_rank3,
     nonzero_set,
     oracle_check,
-    parse_block_pattern,
     parse_hn_type,
     scale_exponents,
     take_limit,
@@ -74,7 +73,11 @@ class TestTakeLimit:
         assert nonzero_set(limit.limit_dbar) == set()
 
     def test_three_piece_pattern_without_corner(self):
-        pattern = parse_block_pattern("w:0,1,2\n***\n***\n.**\n.**\n..*\n...")
+        pattern = BlockPattern(
+            (0, 1, 2),
+            ((True, True, True), (True, True, True), (False, True, True)),
+            ((False, True, True), (False, False, True), (False, False, False)),
+        )
         limit = take_limit(pattern)
         assert limit.converges
         assert nonzero_set(limit.limit_higgs) == {(2, 1), (3, 2)}
@@ -156,25 +159,3 @@ class TestBlockPatternValidation:
         with pytest.raises(ValueError):
             BlockPattern((0, 1), ((True,),), ((False, False), (False, False)))
 
-
-def format_block_pattern(p: BlockPattern) -> str:
-    """The text format parse_block_pattern reads."""
-    def rows(grid) -> list[str]:
-        return ["".join("*" if flag else "." for flag in row) for row in grid]
-
-    weights = "w:" + ",".join(map(str, p.weights))
-    return "\n".join([weights, *rows(p.higgs_blocks), *rows(p.dbar_blocks)])
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        pattern = parse_block_pattern("w:0,1,2\n***\n***\n.**\n.**\n..*\n...")
-        assert parse_block_pattern(format_block_pattern(pattern)) == pattern
-
-    def test_weights_line_required(self):
-        with pytest.raises(ValueError):
-            parse_block_pattern("***\n***")
-
-    def test_row_count_checked(self):
-        with pytest.raises(ValueError):
-            parse_block_pattern("w:0,1\n**\n**\n.*")
