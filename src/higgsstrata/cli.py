@@ -38,7 +38,7 @@ from .limit_classifier import ClassifierInput, Invariant, classify
 
 
 RunConfig = namedtuple("RunConfig", "command genus rank degree hn invariant format output",
-                       defaults=(None, None, None, None, "table", None))
+                       defaults=(None, None, None, None, None, "table", None))
 
 
 class UsageError(StrataError):
@@ -238,13 +238,6 @@ def _parse_aligned(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
-def _defaults(command: str | None) -> dict:
-    """Every RunConfig field's value before parsing, so that each field has
-    one whichever subcommand runs; verify takes no --genus and runs at the
-    default."""
-    return RunConfig(command=command, genus=2)._asdict()
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then shared."""
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="higgsstrata",
         description="Exact stratification calculator for rank-2/3 Higgs bundle moduli.",
     )
-    parser.set_defaults(**_defaults(None))
     sub = parser.add_subparsers(dest="command", required=True)
     # Kept for parse_args, which reads plain argv against a subcommand's actions.
     parser.subcommands = sub
@@ -299,20 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _plain_grammar(command: str, subparser: argparse.ArgumentParser) -> tuple:
     """A subcommand parser's plain store actions by exact option string, its
-    required actions, and the namespace of a parse that gives no flag:
-    ``_defaults(command)`` overlaid by each action's default, as argparse
-    sets them."""
+    required actions' destinations, and the namespace of a parse that gives
+    no flag: the command and each action's default, as argparse sets them.
+    RunConfig supplies every field a subcommand has no action for."""
     plain = {
         flag: action
         for flag, action in subparser._option_string_actions.items()
         if type(action) is argparse._StoreAction
     }
-    required = frozenset(action for action in subparser._actions if action.required)
-    start = {}
+    required = frozenset(action.dest for action in subparser._actions if action.required)
+    start = {"command": command}
     for action in subparser._actions:
         if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
             start.setdefault(action.dest, action.default)
-    return plain, required, {**_defaults(command), **start}
+    return plain, required, start
 
 
 def _parse_plain(command: str, subparser, tokens) -> argparse.Namespace | None:
@@ -328,7 +320,7 @@ def _parse_plain(command: str, subparser, tokens) -> argparse.Namespace | None:
     if len(tokens) % 2:
         return None
     plain, required, start = _plain_grammar(command, subparser)
-    given, seen = {}, set()
+    given = {}
     for flag, value in zip(tokens[::2], tokens[1::2]):
         action = plain.get(flag)
         if action is None or action.dest in given or not isinstance(value, str):
@@ -343,8 +335,7 @@ def _parse_plain(command: str, subparser, tokens) -> argparse.Namespace | None:
         if action.choices is not None and value not in action.choices:
             return None
         given[action.dest] = value
-        seen.add(action)
-    if not required <= seen:
+    if not required <= given.keys():
         return None
     return argparse.Namespace(**{**start, **given})
 

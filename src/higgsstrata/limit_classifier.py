@@ -138,7 +138,7 @@ def _sub_quotient(stratum: AdmissibleStratum, fam: _SlopeFamily) -> tuple[int, i
 
 
 def _refined_runs(
-    stratum: AdmissibleStratum, fam: _SlopeFamily, values, interned: dict, built=None
+    stratum: AdmissibleStratum, fam: _SlopeFamily, values, interned: dict
 ) -> list[Run]:
     """The runs, one value each, of case x.2, x.3 or x.4 of feasible
     integers at or above the window's threshold.  Nothing here refuses:
@@ -147,8 +147,7 @@ def _refined_runs(
     threshold and on the graded degrees, which the row's (sub, quotient)
     degrees and the value fix; ``interned`` keeps each under those
     integers, so rows given the same dict share equal outcomes as one
-    object.  The first value's outcome, if the caller has ``built`` it,
-    is interned unless an equal one is."""
+    object."""
     _, gap_low6, _, threshold6 = stratum.window6
     pair = _sub_quotient(stratum, fam)
     i, split = fam.refined, fam.split
@@ -166,19 +165,16 @@ def _refined_runs(
         key = (i, at_threshold, pair, v)
         outcome = interned.get(key)
         if outcome is None:
-            if built is None:
-                rest = refined - v  # degree of Q or R
-                graded = before + (v, rest) + after  # weight order
-                hnt_limit = _hn_lines(*before, rest, v, *after)  # slope order
-                if at_threshold:
-                    line = graded[split : split + 1]
-                    coupled = graded[:split] + graded[split + 1 :]
-                    tag, component = fam.tags[1], PolystableSum((coupled, line))
-                else:
-                    tag, component = fam.tags[2], _hodge_bundle((1, 1, 1), graded)
-                built = _limit_outcome(tag, component, hnt_limit)
-            outcome = interned[key] = built
-        built = None
+            rest = refined - v  # degree of Q or R
+            graded = before + (v, rest) + after  # weight order
+            hnt_limit = _hn_lines(*before, rest, v, *after)  # slope order
+            if at_threshold:
+                line = graded[split : split + 1]
+                coupled = graded[:split] + graded[split + 1 :]
+                tag, component = fam.tags[1], PolystableSum((coupled, line))
+            else:
+                tag, component = fam.tags[2], _hodge_bundle((1, 1, 1), graded)
+            outcome = interned[key] = _limit_outcome(tag, component, hnt_limit)
         runs.append(((v,), outcome))
     return runs
 
@@ -300,7 +296,7 @@ def classify_stratum(stratum: AdmissibleStratum, interned: dict) -> tuple[Run, .
     refined = bisect_left(inputs, -(-threshold6 // 6), 1 if 6 * inputs[0] > gap_low6 else 0)
     runs = [(range(inputs[0], inputs[0] + refined), first)] if refined else []
     if refined < len(inputs):
-        runs += _refined_runs(stratum, fam, inputs[refined:], interned, None if refined else first)
+        runs += _refined_runs(stratum, fam, inputs[refined:], interned)
     return tuple(runs)
 
 

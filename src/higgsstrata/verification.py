@@ -390,6 +390,8 @@ ALL_CRITERIA = (
 
 
 def run_all(genera=GENERA, degrees=DEGREES) -> list[CriterionResult]:
+    """Every criterion's result, from a new grid pass: none is reused."""
+    _rank3_grid_pass.cache_clear()
     results = []
     for criterion in ALL_CRITERIA:
         if criterion is criterion_determinism:

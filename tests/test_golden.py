@@ -47,6 +47,13 @@ def test_verify_output_matches_golden_file():
     assert text.encode("utf-8") == (GOLDEN / "verify.json").read_bytes()
 
 
+def test_verify_config_needs_no_genus():
+    # verify takes no --genus, so its RunConfig gives none.
+    code, text = cli.run(cli.RunConfig(command="verify", format="json"))
+    assert code == 0
+    assert text.encode("utf-8") == (GOLDEN / "verify.json").read_bytes()
+
+
 def test_verify_table_output_matches_golden_file(capsys):
     assert cli.main(["verify"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "verify.table").read_bytes()

@@ -432,10 +432,10 @@ class TestClassifyStratum:
     def test_build_table_builds_no_outcome_twice(self, monkeypatch):
         # Each outcome object of the g=30, d=0 table is built once.  The
         # only other build is classify's outcome of a row's first value
-        # when that value is refined and an earlier row already holds an
-        # equal outcome: classify builds it with a dict of its own, and
-        # the table keeps the earlier object.  The row routine is never
-        # called without values.
+        # when that value is refined (case x.2 or x.3): classify builds it
+        # with a dict of its own, and the table takes the row routine's
+        # interned object instead.  The row routine is never called
+        # without values.
         built = []
         routine_values = []
         make, routine = limit_classifier._limit_outcome, limit_classifier._refined_runs
@@ -452,15 +452,12 @@ class TestClassifyStratum:
         monkeypatch.setattr(limit_classifier, "_refined_runs", counting_routine)
         table = build_table(3, 0, Genus(30))
         seen: set[int] = set()
-        refined_first = repeated_first = 0
+        refined_first = 0
         for row in table.rows:
-            first = row.entries[0][1]
-            if first.case_tag in REFINED_TAGS:
-                refined_first += 1
-                repeated_first += id(first) in seen
+            refined_first += row.entries[0][1].case_tag in REFINED_TAGS
             seen.update(id(outcome) for _, outcome in row.entries)
-        assert 0 < repeated_first < refined_first
-        assert len(built) == len(seen) + repeated_first
+        assert refined_first > 0
+        assert len(built) == len(seen) + refined_first
         assert 0 not in routine_values
 
     def test_build_table_classifies_each_row_with_one_call(self, monkeypatch):

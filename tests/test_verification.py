@@ -2,6 +2,7 @@
 rank-3 grid, criterion 2's integer case inequalities against a Fraction
 reference, mutations the pass must catch, and grids beyond the default."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -310,3 +311,41 @@ def test_classifier_error_in_a_table_fails_criterion_2(monkeypatch, fresh_grid_p
     assert len(lines) == 10 and lines[-1] == "7/9 criteria passed"
     assert lines[1].startswith("FAIL 2. exhaustive-classification: g=2, d=-6: AlignmentImpossible")
     assert err == ""
+
+
+# Two mutants of the row routine, each one exact-text replacement in its
+# source: the value and the rest swapped in the weight order (A), and the
+# case x.2 line taken from the other end of the graded degrees (B).  The
+# oracle and the case inequalities accept both; the audit refuses both.
+ROW_ROUTINE_MUTANTS = {
+    "A": ("graded = before + (v, rest) + after", "graded = before + (rest, v) + after"),
+    "B": ("i, split = fam.refined, fam.split", "i, split = fam.refined, 2 - fam.split"),
+}
+
+
+def _mutant_refined_runs(old, new):
+    source = inspect.getsource(limit_classifier._refined_runs)
+    assert source.count(old) == 1
+    namespace = dict(vars(limit_classifier))
+    exec(source.replace(old, new), namespace)
+    return namespace["_refined_runs"]
+
+
+@pytest.mark.parametrize("mutant", sorted(ROW_ROUTINE_MUTANTS))
+def test_row_routine_mutant_fails_criterion_8(monkeypatch, fresh_grid_pass, mutant):
+    routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS[mutant])
+    monkeypatch.setattr(limit_classifier, "_refined_runs", routine)
+    results = verification.run_all()
+    assert len(results) == 9
+    assert [r.number for r in results if not r.passed] == [8]
+
+
+def test_run_all_makes_a_new_pass_after_the_code_changes(monkeypatch, fresh_grid_pass, capsys):
+    # A second run_all in one process, after the row routine changed, must
+    # not report the pass memoised by the first: that one passed 9/9.
+    assert all(r.passed for r in verification.run_all())
+    routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS["A"])
+    monkeypatch.setattr(limit_classifier, "_refined_runs", routine)
+    assert [r.number for r in verification.run_all() if not r.passed] == [8]
+    assert cli.main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "8/9 criteria passed"
