@@ -47,8 +47,6 @@ from .incidence import (
     IncidenceRow,
     IncidenceTable,
     build_table,
-    check_hn_bb_theorem,
-    check_rank2_coincidence,
     table_to_csv,
     table_to_dot,
     table_to_records,

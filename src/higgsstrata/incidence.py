@@ -4,7 +4,9 @@ A table records, for every admissible Harder-Narasimhan stratum of a
 moduli space, the downward-flow limit of each feasible invariant value,
 and indexes the fixed-component labels by the strata reaching them.
 One stratum meeting several components is the expected picture in
-rank 3; in rank 2 the correspondence is a bijection.
+rank 3; in rank 2 the correspondence is a bijection.  This module builds
+and writes tables; the acceptance checks that read them are in
+verification.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from json.encoder import encode_basestring_ascii as _json_string
 from types import SimpleNamespace
 
 from . import fixed_points, limit_classifier, matrix_oracle
-from .admissibility import AdmissibleStratum, RankUnsupported, enumerate_strata
+from .admissibility import AdmissibleStratum, enumerate_strata
 from .core import (
     FixedComponentLabel,
     Frozen,
     Genus,
     HNType,
-    HodgeBundle,
     LimitOutcome,
     _set,
     format_hn_type,
@@ -136,66 +137,6 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     table = IncidenceTable(rank, degree, genus, tuple(rows), bb_index)
     table.label_texts.update(texts)
     return table
-
-
-def check_rank2_coincidence(table: IncidenceTable) -> bool:
-    """True iff the stratum -> component map is the expected bijection:
-    the semistable stratum to the minimal component and the stratum with
-    subquotient degrees (d1, d2) to the type-(1,1) component with the
-    same degrees."""
-    if table.rank != 2:
-        raise RankUnsupported("rank-2 coincidence check needs a rank-2 table")
-    components = fixed_points.enumerate_fixed_components(
-        2, table.degree, table.genus
-    )
-    seen = []
-    for row in table.rows:
-        ranks, degrees = zip(*row.stratum.hn.steps)
-        if len(row.feasible_set) != 1 or row.runs[0][1].component != HodgeBundle(ranks, degrees):
-            return False
-        seen.append(row.runs[0][1].component)
-    return len(seen) == len(set(seen)) and set(seen) == set(components)
-
-
-def check_hn_bb_theorem(table: IncidenceTable) -> list[HodgeBundle]:
-    """Verify that sufficiently spread type-(1,1,1) components pin down
-    their stratum.
-
-    For each type-(1,1,1) label with l1 - l3 > 2g-2 occurring in the
-    table, assert that its preimage is exactly the stratum with the same
-    slope vector and that the stratum's whole feasible set maps to it.
-    Returns the verified labels; a violation raises AssertionError
-    naming the label (it would indicate an implementation bug).
-    """
-    if table.rank != 3:
-        raise RankUnsupported("the coincidence theorem check needs a rank-3 table")
-    k = table.genus.canonical_degree
-    preimages: dict[HodgeBundle, list[tuple[AdmissibleStratum, Invariant]]] = {}
-    for row in table.rows:
-        for values, outcome in row.runs:
-            if not outcome.strictly_polystable and outcome.component.ranks == (1, 1, 1):
-                preimages.setdefault(outcome.component, []).extend((row.stratum, key) for key in values)
-    rows = {row.stratum.hn: row for row in table.rows}
-    verified = []
-    for label in sorted(preimages, key=lambda t: t.degrees):
-        if label.degrees[0] - label.degrees[2] <= k:
-            continue
-        expected_hn = HNType(tuple((1, l) for l in label.degrees))
-        pairs = preimages[label]
-        strata = {stratum.hn for stratum, _ in pairs}
-        if strata != {expected_hn}:
-            raise AssertionError(
-                f"label {format_label(label)}: preimage strata "
-                f"{sorted(map(format_hn_type, strata))} != {{{expected_hn}}}"
-            )
-        feasible = len(rows[expected_hn].feasible_set)
-        if len(pairs) != feasible:
-            raise AssertionError(
-                f"label {format_label(label)}: only {len(pairs)} of "
-                f"{feasible} feasible values reach it"
-            )
-        verified.append(label)
-    return verified
 
 
 # ---------------------------------------------------------------------------

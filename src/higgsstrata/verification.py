@@ -1,9 +1,10 @@
 """Acceptance suite: exact, property-style checks over desk-scale sweeps.
 
-Every criterion is exact (zero tolerance); the default sweep covers
-genus 2..5 and |degree| <= 6 and runs in seconds.  Each function returns
-a CriterionResult instead of raising, so the CLI can report a full
-pass/fail summary.
+Every criterion is exact (zero tolerance) and takes one Sweep, the grid
+it checks: by default genus 2..5 and |degree| <= 6, which runs in
+seconds.  The checks live here; incidence only builds the tables they
+read.  Each function returns a CriterionResult instead of raising, so
+the CLI can report a full pass/fail summary.
 
 Criterion 2 compares integers.  In rank 3 every slope mu_i has
 denominator 1 or 2, so 6*mu_i is an integer, and so are 6*v for an
@@ -18,13 +19,14 @@ shows as a disagreement instead of being shared.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from math import gcd
 
 from . import fixed_points, incidence, limit_classifier, matrix_oracle
 from .admissibility import CaseFamily
-from .core import CaseTag, Genus, HodgeBundle, StrataError, dominates, polygon_of
+from .core import (
+    CaseTag, Genus, HNType, HodgeBundle, StrataError, dominates, format_label, polygon_of
+)
 from .matrix_oracle import BlockPattern
 
 GENERA = (2, 3, 4, 5)
@@ -43,14 +45,30 @@ def _result(number: int, name: str, failures: list[str], detail: str) -> Criteri
     return CriterionResult(number, name, True, detail)
 
 
-def _grid(genera, degrees):
-    return [(Genus(g), d) for g in genera for d in degrees]
+class Sweep:
+    """The grid the criteria check: every genus with every degree.  The
+    six rank-3 criteria share one pass over it, made when the first of
+    them asks; a new sweep makes a new pass."""
+
+    def __init__(self, genera=GENERA, degrees=DEGREES) -> None:
+        self.genera = tuple(genera)
+        self.degrees = tuple(degrees)
+        self._rank3: dict[int, CriterionResult] | None = None
+
+    def points(self) -> list[tuple[Genus, int]]:
+        return [(Genus(g), d) for g in self.genera for d in self.degrees]
+
+    def rank3_result(self, number: int) -> CriterionResult:
+        """Criterion 2, 3, 4, 5, 7 or 8, from the sweep's one rank-3 pass."""
+        if self._rank3 is None:
+            self._rank3 = {r.number: r for r in _rank3_grid_pass(self)}
+        return self._rank3[number]
 
 
-def _tables(rank: int, genera, degrees, rejections: list[str], errors: list[str]):
+def _tables(rank: int, sweep: Sweep, rejections: list[str], errors: list[str]):
     # Each grid point's table in turn.  A rejected outcome (AssertionError) and
     # a refused feasible value (StrataError) become failures, not crashes.
-    for genus, d in _grid(genera, degrees):
+    for genus, d in sweep.points():
         try:
             table = incidence.build_table(rank, d, genus)
         except AssertionError as exc:
@@ -62,23 +80,35 @@ def _tables(rank: int, genera, degrees, rejections: list[str], errors: list[str]
         yield genus, d, table
 
 
-def criterion_rank2_coincidence(genera=GENERA, degrees=DEGREES) -> CriterionResult:
+def _check_rank2(table: incidence.IncidenceTable, failures: list[str]) -> None:
+    # Criterion 1 on one table.  The stratum -> component map must be a
+    # bijection onto the listed components: the semistable stratum to the
+    # minimal component, and the stratum with subquotient degrees (d1, d2)
+    # to the type-(1,1) component with the same degrees.  Their count is
+    # recomputed from the bound d < 2*d1 <= d + 2g-2.
+    genus, d = table.genus, table.degree
+    components = fixed_points.enumerate_fixed_components(2, d, genus)
+    reached = [row.runs[0][1].component for row in table.rows if len(row.feasible_set) == 1]
+    expected = [HodgeBundle(*zip(*row.stratum.hn.steps)) for row in table.rows]
+    if reached != expected or len(set(reached)) != len(reached) or set(reached) != set(components):
+        failures.append(f"coincidence fails at rank 2, d={d}, g={genus.g}")
+    k = genus.canonical_degree
+    # One d1 beyond each end of the bound, so the inequality decides.
+    window = range(d // 2, (d + k) // 2 + 2)
+    by_bound = sum(1 for d1 in window if d < 2 * d1 <= d + k)
+    if len(components) != 1 + by_bound or len(components) != genus.g:
+        failures.append(
+            f"component count {len(components)} != 1+{by_bound} (g={genus.g}, d={d})"
+        )
+
+
+def criterion_rank2_coincidence(sweep: Sweep | None = None) -> CriterionResult:
     """The two stratifications coincide in rank 2, with the component
     count recomputed from the bound d < 2*d1 <= d + 2g-2."""
     failures = []
     checked = 0
-    for genus, d, table in _tables(2, genera, degrees, failures, failures):
-        if not incidence.check_rank2_coincidence(table):
-            failures.append(f"coincidence fails at rank 2, d={d}, g={genus.g}")
-        k = genus.canonical_degree
-        # One d1 beyond each end of the bound, so the inequality decides.
-        window = range(d // 2, (d + k) // 2 + 2)
-        by_bound = sum(1 for d1 in window if d < 2 * d1 <= d + k)
-        count = len(fixed_points.enumerate_fixed_components(2, d, genus))
-        if count != 1 + by_bound or count != genus.g:
-            failures.append(
-                f"component count {count} != 1+{by_bound} (g={genus.g}, d={d})"
-            )
+    for _, _, table in _tables(2, sweep or Sweep(), failures, failures):
+        _check_rank2(table, failures)
         checked += 1
     return _result(1, "rank2-coincidence", failures, f"{checked} tables bijective")
 
@@ -145,8 +175,10 @@ def _check_gap_value(stratum, inequalities: tuple, v: int, failures: list[str]) 
 
 def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
     # Criterion 5 on one table; returns the number of labels verified.
-    # The table's type-(1,2) and (2,1) labels, found by classifying, must
-    # be the ones fixed_points lists in closed form.
+    # Each type-(1,1,1) label with l1 - l3 > 2g-2 must be reached by the
+    # stratum with the same slope vector alone, from its whole feasible
+    # set.  The table's type-(1,2) and (2,1) labels, found by classifying,
+    # must be the ones fixed_points lists in closed form.
     reached = {
         label for label, _ in table.bb_index
         if isinstance(label, HodgeBundle) and label.ranks in ((1, 2), (2, 1))
@@ -156,11 +188,30 @@ def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
             f"g={table.genus.g}, d={table.degree}: type-(1,2)/(2,1) labels "
             "differ from the fixed components"
         )
-    try:
-        verified = incidence.check_hn_bb_theorem(table)
-    except AssertionError as exc:
-        failures.append(str(exc))
-        return 0
+    k = table.genus.canonical_degree
+    preimages: dict[HodgeBundle, list[HNType]] = {}  # a stratum per value
+    for row in table.rows:
+        for values, outcome in row.runs:
+            if not outcome.strictly_polystable and outcome.component.ranks == (1, 1, 1):
+                preimages.setdefault(outcome.component, []).extend([row.stratum.hn] * len(values))
+    rows = {row.stratum.hn: row for row in table.rows}
+    verified = []
+    for label, strata in preimages.items():
+        if label.degrees[0] - label.degrees[2] <= k:
+            continue
+        expected_hn = HNType(tuple((1, l) for l in label.degrees))
+        if set(strata) != {expected_hn}:
+            failures.append(
+                f"label {format_label(label)}: preimage strata "
+                f"{sorted(map(str, set(strata)))} != {{{expected_hn}}}"
+            )
+        elif len(strata) != len(rows[expected_hn].feasible_set):
+            failures.append(
+                f"label {format_label(label)}: only {len(strata)} of "
+                f"{len(rows[expected_hn].feasible_set)} feasible values reach it"
+            )
+        else:
+            verified.append(label)
     if (table.genus.g, table.degree) == (2, 0):
         spread, narrow = HodgeBundle((1, 1, 1), (2, 0, -2)), HodgeBundle((1, 1, 1), (1, 0, -1))
         if spread not in verified:
@@ -190,10 +241,7 @@ _ANCHORED_LIMITS = (
 )
 
 
-@functools.cache
-def _rank3_grid_pass(
-    genera: tuple[int, ...], degrees: tuple[int, ...]
-) -> tuple[CriterionResult, ...]:
+def _rank3_grid_pass(sweep: Sweep) -> tuple[CriterionResult, ...]:
     """Criteria 2, 3, 4, 5, 7 and 8 from one pass over the rank-3 grid.
 
     Each grid point's table is built once, checked by all six criteria
@@ -204,12 +252,10 @@ def _rank3_grid_pass(
     outcome through the oracle, so a rejection shows up here as a table
     that could not be built (criterion 7); so does a classifier error on
     a feasible value (criterion 2).
-    The results are kept per grid, so each criterion can run alone or
-    after the others at the cost of one pass.
     """
     failures: dict[int, list[str]] = {n: [] for n in (2, 3, 4, 5, 7, 8)}
     classified = gap_checked = coprime_count = verified_total = 0
-    for genus, d, table in _tables(3, genera, degrees, failures[7], failures[2]):
+    for genus, d, table in _tables(3, sweep, failures[7], failures[2]):
         coprime = gcd(3, d) == 1
         for row in table.rows:
             stratum = row.stratum
@@ -223,11 +269,17 @@ def _rank3_grid_pass(
             inequalities = _case_inequalities(stratum)
             polygon = polygon_of(stratum.hn)
             for values, outcome in row.runs:
-                # Dominance depends on the outcome alone: once per run.  So
-                # does the audit, but for its datum check, which only a
-                # case-x.1 run has: audited at the run's first value, it is
-                # re-decided per value, its degree moving with the value.
-                rises = dominates(polygon_of(outcome.hnt_limit), polygon)
+                # The limit's end point and dominance depend on the outcome
+                # alone: once per run.  So does the audit, but for its datum
+                # check, which only a case-x.1 run has: audited at the run's
+                # first value, it is re-decided per value, its degree moving
+                # with the value.
+                limit, fault = polygon_of(outcome.hnt_limit), None
+                ends = limit.vertices[-1], polygon.vertices[-1]
+                if ends[0] != ends[1]:
+                    fault = f"{stratum.hn} -> {outcome.hnt_limit} ends at {ends[0]}, not {ends[1]}"
+                elif not dominates(limit, polygon):
+                    fault = f"{stratum.hn} -> {outcome.hnt_limit} fails to rise"
                 checks = limit_classifier.stability_audit(
                     outcome, limit_classifier.ClassifierInput(stratum, values[0])
                 )
@@ -251,8 +303,8 @@ def _rank3_grid_pass(
                                 f"{stratum.hn} v={value}: classifier says "
                                 f"{outcome.case_tag.value}, inequalities match {matches}"
                             )
-                    if not rises:
-                        failures[3].append(f"{stratum.hn} -> {outcome.hnt_limit} fails to rise")
+                    if fault:
+                        failures[3].append(fault)
                     if coprime:
                         coprime_count += 1
                         if outcome.strictly_polystable:
@@ -291,35 +343,32 @@ def _rank3_grid_pass(
     )
 
 
-def _grid_result(number: int, genera, degrees) -> CriterionResult:
-    return next(r for r in _rank3_grid_pass(tuple(genera), tuple(degrees)) if r.number == number)
-
-
-def criterion_exhaustive_classification(genera=GENERA, degrees=DEGREES) -> CriterionResult:
+def criterion_exhaustive_classification(sweep: Sweep | None = None) -> CriterionResult:
     """Every feasible invariant fires exactly one case (checked against
     an independent inequality evaluation); every integer in the excluded
     gaps raises InfeasibleBySpecialization."""
-    return _grid_result(2, genera, degrees)
+    return (sweep or Sweep()).rank3_result(2)
 
 
-def criterion_specialization_monotonicity(genera=GENERA, degrees=DEGREES) -> CriterionResult:
-    """The HN polygon of the limit dominates the input polygon."""
-    return _grid_result(3, genera, degrees)
+def criterion_specialization_monotonicity(sweep: Sweep | None = None) -> CriterionResult:
+    """The HN polygon of the limit ends where the input polygon does and
+    dominates it."""
+    return (sweep or Sweep()).rank3_result(3)
 
 
-def criterion_coprime_degrees(genera=GENERA, degrees=DEGREES) -> CriterionResult:
+def criterion_coprime_degrees(sweep: Sweep | None = None) -> CriterionResult:
     """gcd(3, d) = 1 forbids strictly polystable limits and balanced strata."""
-    return _grid_result(4, genera, degrees)
+    return (sweep or Sweep()).rank3_result(4)
 
 
-def criterion_hn_bb_theorem(genera=GENERA, degrees=DEGREES) -> CriterionResult:
+def criterion_hn_bb_theorem(sweep: Sweep | None = None) -> CriterionResult:
     """Sufficiently spread type-(1,1,1) labels have singleton preimage;
     the (g=2, d=0) instance verifies (2,0,-2) and excludes (1,0,-1); and
     each table reaches exactly the type-(1,2)/(2,1) components listed."""
-    return _grid_result(5, genera, degrees)
+    return (sweep or Sweep()).rank3_result(5)
 
 
-def criterion_fixed_point_enumeration(genera=GENERA, degrees=DEGREES) -> CriterionResult:
+def criterion_fixed_point_enumeration(sweep: Sweep | None = None) -> CriterionResult:
     """(g=2, d=0) has exactly the two expected type-(1,1,1) components,
     and the two invariant dictionaries round-trip on everything
     enumerated."""
@@ -329,7 +378,7 @@ def criterion_fixed_point_enumeration(genera=GENERA, degrees=DEGREES) -> Criteri
     got = fixed_points.enumerate_fixed_111(0, Genus(2))
     if got != expected:
         failures.append(f"g=2, d=0 components {got} != {expected}")
-    for genus, d in _grid(genera, degrees):
+    for genus, d in (sweep or Sweep()).points():
         for m in fixed_points.enumerate_m_invariants(d, genus):
             if fixed_points.l_to_m(fixed_points.m_to_l(m), genus) != m:
                 failures.append(f"m-round-trip fails for {m}")
@@ -341,20 +390,21 @@ def criterion_fixed_point_enumeration(genera=GENERA, degrees=DEGREES) -> Criteri
     return _result(6, "fixed-point-enumeration", failures, f"{round_trips} round-trips exact")
 
 
-def criterion_oracle_equivalence(genera=GENERA, degrees=DEGREES) -> CriterionResult:
+def criterion_oracle_equivalence(sweep: Sweep | None = None) -> CriterionResult:
     """The gauge-scaling engine confirms 100% of sweep outcomes and
     reproduces the two anchored block-scaling computations exactly."""
-    return _grid_result(7, genera, degrees)
+    return (sweep or Sweep()).rank3_result(7)
 
 
-def criterion_stability_audit(genera=GENERA, degrees=DEGREES) -> CriterionResult:
+def criterion_stability_audit(sweep: Sweep | None = None) -> CriterionResult:
     """Every audited inequality holds, strictly except for exactly one
     equality in each strictly polystable case."""
-    return _grid_result(8, genera, degrees)
+    return (sweep or Sweep()).rank3_result(8)
 
 
-def criterion_determinism() -> CriterionResult:
-    """Identical incidence queries serialize to byte-identical JSON."""
+def criterion_determinism(sweep: Sweep | None = None) -> CriterionResult:
+    """Identical incidence queries serialize to byte-identical JSON.  The
+    three queries are fixed, so the sweep is not read."""
     from . import cli  # local import: cli drives this module's run_all
 
     failures = []
@@ -390,12 +440,6 @@ ALL_CRITERIA = (
 
 
 def run_all(genera=GENERA, degrees=DEGREES) -> list[CriterionResult]:
-    """Every criterion's result, from a new grid pass: none is reused."""
-    _rank3_grid_pass.cache_clear()
-    results = []
-    for criterion in ALL_CRITERIA:
-        if criterion is criterion_determinism:
-            results.append(criterion())
-        else:
-            results.append(criterion(genera, degrees))
-    return results
+    """Every criterion's result over one new sweep: no pass is reused."""
+    sweep = Sweep(genera, degrees)
+    return [criterion(sweep) for criterion in ALL_CRITERIA]

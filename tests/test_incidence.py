@@ -1,4 +1,5 @@
-"""Incidence tables, the two coincidence checks, and serialization."""
+"""Incidence tables, the two coincidence criteria on single tables, and
+serialization."""
 
 import csv
 import enum
@@ -14,17 +15,14 @@ from hypothesis import strategies as st
 from higgsstrata import (
     Genus,
     HodgeBundle,
-    RankUnsupported,
     build_table,
-    check_hn_bb_theorem,
-    check_rank2_coincidence,
     format_label,
     parse_hn_type,
     table_to_csv,
     table_to_dot,
     table_to_records,
 )
-from higgsstrata import fixed_points, incidence, matrix_oracle
+from higgsstrata import fixed_points, incidence, matrix_oracle, verification
 from higgsstrata.core import CaseTag, format_hn_type
 from higgsstrata.incidence import CSV_HEADER, records_json, table_case_tags
 
@@ -141,18 +139,17 @@ class TestEmittedLabels:
 class TestRank2Coincidence:
     @pytest.mark.parametrize("degree,g", [(1, 2), (0, 2), (3, 4)])
     def test_holds(self, degree, g):
-        assert check_rank2_coincidence(build_table(2, degree, Genus(g)))
-
-    def test_rejects_rank3_table(self):
-        with pytest.raises(RankUnsupported):
-            check_rank2_coincidence(build_table(3, 0, Genus(2)))
+        result = verification.criterion_rank2_coincidence(verification.Sweep((g,), (degree,)))
+        assert result == (1, "rank2-coincidence", True, "1 tables bijective")
 
 
 class TestHnBbTheorem:
     def test_genus2_degree0_instance(self):
+        # Criterion 5 at this point also requires (2,0,-2), and only it,
+        # to be verified, and (1,0,-1) to be in the table.
+        result = verification.criterion_hn_bb_theorem(verification.Sweep((2,), (0,)))
+        assert result == (5, "hn-bb-coincidence", True, "1 labels verified")
         table = build_table(3, 0, Genus(2))
-        verified = check_hn_bb_theorem(table)
-        assert verified == [HodgeBundle((1, 1, 1), (2, 0, -2))]
         labels = {
             out.component
             for row in table.rows
@@ -160,10 +157,6 @@ class TestHnBbTheorem:
             if not out.strictly_polystable and out.component.ranks == (1, 1, 1)
         }
         assert HodgeBundle((1, 1, 1), (1, 0, -1)) in labels  # spread 2 = 2g-2: out of scope
-
-    def test_rejects_rank2_table(self):
-        with pytest.raises(RankUnsupported):
-            check_hn_bb_theorem(build_table(2, 0, Genus(2)))
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
-"""The acceptance suite's own machinery: the one shared pass over the
-rank-3 grid, criterion 2's integer case inequalities against a Fraction
-reference, mutations the pass must catch, and grids beyond the default."""
+"""The acceptance suite's own machinery: the one pass over the rank-3
+grid that a sweep shares, criterion 2's integer case inequalities against
+a Fraction reference, mutations the pass must catch, and grids beyond the
+default."""
 
 import inspect
 import math
@@ -24,7 +25,7 @@ GRID_CRITERIA = (
 
 @pytest.fixture
 def classify_rank3_calls(monkeypatch):
-    """Count classify_rank3 calls, starting from an empty memo."""
+    """Count classify_rank3 calls."""
     calls = []
     classify_rank3 = limit_classifier.classify_rank3
 
@@ -33,7 +34,6 @@ def classify_rank3_calls(monkeypatch):
         return classify_rank3(inp)
 
     monkeypatch.setattr(limit_classifier, "classify_rank3", counting)
-    verification._rank3_grid_pass.cache_clear()
     return calls
 
 
@@ -46,26 +46,31 @@ def test_run_all_classifies_each_grid_entry_once(classify_rank3_calls):
 
 
 def test_grid_criteria_share_one_pass(classify_rank3_calls):
-    genera, degrees = [2, 3], range(-2, 3)
-    first = GRID_CRITERIA[-1](genera, degrees)
+    # The six grid criteria given one sweep classify once; a new sweep over
+    # the same grid classifies again.
+    sweep = verification.Sweep([2, 3], range(-2, 3))
+    first = GRID_CRITERIA[-1](sweep)
     calls = len(classify_rank3_calls)
     assert calls > 0
-    results = [criterion(genera, degrees) for criterion in GRID_CRITERIA]
+    results = [criterion(sweep) for criterion in GRID_CRITERIA]
     assert len(classify_rank3_calls) == calls
     assert results[-1] is first
     assert [r.number for r in results] == [2, 3, 4, 5, 7, 8]
     assert all(r.passed for r in results)
+    again = GRID_CRITERIA[0](verification.Sweep([2, 3], range(-2, 3)))
+    assert len(classify_rank3_calls) == 2 * calls
+    assert again == results[0]
 
 
 def test_rank2_component_count_at_large_canonical_degree():
     # 2g-2 = 14 reaches past the old fixed window range(d - 10, d + 10).
-    result = verification.criterion_rank2_coincidence(genera=(8,), degrees=(-6,))
+    result = verification.criterion_rank2_coincidence(verification.Sweep((8,), (-6,)))
     assert result.passed, result.details
 
 
 def test_rank2_coincidence_over_a_wider_grid():
     result = verification.criterion_rank2_coincidence(
-        genera=tuple(range(2, 13)), degrees=tuple(range(-12, 13))
+        verification.Sweep(range(2, 13), range(-12, 13))
     )
     assert result.passed, result.details
     assert result.details == "275 tables bijective"
@@ -75,11 +80,7 @@ def test_oracle_rejection_fails_criterion_7_without_raising(monkeypatch):
     # build_table raises AssertionError when the oracle rejects an
     # outcome; verify must report that as a failed criterion.
     monkeypatch.setattr(matrix_oracle, "oracle_check", lambda outcome: False)
-    verification._rank3_grid_pass.cache_clear()
-    try:
-        results = verification.run_all()
-    finally:
-        verification._rank3_grid_pass.cache_clear()
+    results = verification.run_all()
     oracle = next(r for r in results if r.number == 7)
     assert not oracle.passed
     assert oracle.details.startswith("g=2, d=-6: gauge-scaling check failed")
@@ -152,16 +153,7 @@ def test_integer_case_inequalities_match_the_fraction_reference():
     assert sizes == {0, 1}
 
 
-@pytest.fixture
-def fresh_grid_pass():
-    """An empty memo of the grid pass before and after the test, so a
-    result under a mutation is neither reused nor kept."""
-    verification._rank3_grid_pass.cache_clear()
-    yield
-    verification._rank3_grid_pass.cache_clear()
-
-
-def test_relabelled_isolated_point_fails_criterion_2(monkeypatch, fresh_grid_pass):
+def test_relabelled_isolated_point_fails_criterion_2(monkeypatch):
     # Case 1.4 relabelled as 1.3 keeps its type-(1,1,1) component, which
     # the oracle and the audit accept; only criterion 2 tells them apart.
     classify_stratum = limit_classifier.classify_stratum
@@ -180,7 +172,7 @@ def test_relabelled_isolated_point_fails_criterion_2(monkeypatch, fresh_grid_pas
     assert "classifier says 1.3" in failed[2]
 
 
-def test_polygon_that_fails_to_rise_fails_criterion_3(monkeypatch, fresh_grid_pass):
+def test_polygon_that_fails_to_rise_fails_criterion_3(monkeypatch):
     monkeypatch.setattr(verification, "dominates", lambda p, q: False)
     result = verification.criterion_specialization_monotonicity()
     assert not result.passed
@@ -188,7 +180,7 @@ def test_polygon_that_fails_to_rise_fails_criterion_3(monkeypatch, fresh_grid_pa
     assert result.details.endswith("(2188 failures)")
 
 
-def test_wide_grid_passes(fresh_grid_pass):
+def test_wide_grid_passes():
     # g 2..12 and |d| <= 12: 275 rank-3 tables, 97 273 entries.
     results = verification.run_all(genera=range(2, 13), degrees=range(-12, 13))
     assert [r for r in results if not r.passed] == []
@@ -196,7 +188,7 @@ def test_wide_grid_passes(fresh_grid_pass):
     assert details[2] == "96998 classifications unique, 80092 gap values excluded"
 
 
-def test_pair_label_missing_from_the_closed_form_fails_criterion_5(monkeypatch, fresh_grid_pass):
+def test_pair_label_missing_from_the_closed_form_fails_criterion_5(monkeypatch):
     # Drop the last type-(2,1) label at g=3, d=1: the table still reaches it.
     listed = fixed_points._reachable_pair_labels
 
@@ -210,7 +202,7 @@ def test_pair_label_missing_from_the_closed_form_fails_criterion_5(monkeypatch, 
     assert failed == {5: "g=3, d=1: type-(1,2)/(2,1) labels differ from the fixed components"}
 
 
-def test_run_all_audits_each_run_once(monkeypatch, fresh_grid_pass):
+def test_run_all_audits_each_run_once(monkeypatch):
     # 1534 runs hold the default grid's 2188 classified values; criterion 8
     # still reports one audit per value.
     audited = []
@@ -227,7 +219,7 @@ def test_run_all_audits_each_run_once(monkeypatch, fresh_grid_pass):
     assert results[7].details == "2188 audits with exact strictness"
 
 
-def test_repeated_run_fails_criterion_2(monkeypatch, fresh_grid_pass):
+def test_repeated_run_fails_criterion_2(monkeypatch):
     # The first rank-3 row of more than one run lists its last run twice.
     # Each repeated value keeps its outcome, so the case inequalities, the
     # dominance and the audit all still agree; only the check that a row
@@ -250,7 +242,7 @@ def test_repeated_run_fails_criterion_2(monkeypatch, fresh_grid_pass):
     assert "runs of 1:-1,1:-2,1:-3 at g=2 miss or repeat a value" in failed[2]
 
 
-def test_value_past_a_case_x1_run_fails_criteria_2_and_8(monkeypatch, fresh_grid_pass):
+def test_value_past_a_case_x1_run_fails_criteria_2_and_8(monkeypatch):
     # The first case-1.1 run of more than one value that ends just below
     # an integer threshold t gets t as one more value.  At t the datum
     # check, E1 + I < mu, is an equality, so the audit fails at the run's
@@ -278,7 +270,7 @@ def test_value_past_a_case_x1_run_fails_criteria_2_and_8(monkeypatch, fresh_grid
     )
 
 
-def test_classifier_error_in_a_table_fails_criterion_2(monkeypatch, fresh_grid_pass, capsys):
+def test_classifier_error_in_a_table_fails_criterion_2(monkeypatch, capsys):
     # The mutant "mu1 - mu3 >= k" of case 3.2's bound refuses a balanced
     # stratum with mu1 - mu3 = 2g-2, which is feasible.  Every table that
     # holds one then fails to build with AlignmentImpossible: verify names
@@ -304,7 +296,6 @@ def test_classifier_error_in_a_table_fails_criterion_2(monkeypatch, fresh_grid_p
     )
     assert "incidence run failed for rank 3, d=0: AlignmentImpossible" in failed[9]
 
-    verification._rank3_grid_pass.cache_clear()
     assert cli.main(["verify"]) == 1
     out, err = capsys.readouterr()
     lines = out.splitlines()
@@ -313,13 +304,18 @@ def test_classifier_error_in_a_table_fails_criterion_2(monkeypatch, fresh_grid_p
     assert err == ""
 
 
-# Two mutants of the row routine, each one exact-text replacement in its
-# source: the value and the rest swapped in the weight order (A), and the
-# case x.2 line taken from the other end of the graded degrees (B).  The
-# oracle and the case inequalities accept both; the audit refuses both.
+# Mutants of the row routine, each one exact-text replacement in its
+# source, with the criteria it must fail: the value and the rest swapped
+# in the weight order (A), and the case x.2 line taken from the other end
+# of the graded degrees (B), which the oracle and the case inequalities
+# accept and the audit refuses; and a limit of one degree too many (C),
+# whose polygon ends where the stratum's does not (3) and whose steps, at
+# some grid points, are out of slope order, so the table cannot be built
+# (2 and 9).
 ROW_ROUTINE_MUTANTS = {
-    "A": ("graded = before + (v, rest) + after", "graded = before + (rest, v) + after"),
-    "B": ("i, split = fam.refined, fam.split", "i, split = fam.refined, 2 - fam.split"),
+    "A": ("graded = before + (v, rest) + after", "graded = before + (rest, v) + after", [8]),
+    "B": ("i, split = fam.refined, fam.split", "i, split = fam.refined, 2 - fam.split", [8]),
+    "C": ("_hn_lines(*before, rest, v, *after)", "_hn_lines(*before, rest, v + 1, *after)", [2, 3, 9]),
 }
 
 
@@ -332,20 +328,43 @@ def _mutant_refined_runs(old, new):
 
 
 @pytest.mark.parametrize("mutant", sorted(ROW_ROUTINE_MUTANTS))
-def test_row_routine_mutant_fails_criterion_8(monkeypatch, fresh_grid_pass, mutant):
-    routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS[mutant])
-    monkeypatch.setattr(limit_classifier, "_refined_runs", routine)
+def test_row_routine_mutant_fails_its_criteria(monkeypatch, mutant):
+    old, new, failing = ROW_ROUTINE_MUTANTS[mutant]
+    monkeypatch.setattr(limit_classifier, "_refined_runs", _mutant_refined_runs(old, new))
     results = verification.run_all()
     assert len(results) == 9
-    assert [r.number for r in results if not r.passed] == [8]
+    assert [r.number for r in results if not r.passed] == failing
 
 
-def test_run_all_makes_a_new_pass_after_the_code_changes(monkeypatch, fresh_grid_pass, capsys):
+def test_limit_of_the_wrong_degree_fails_criterion_3_in_verify(monkeypatch, capsys):
+    # Mutant C: verify names the stratum whose limit ends elsewhere,
+    # instead of raising from dominates.
+    old, new, _ = ROW_ROUTINE_MUTANTS["C"]
+    monkeypatch.setattr(limit_classifier, "_refined_runs", _mutant_refined_runs(old, new))
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[-1] == "6/9 criteria passed" and err == ""
+    assert lines[2].startswith(
+        "FAIL 3. specialization-monotonicity: 2:-3,1:-3 -> 2:-2,1:-3 ends at (3, -5), not (3, -6); "
+    )
+
+
+def test_run_all_makes_a_new_pass_after_the_code_changes(monkeypatch, capsys):
     # A second run_all in one process, after the row routine changed, must
     # not report the pass memoised by the first: that one passed 9/9.
     assert all(r.passed for r in verification.run_all())
-    routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS["A"])
+    routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS["A"][:2])
     monkeypatch.setattr(limit_classifier, "_refined_runs", routine)
     assert [r.number for r in verification.run_all() if not r.passed] == [8]
     assert cli.main(["verify"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "8/9 criteria passed"
+
+
+def test_single_criterion_makes_a_new_pass_after_the_code_changes(monkeypatch):
+    # Each call without a sweep makes a new default one: the second call,
+    # after mutant A, must not read the first call's pass.
+    assert verification.criterion_stability_audit().passed
+    routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS["A"][:2])
+    monkeypatch.setattr(limit_classifier, "_refined_runs", routine)
+    assert not verification.criterion_stability_audit().passed
