@@ -352,7 +352,7 @@ def test_limit_of_the_wrong_degree_fails_criterion_3_in_verify(monkeypatch, caps
 
 def test_run_all_makes_a_new_pass_after_the_code_changes(monkeypatch, capsys):
     # A second run_all in one process, after the row routine changed, must
-    # not report the pass memoised by the first: that one passed 9/9.
+    # not report the first one's pass: that one passed 9/9.
     assert all(r.passed for r in verification.run_all())
     routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS["A"][:2])
     monkeypatch.setattr(limit_classifier, "_refined_runs", routine)
