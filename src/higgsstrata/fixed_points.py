@@ -45,27 +45,12 @@ class MInvariants(namedtuple("MInvariants", "m1 m2 genus degree")):
     """Coupling zero-counts of a type-(1,1,1) fixed point.
 
     m1 counts the zeros of the weight-raising map L1 -> L2 (x) K and m2
-    those of L2 -> L3 (x) K.  Plain data: the constraint region is
-    checked by validate_m_invariants, not at construction (the
-    coordinate change is useful outside the region too).
+    those of L2 -> L3 (x) K.  Plain data: the constraint region is not
+    checked at construction (the coordinate change is useful outside the
+    region too); enumerate_m_invariants lists the pairs inside it.
     """
 
     __slots__ = ()
-
-
-def validate_m_invariants(m: MInvariants) -> bool:
-    """Constraint region for (m1, m2): nonnegativity, the two strict
-    stability bounds, and mod-3 solvability of the line degrees for the
-    ambient degree (for degree divisible by 3 this is m1+2m2 = 0 mod 3).
-    """
-    bound = 6 * m.genus.g - 6
-    return (
-        m.m1 >= 0
-        and m.m2 >= 0
-        and 2 * m.m1 + m.m2 < bound
-        and m.m1 + 2 * m.m2 < bound
-        and (2 * m.m1 + m.m2 - m.degree) % 3 == 0
-    )
 
 
 def _line_degrees(m1: int, m2: int, degree: int, k: int) -> tuple[int, int, int] | None:

@@ -6,6 +6,11 @@ seconds.  The checks live here; incidence only builds the tables they
 read.  Each function returns a CriterionResult instead of raising, so
 the CLI can report a full pass/fail summary.
 
+The rank-3 criteria check each grid point's table in one checker,
+_check_rank3, which runs each check once at the level where its inputs
+change: per table, row, run (consecutive values of one outcome) or
+value.  A check made per run lists its failure once per value of the run.
+
 Criterion 2 compares integers.  In rank 3 every slope mu_i has
 denominator 1 or 2, so 6*mu_i is an integer, and so are 6*v for an
 integer invariant v and 18 times each threshold: the case-1 threshold
@@ -77,7 +82,7 @@ def _tables(rank: int, sweep: Sweep, rejections: list[str], errors: list[str]):
         except StrataError as exc:
             errors.append(f"g={genus.g}, d={d}: {type(exc).__name__}: {exc}")
             continue
-        yield genus, d, table
+        yield table
 
 
 def _check_rank2(table: incidence.IncidenceTable, failures: list[str]) -> None:
@@ -107,7 +112,7 @@ def criterion_rank2_coincidence(sweep: Sweep | None = None) -> CriterionResult:
     count recomputed from the bound d < 2*d1 <= d + 2g-2."""
     failures = []
     checked = 0
-    for _, _, table in _tables(2, sweep or Sweep(), failures, failures):
+    for table in _tables(2, sweep or Sweep(), failures, failures):
         _check_rank2(table, failures)
         checked += 1
     return _result(1, "rank2-coincidence", failures, f"{checked} tables bijective")
@@ -241,89 +246,84 @@ _ANCHORED_LIMITS = (
 )
 
 
-def _rank3_grid_pass(sweep: Sweep) -> tuple[CriterionResult, ...]:
-    """Criteria 2, 3, 4, 5, 7 and 8 from one pass over the rank-3 grid.
-
-    Each grid point's table is built once, checked by all six criteria
-    and dropped before the next one is built, so the pass holds one table
-    at a time.  Each run of a table row pairs consecutive invariants with
-    their outcome; criterion 2 checks that a row's runs hold each
-    feasible value once, in order.  build_table has also put every
-    outcome through the oracle, so a rejection shows up here as a table
-    that could not be built (criterion 7); so does a classifier error on
-    a feasible value (criterion 2).
-    """
-    failures: dict[int, list[str]] = {n: [] for n in (2, 3, 4, 5, 7, 8)}
-    classified = gap_checked = coprime_count = verified_total = 0
-    for genus, d, table in _tables(3, sweep, failures[7], failures[2]):
-        coprime = gcd(3, d) == 1
-        for row in table.rows:
-            stratum = row.stratum
-            if stratum.is_semistable:
-                continue
-            if coprime and stratum.case_family is CaseFamily.CASE3_FLAG:
-                failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
-            if row.feasible_set != tuple(limit_classifier.feasible_inputs(stratum)):
-                failures[2].append(f"runs of {stratum.hn} at g={genus.g} miss or repeat a value")
-            # Computed once per row: what depends on the row alone.
-            inequalities = _case_inequalities(stratum)
-            polygon = polygon_of(stratum.hn)
-            for values, outcome in row.runs:
-                # The limit's end point and dominance depend on the outcome
-                # alone: once per run.  So does the audit, but for its datum
-                # check, which only a case-x.1 run has: audited at the run's
-                # first value, it is re-decided per value, its degree moving
-                # with the value.
-                limit, fault = polygon_of(outcome.hnt_limit), None
-                ends = limit.vertices[-1], polygon.vertices[-1]
-                if ends[0] != ends[1]:
-                    fault = f"{stratum.hn} -> {outcome.hnt_limit} ends at {ends[0]}, not {ends[1]}"
-                elif not dominates(limit, polygon):
-                    fault = f"{stratum.hn} -> {outcome.hnt_limit} fails to rise"
-                checks = limit_classifier.stability_audit(
-                    outcome, limit_classifier.ClassifierInput(stratum, values[0])
-                )
-                fixed_hold, fixed_equalities, moving = True, 0, None
-                for c in checks:
-                    if c.datum:
-                        moving = c
-                    else:
-                        fixed_hold = fixed_hold and c.holds
-                        fixed_equalities += c.is_equality
-                for value in values:
-                    classified += 1
-                    if inequalities is None:
-                        expected = CaseTag.C3_1 if value else CaseTag.C3_2
-                        if outcome.case_tag is not expected:
-                            failures[2].append(f"{stratum.hn} flag={value}: {outcome.case_tag}")
-                    else:
-                        matches = _case_matches(inequalities, value)
-                        if len(matches) != 1 or matches[0] is not outcome.case_tag:
-                            failures[2].append(
-                                f"{stratum.hn} v={value}: classifier says "
-                                f"{outcome.case_tag.value}, inequalities match {matches}"
-                            )
-                    if fault:
-                        failures[3].append(fault)
-                    if coprime:
-                        coprime_count += 1
-                        if outcome.strictly_polystable:
-                            failures[4].append(f"polystable limit for {stratum.hn} at d={d}")
-                    holds, equalities = fixed_hold, fixed_equalities
-                    if moving is not None:  # a strict check, at this value's degree
-                        excess = (moving.degree + value - values[0]) * moving.r
-                        excess -= moving.d * moving.rank
-                        holds, equalities = holds and excess < 0, equalities + (excess == 0)
-                    if not holds:
-                        failures[8].append(f"audit fails for {outcome.case_tag.value} of {stratum.hn}")
-                    if equalities != (1 if outcome.strictly_polystable else 0):
-                        failures[8].append(
-                            f"{stratum.hn} case {outcome.case_tag.value}: {equalities} equalities"
+def _check_rank3(table: incidence.IncidenceTable, failures: dict[int, list[str]]) -> tuple:
+    """Criteria 2, 3, 4, 5 and 8 on one rank-3 table; returns the counts
+    their passing texts report: values classified, gap values excluded,
+    coprime values and labels verified.  Per table: gcd(3, d).  Per row:
+    no balanced stratum at a coprime degree, and runs that hold each
+    feasible value once, in order.  Per run: the limit's end point and
+    dominance, the polystable check and the audit.  Per value: the case
+    match and the audit's datum check, whose degree moves with the value."""
+    d = table.degree
+    coprime = gcd(3, d) == 1
+    classified = gap_checked = 0
+    for row in table.rows:
+        stratum = row.stratum
+        if stratum.is_semistable:
+            continue
+        if coprime and stratum.case_family is CaseFamily.CASE3_FLAG:
+            failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
+        if row.feasible_set != tuple(limit_classifier.feasible_inputs(stratum)):
+            failures[2].append(f"runs of {stratum.hn} at g={table.genus.g} miss or repeat a value")
+        inequalities = _case_inequalities(stratum)
+        polygon = polygon_of(stratum.hn)
+        for values, outcome in row.runs:
+            n, tag = len(values), outcome.case_tag
+            classified += n
+            limit, end = polygon_of(outcome.hnt_limit), polygon.vertices[-1]
+            if limit.vertices[-1] != end:
+                fault = f"ends at {limit.vertices[-1]}, not {end}"
+                failures[3] += [f"{stratum.hn} -> {outcome.hnt_limit} {fault}"] * n
+            elif not dominates(limit, polygon):
+                failures[3] += [f"{stratum.hn} -> {outcome.hnt_limit} fails to rise"] * n
+            if coprime and outcome.strictly_polystable:
+                failures[4] += [f"polystable limit for {stratum.hn} at d={d}"] * n
+            # Audited at the run's first value.  Only a case-x.1 run has a
+            # datum check; its degree moves with the value.
+            checks = limit_classifier.stability_audit(
+                outcome, limit_classifier.ClassifierInput(stratum, values[0])
+            )
+            fixed_hold, fixed_equalities, moving = True, 0, None
+            for c in checks:
+                if c.datum:
+                    moving = c
+                else:
+                    fixed_hold = fixed_hold and c.holds
+                    fixed_equalities += c.is_equality
+            for value in values:
+                if inequalities is None:
+                    if tag is not (CaseTag.C3_1 if value else CaseTag.C3_2):
+                        failures[2].append(f"{stratum.hn} flag={value}: {tag}")
+                else:
+                    matches = _case_matches(inequalities, value)
+                    if len(matches) != 1 or matches[0] is not tag:
+                        failures[2].append(
+                            f"{stratum.hn} v={value}: classifier says "
+                            f"{tag.value}, inequalities match {matches}"
                         )
-            for v in limit_classifier.excluded_gap_integers(stratum):
-                gap_checked += 1
-                _check_gap_value(stratum, inequalities, v, failures[2])
-        verified_total += _check_hn_bb(table, failures[5])
+                holds, equalities = fixed_hold, fixed_equalities
+                if moving is not None:  # a strict check, at this value's degree
+                    excess = (moving.degree + value - values[0]) * moving.r
+                    excess -= moving.d * moving.rank
+                    holds, equalities = holds and excess < 0, equalities + (excess == 0)
+                if not holds:
+                    failures[8].append(f"audit fails for {tag.value} of {stratum.hn}")
+                if equalities != (1 if outcome.strictly_polystable else 0):
+                    failures[8].append(f"{stratum.hn} case {tag.value}: {equalities} equalities")
+        for v in limit_classifier.excluded_gap_integers(stratum):
+            gap_checked += 1
+            _check_gap_value(stratum, inequalities, v, failures[2])
+    return classified, gap_checked, classified if coprime else 0, _check_hn_bb(table, failures[5])
+
+
+def _rank3_grid_pass(sweep: Sweep) -> tuple[CriterionResult, ...]:
+    """Criteria 2, 3, 4, 5, 7 and 8 from one pass over the rank-3 grid:
+    each table is built, checked and dropped before the next.  A table
+    that could not be built fails criterion 7 (the oracle rejected an
+    outcome) or 2 (a classifier error on a feasible value)."""
+    failures: dict[int, list[str]] = {n: [] for n in (2, 3, 4, 5, 7, 8)}
+    counts = [_check_rank3(t, failures) for t in _tables(3, sweep, failures[7], failures[2])]
+    classified, gap_checked, coprime_count, verified_total = map(sum, zip((0, 0, 0, 0), *counts))
     for name, pattern, exponents, higgs, shape in _ANCHORED_LIMITS:
         lim = matrix_oracle.take_limit(pattern)
         if lim.exponents != exponents:

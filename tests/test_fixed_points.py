@@ -22,10 +22,25 @@ from higgsstrata import (
 from higgsstrata import cli, limit_classifier
 from higgsstrata.admissibility import RankUnsupported, enumerate_strata
 from higgsstrata.core import CaseTag, StrataError
-from higgsstrata.fixed_points import validate_component_label, validate_m_invariants
+from higgsstrata.fixed_points import validate_component_label
 from higgsstrata.incidence import build_table
 
 PAIR_TYPES = ((1, 2), (2, 1))
+
+
+def validate_m_invariants(m: MInvariants) -> bool:
+    """Reference for the (m1, m2) constraint region: nonnegativity, the
+    two strict stability bounds, and mod-3 solvability of the line
+    degrees for the ambient degree (for degree divisible by 3 this is
+    m1+2m2 = 0 mod 3)."""
+    bound = 6 * m.genus.g - 6
+    return (
+        m.m1 >= 0
+        and m.m2 >= 0
+        and 2 * m.m1 + m.m2 < bound
+        and m.m1 + 2 * m.m2 < bound
+        and (2 * m.m1 + m.m2 - m.degree) % 3 == 0
+    )
 
 
 def naive_fixed_111(degree: int, g: int) -> set[tuple[int, int, int]]:

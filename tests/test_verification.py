@@ -1,7 +1,7 @@
-"""The acceptance suite's own machinery: the one pass over the rank-3
-grid that a sweep shares, criterion 2's integer case inequalities against
-a Fraction reference, mutations the pass must catch, and grids beyond the
-default."""
+"""The acceptance suite's own machinery: the rank-3 checker of one table,
+the one pass over the rank-3 grid that a sweep shares, criterion 2's
+integer case inequalities against a Fraction reference, mutations the
+pass must catch, and grids beyond the default."""
 
 import inspect
 import math
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from higgsstrata import cli, fixed_points, limit_classifier, matrix_oracle, verification
+from higgsstrata import cli, fixed_points, incidence, limit_classifier, matrix_oracle, verification
 from higgsstrata.admissibility import CaseFamily, enumerate_strata
 from higgsstrata.core import CaseTag, Genus, LimitOutcome
 
@@ -74,6 +74,33 @@ def test_rank2_coincidence_over_a_wider_grid():
     )
     assert result.passed, result.details
     assert result.details == "275 tables bijective"
+
+
+def test_check_rank3_on_one_table_outside_the_grid():
+    # g=7, d=1 is outside the default grid.  The checker fails nothing and
+    # counts each feasible value of the unstable rows once, all of them
+    # coprime.  A wrong case tag on one run of a rebuilt table then fails
+    # criterion 2 once per value of the run, and nothing else.
+    table = incidence.build_table(3, 1, Genus(7))
+    failures = {n: [] for n in (2, 3, 4, 5, 8)}
+    classified, gaps, coprime, labels = verification._check_rank3(table, failures)
+    assert failures == {n: [] for n in (2, 3, 4, 5, 8)}
+    unstable = [row for row in table.rows if not row.stratum.is_semistable]
+    feasible = sum(len(limit_classifier.feasible_inputs(row.stratum)) for row in unstable)
+    assert classified == coprime == feasible > 0
+    assert gaps > 0 and labels > 0
+
+    at = next(i for i, row in enumerate(table.rows) if row.runs[0][1].case_tag is CaseTag.C1_1)
+    row = table.rows[at]
+    (values, outcome), *rest = row.runs
+    wrong = LimitOutcome(CaseTag.C1_3, outcome.component, outcome.hnt_limit)
+    rows = list(table.rows)
+    rows[at] = incidence.IncidenceRow(row.stratum, ((values, wrong), *rest))
+    rebuilt = incidence.IncidenceTable(3, 1, Genus(7), tuple(rows), table.bb_index)
+    failures = {n: [] for n in (2, 3, 4, 5, 8)}
+    assert verification._check_rank3(rebuilt, failures) == (classified, gaps, coprime, labels)
+    assert {n: len(f) for n, f in failures.items()} == {2: len(values), 3: 0, 4: 0, 5: 0, 8: 0}
+    assert failures[2][0].startswith(f"{row.stratum.hn} v={values[0]}: classifier says 1.3")
 
 
 def test_oracle_rejection_fails_criterion_7_without_raising(monkeypatch):
@@ -178,6 +205,20 @@ def test_polygon_that_fails_to_rise_fails_criterion_3(monkeypatch):
     assert not result.passed
     assert "fails to rise" in result.details
     assert result.details.endswith("(2188 failures)")
+
+
+def test_every_degree_taken_as_coprime_fails_criterion_4(monkeypatch):
+    # With gcd(3, d) = 1 everywhere, criterion 4 lists each balanced stratum
+    # once and each polystable limit once per value, in table order.
+    monkeypatch.setattr(verification, "gcd", lambda a, b: 1)
+    result = verification.criterion_coprime_degrees()
+    assert not result.passed
+    assert result.details == (
+        "polystable limit for 2:-3,1:-3 at d=-6; polystable limit for 1:-1,2:-5 at d=-6; "
+        "balanced stratum 1:-1,1:-2,1:-3 at coprime d=-6; "
+        "polystable limit for 1:-1,1:-2,1:-3 at d=-6; "
+        "balanced stratum 1:0,1:-2,1:-4 at coprime d=-6; ... (280 failures)"
+    )
 
 
 def test_wide_grid_passes():
