@@ -139,16 +139,18 @@ def enumerate_fixed_111(degree: int, genus: Genus) -> list[HodgeBundle]:
     return sorted(labels, key=lambda t: t.degrees)
 
 
-def _reachable_pair_labels(degree: int, genus: Genus) -> list[HodgeBundle]:
-    """The module docstring's closed form for an int degree: the type-(1,2)
-    labels, then the type-(2,1) labels, each by ascending weight-0 degree."""
+def _pair_degrees(rank0: int, degree: int, genus: Genus) -> range:
+    """The module docstring's closed form for an int degree: the weight-0
+    degrees a of the type-(1,2) labels (r = rank0 = 1) or the type-(2,1)
+    labels (r = 2), ascending: r*d < 3a and 6a < 2r*d + 3k."""
     k = genus.canonical_degree
-    # a >= d//3 + 1 is d < 3a; a <= (2d + 3k - 1)//6 is 6a < 2d + 3k.
-    t12 = range(degree // 3 + 1, (2 * degree + 3 * k - 1) // 6 + 1)
-    t21 = range(2 * degree // 3 + 1, (4 * degree + 3 * k - 1) // 6 + 1)
-    return [_hodge_bundle((1, 2), (a, degree - a)) for a in t12] + [
-        _hodge_bundle((2, 1), (e, degree - e)) for e in t21
-    ]
+    return range(rank0 * degree // 3 + 1, (2 * rank0 * degree + 3 * k - 1) // 6 + 1)
+
+
+def _reachable_pair_labels(degree: int, genus: Genus) -> list[HodgeBundle]:
+    """The type-(1,2), then the type-(2,1) labels of the closed form."""
+    return [_hodge_bundle(ranks, (a, degree - a)) for ranks in ((1, 2), (2, 1))
+            for a in _pair_degrees(ranks[0], degree, genus)]
 
 
 def enumerate_fixed_components(
@@ -184,9 +186,9 @@ def enumerate_fixed_components(
 def validate_component_label(
     label: FixedComponentLabel, rank: int, degree: int, genus: Genus
 ) -> bool:
-    """Rank and degree bookkeeping, plus the rank-2 bound on d1 and the
-    full type-(1,1,1) constraint list, for a label claimed to live in the
-    given moduli space."""
+    """Rank and degree bookkeeping, then the rank-2 bound on d1, the closed
+    form of types (1,2) and (2,1), or the full type-(1,1,1) constraint
+    list, for a label claimed to live in the given moduli space."""
     if isinstance(label, PolystableSum):
         degrees = label.degrees
         return len(degrees) == rank and sum(degrees) == degree
@@ -198,4 +200,6 @@ def validate_component_label(
         return degree < 2 * label.degrees[0] <= degree + genus.canonical_degree
     if label.ranks == (1, 1, 1):
         return validate_fixed_111(label, degree, genus)
+    if label.ranks in ((1, 2), (2, 1)):
+        return label.degrees[0] in _pair_degrees(label.ranks[0], degree, genus)
     return True

@@ -7,6 +7,9 @@ bundle of (E, z*Phi) as z -> 0: case tag, fixed-component label, graded
 degrees and the HN type of the limit.  All comparisons are exact; the
 thresholds involve thirds, so rounding anywhere would misclassify.
 
+One routine, _slope_runs, turns slope values into outcomes, for tables
+and limit alike; _check_window refuses a value and builds nothing.
+
 The classifier builds its outcomes with core's trusted constructors
 (_hn_lines, _hodge_bundle, _limit_outcome): every degree it passes is
 an integer taken from a stratum that has already been checked, so the
@@ -106,16 +109,14 @@ _FAMILIES = {
 }
 
 
-def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> LimitOutcome:
-    # Integer comparisons of 6*v with the stratum's window; the window's
-    # ends are written as fractions only for refusal messages.
-    low6, gap_low6, gap_high6, threshold6 = stratum.window6
+def _check_window(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> None:
+    # Refuse a slope value outside the window, building nothing: integer
+    # comparisons of 6*v, whose ends are fractions only in the messages.
+    low6, gap_low6, gap_high6, _ = stratum.window6
     v6 = 6 * v
     low_name, gap_low_name, gap_high_name = fam.ends
     if v6 > gap_high6:
-        raise SlopeOutOfBounds(
-            f"mu({fam.datum}) = {v} > {gap_high_name} = {_sixths(gap_high6)}"
-        )
+        raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} > {gap_high_name} = {_sixths(gap_high6)}")
     if gap_low6 < v6 < gap_high6:
         raise InfeasibleBySpecialization(
             f"mu({fam.datum}) = {v} lies strictly between {gap_low_name} = "
@@ -123,37 +124,29 @@ def _classify_slope(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> Li
         )
     if v6 < low6:  # low <= gap_high by the slope bounds
         raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} < {low_name} = {_sixths(low6)}")
-    if v6 < threshold6:
-        # Case x.1 keeps the (sub, quotient) filtration.  The isolated
-        # point lies at or above the threshold.
-        component = _hodge_bundle(fam.x1_type, _sub_quotient(stratum, fam))
-        return _limit_outcome(fam.tags[0], component, stratum.hn)
-    return _refined_runs(stratum, fam, (v,), {})[0][1]
 
 
-def _sub_quotient(stratum: AdmissibleStratum, fam: _SlopeFamily) -> tuple[int, int]:
-    """Degrees of the row's two-piece filtration (sub, quotient)."""
-    sub = sum(stratum.mu6_vector[: 2 - fam.refined]) // 6  # degree of E1 or E2
-    return sub, stratum.hn.total_degree - sub
-
-
-def _refined_runs(
+def _slope_runs(
     stratum: AdmissibleStratum, fam: _SlopeFamily, values, interned: dict
 ) -> list[Run]:
-    """The runs, one value each, of case x.2, x.3 or x.4 of feasible
-    integers at or above the window's threshold.  Nothing here refuses:
-    the caller has placed every value in the window.  A case x.2 or x.3
-    outcome depends only on the family, on whether the value is at the
-    threshold and on the graded degrees, which the row's (sub, quotient)
-    degrees and the value fix; ``interned`` keeps each under those
-    integers, so rows given the same dict share equal outcomes as one
-    object."""
+    """The runs of ascending feasible slope values, a table row's or
+    limit's one; nothing here refuses.  The values below the threshold
+    (case x.1, which keeps the (sub, quotient) filtration) are one run, a
+    range; each other value is a run of case x.2, x.3 or x.4.  An x.2 or
+    x.3 outcome depends only on the family, on whether the value is at the
+    threshold and on the graded degrees; ``interned`` keeps each under
+    those integers, so rows given one dict share equal outcomes."""
     _, gap_low6, _, threshold6 = stratum.window6
-    pair = _sub_quotient(stratum, fam)
+    sub = sum(stratum.mu6_vector[: 2 - fam.refined]) // 6  # degree of E1 or E2
+    pair = sub, stratum.hn.total_degree - sub
+    below = bisect_left(values, -(-threshold6 // 6))  # the values with 6*v < threshold6
+    runs = []
+    if below:
+        x1 = _limit_outcome(fam.tags[0], _hodge_bundle(fam.x1_type, pair), stratum.hn)
+        runs.append((range(values[0], values[0] + below), x1))
     i, split = fam.refined, fam.split
     before, refined, after = pair[:i], pair[i], pair[i + 1 :]
-    runs = []
-    for v in values:
+    for v in values[below:]:
         v6 = 6 * v
         if v6 > gap_low6:
             # The isolated point: I = E2/E1 in family 1, N = E1 in
@@ -224,7 +217,8 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
     ):
         # I and N are line bundles; their slopes are honest integers, and
         # the outcome's degrees are ints.
-        return _classify_slope(stratum, fam, int(invariant))
+        _check_window(stratum, fam, v := int(invariant))
+        return _slope_runs(stratum, fam, (v,), {})[0][1]
     else:
         raise InvalidInvariant(f"slope invariant must be an integer, got {invariant!r}")
     raise CaseFamilyMismatch(
@@ -272,32 +266,21 @@ def classify_stratum(stratum: AdmissibleStratum, interned: dict) -> tuple[Run, .
     """One row of the incidence table: the stratum's feasible invariants,
     in feasible_inputs order, as maximal runs of one outcome.
 
-    classify decides the first value, with every refusal check.  Every
-    other value is feasible by construction, so it goes straight to the
-    outcome of its case.  In families 1 and 2 the case-x.1 values are the
-    feasible values below the window's threshold: they come first and
-    share classify's outcome, as one run (a range).  The values from the
-    threshold on go to one call of the row routine, which interns the x.2
-    and x.3 outcomes in ``interned`` (pass {} for a row on its own; a
-    table passes one dict for all its rows).  Each of them, each flag and
-    None is a run of one value.
-    """
+    classify decides a semistable or rank-2 row's None, _classify_case3
+    each flag of a balanced row.  A slope row is checked at its first and
+    last value, the window's ends, then goes to one _slope_runs call with
+    ``interned`` ({} for a row on its own, one dict for a whole table)."""
     inputs = feasible_inputs(stratum)
     if not inputs:
         return ()
-    first = classify(ClassifierInput(stratum, inputs[0]))
-    if inputs[0] is None or (fam := _FAMILIES.get(stratum.case_family)) is None:
-        # One value (semistable or rank 2), or the alignment flags.
-        return (((inputs[0],), first), *(((v,), _classify_case3(stratum, v)) for v in inputs[1:]))
-    # The values below the threshold (6*v < threshold6) take classify's
-    # outcome, and so does a row whose one value is the isolated point:
-    # no other row shares its outcome.  The row routine does the rest.
-    _, gap_low6, _, threshold6 = stratum.window6
-    refined = bisect_left(inputs, -(-threshold6 // 6), 1 if 6 * inputs[0] > gap_low6 else 0)
-    runs = [(range(inputs[0], inputs[0] + refined), first)] if refined else []
-    if refined < len(inputs):
-        runs += _refined_runs(stratum, fam, inputs[refined:], interned)
-    return tuple(runs)
+    if inputs[0] is None:  # semistable or rank 2
+        return (((None,), classify(ClassifierInput(stratum, None))),)
+    fam = _FAMILIES.get(stratum.case_family)
+    if fam is None:  # the alignment flags
+        return tuple(((v,), _classify_case3(stratum, v)) for v in inputs)
+    _check_window(stratum, fam, inputs[0])
+    _check_window(stratum, fam, inputs[-1])
+    return tuple(_slope_runs(stratum, fam, inputs, interned))
 
 
 def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:

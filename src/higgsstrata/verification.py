@@ -19,7 +19,8 @@ mu3)/3.  So v < t is 3*(6v) < -6mu1 + 12mu2 + 12mu3, and so on for
 every case inequality.  The scaled slopes are computed from each
 stratum's ``hn.steps``, not read from the window the classifier
 compares with (``window6``, ``threshold6``), so a fault in that window
-shows as a disagreement instead of being shared.
+shows as a disagreement instead of being shared; so is each row's
+feasible set.
 """
 
 from __future__ import annotations
@@ -165,6 +166,17 @@ def _case_matches(inequalities: tuple, v: int) -> list[CaseTag]:
     return matches
 
 
+def _feasible_reference(stratum, inequalities: tuple | None) -> tuple:
+    """A row's feasible set from ``hn.steps``: the integers of cases x.1 to
+    x.3, then case x.4's value; or the flags, False if mu1 - mu3 <= 2g-2."""
+    if inequalities is None:
+        (_, d1), _, (_, d3) = stratum.hn.steps
+        return (True, False) if d1 - d3 <= stratum.genus.canonical_degree else (True,)
+    _, low6, _, high6, isolated6 = inequalities
+    values = tuple(range(-(-low6 // 6), high6 // 6 + 1))
+    return values if isolated6 is None else (*values, isolated6 // 6)
+
+
 def _check_gap_value(stratum, inequalities: tuple, v: int, failures: list[str]) -> None:
     # Criterion 2 on one integer inside the excluded gap.
     if _case_matches(inequalities, v):
@@ -250,10 +262,10 @@ def _check_rank3(table: incidence.IncidenceTable, failures: dict[int, list[str]]
     """Criteria 2, 3, 4, 5 and 8 on one rank-3 table; returns the counts
     their passing texts report: values classified, gap values excluded,
     coprime values and labels verified.  Per table: gcd(3, d).  Per row:
-    no balanced stratum at a coprime degree, and runs that hold each
-    feasible value once, in order.  Per run: the limit's end point and
-    dominance, the polystable check and the audit.  Per value: the case
-    match and the audit's datum check, whose degree moves with the value."""
+    no balanced stratum at a coprime degree, and runs that hold each value
+    of _feasible_reference once, in order.  Per run: the limit's end point
+    and dominance, the polystable check and the audit.  Per value: the
+    case match and the audit's datum check, whose degree moves with it."""
     d = table.degree
     coprime = gcd(3, d) == 1
     classified = gap_checked = 0
@@ -263,9 +275,9 @@ def _check_rank3(table: incidence.IncidenceTable, failures: dict[int, list[str]]
             continue
         if coprime and stratum.case_family is CaseFamily.CASE3_FLAG:
             failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
-        if row.feasible_set != tuple(limit_classifier.feasible_inputs(stratum)):
-            failures[2].append(f"runs of {stratum.hn} at g={table.genus.g} miss or repeat a value")
         inequalities = _case_inequalities(stratum)
+        if row.feasible_set != _feasible_reference(stratum, inequalities):
+            failures[2].append(f"runs of {stratum.hn} at g={table.genus.g} miss or repeat a value")
         polygon = polygon_of(stratum.hn)
         for values, outcome in row.runs:
             n, tag = len(values), outcome.case_tag

@@ -240,7 +240,11 @@ class TestEnumeration:
                 sys.setprofile(None)
             return list(calls.values())
 
-        assert all(run_counted(lambda: build_table(3, 1, Genus(3))))
+        # The positive control: a table and a limit query.  A table calls
+        # classify only for its semistable row, and classify_rank3 not at
+        # all; limit reaches both.
+        limit = cli.RunConfig(command="limit", genus=3, hn="1:1,2:0", invariant=0)
+        assert all(run_counted(lambda: (build_table(3, 1, Genus(3)), cli.run(limit))))
         assert run_counted(lambda: enumerate_fixed_components(3, 1, Genus(12))) == [0] * 4
         config = cli.RunConfig(command="fixed", genus=12, rank=3, degree=-2, format="json")
         assert run_counted(lambda: cli.run(config)) == [0] * 4
@@ -266,7 +270,9 @@ class TestValidateComponentLabel:
         assert not validate_component_label(HodgeBundle((3,), (1,)), 3, 0, g)
         assert validate_component_label(HodgeBundle((1, 1), (1, -1)), 2, 0, g)
         assert not validate_component_label(HodgeBundle((1, 1), (2, -2)), 2, 0, g)
-        assert validate_component_label(HodgeBundle((1, 2), (1, -1)), 3, 0, g)
+        # t12:1|-1 is outside the closed form at g=2 and inside it at g=3.
+        assert not validate_component_label(HodgeBundle((1, 2), (1, -1)), 3, 0, g)
+        assert validate_component_label(HodgeBundle((1, 2), (1, -1)), 3, 0, Genus(3))
         assert not validate_component_label(HodgeBundle((1, 2), (1, 0)), 3, 0, g)
         assert validate_component_label(HodgeBundle((1, 1, 1), (1, 0, -1)), 3, 0, g)
         assert not validate_component_label(HodgeBundle((1, 1, 1), (0, 0, 0)), 3, 0, g)
@@ -283,7 +289,8 @@ def test_m_validation_outside_region():
 class TestValidateComponentLabelVerdicts:
     """Every label kind at its right rank and degree, at a wrong rank and
     at a wrong degree; both ends of the rank-2 bound d < 2*d1 <= d + 2g-2;
-    and polystable sums at ranks 2 and 3."""
+    type-(1,2)/(2,1) labels inside and outside their closed form; and
+    polystable sums at ranks 2 and 3."""
 
     @pytest.mark.parametrize(
         "ranks,degrees,rank,degree,g,verdict",
@@ -304,10 +311,10 @@ class TestValidateComponentLabelVerdicts:
             ((1, 1), (0, 1), 2, 1, 2, False),
             ((1, 1), (1, 0), 2, 1, 2, True),
             ((1, 1), (2, -1), 2, 1, 2, False),
-            ((1, 2), (1, -1), 3, 0, 2, True),
+            ((1, 2), (1, -1), 3, 0, 3, True),
             ((1, 2), (1, -1), 2, 0, 2, False),
             ((1, 2), (1, -1), 3, 1, 2, False),
-            ((2, 1), (1, -1), 3, 0, 2, True),
+            ((2, 1), (1, -1), 3, 0, 3, True),
             ((2, 1), (1, -1), 2, 0, 2, False),
             ((2, 1), (1, -1), 3, 1, 2, False),
             ((1, 1, 1), (1, 0, -1), 3, 0, 2, True),
@@ -315,11 +322,26 @@ class TestValidateComponentLabelVerdicts:
             ((1, 1, 1), (1, 0, -1), 3, 1, 2, False),
             ((1, 1, 1), (0, 0, 0), 3, 0, 2, False),
             ((1, 1, 1), (3, 0, -3), 3, 0, 2, False),
+            # Outside the type-(1,2)/(2,1) closed form, which lists no
+            # label at g=2, d=0.
+            ((1, 2), (1, -1), 3, 0, 2, False),
+            ((2, 1), (1, -1), 3, 0, 2, False),
         ],
     )
     def test_hodge_bundle(self, ranks, degrees, rank, degree, g, verdict):
         label = HodgeBundle(ranks, degrees)
         assert validate_component_label(label, rank, degree, Genus(g)) is verdict
+
+    def test_pair_labels_outside_the_closed_form(self):
+        # At g=2, d=0 the closed form lists no type-(1,2) label, so each
+        # t12:a|-a is refused although its degrees sum to d.  At g=3 it
+        # lists a = 1 alone.
+        for g, listed in ((2, []), (3, [1])):
+            accepted = [
+                a for a in range(-5, 6)
+                if validate_component_label(HodgeBundle((1, 2), (a, -a)), 3, 0, Genus(g))
+            ]
+            assert accepted == listed
 
     @pytest.mark.parametrize(
         "summands,rank,degree,verdict",

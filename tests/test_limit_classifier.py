@@ -36,7 +36,6 @@ from higgsstrata import limit_classifier
 from higgsstrata.core import CaseTag
 
 X1_TAGS = (CaseTag.C1_1, CaseTag.C2_1)
-REFINED_TAGS = (CaseTag.C1_2, CaseTag.C1_3, CaseTag.C2_2, CaseTag.C2_3)
 
 
 def stratum(hn_text: str, g: int):
@@ -430,15 +429,12 @@ class TestClassifyStratum:
         assert long_runs > 0
 
     def test_build_table_builds_no_outcome_twice(self, monkeypatch):
-        # Each outcome object of the g=30, d=0 table is built once.  The
-        # only other build is classify's outcome of a row's first value
-        # when that value is refined (case x.2 or x.3): classify builds it
-        # with a dict of its own, and the table takes the row routine's
-        # interned object instead.  The row routine is never called
-        # without values.
+        # Each outcome object of the g=30, d=0 table is built once: the
+        # table keeps every outcome it builds.  The row routine is never
+        # called without values.
         built = []
         routine_values = []
-        make, routine = limit_classifier._limit_outcome, limit_classifier._refined_runs
+        make, routine = limit_classifier._limit_outcome, limit_classifier._slope_runs
 
         def counting_make(*args):
             built.append(make(*args))
@@ -449,18 +445,18 @@ class TestClassifyStratum:
             return routine(stratum, fam, values, *rest)
 
         monkeypatch.setattr(limit_classifier, "_limit_outcome", counting_make)
-        monkeypatch.setattr(limit_classifier, "_refined_runs", counting_routine)
+        monkeypatch.setattr(limit_classifier, "_slope_runs", counting_routine)
         table = build_table(3, 0, Genus(30))
         seen: set[int] = set()
-        refined_first = 0
         for row in table.rows:
-            refined_first += row.entries[0][1].case_tag in REFINED_TAGS
             seen.update(id(outcome) for _, outcome in row.entries)
-        assert refined_first > 0
-        assert len(built) == len(seen) + refined_first
+        assert len(built) == len(seen) == 2190
         assert 0 not in routine_values
 
-    def test_build_table_classifies_each_row_with_one_call(self, monkeypatch):
+    def test_build_table_classifies_the_semistable_row_only(self, monkeypatch):
+        # classify decides the semistable row alone; classify_rank3 is
+        # never called, as every slope row goes to the row routine and
+        # every balanced row to _classify_case3.
         calls = {"classify": Counter(), "classify_rank3": Counter()}
         for name, counter in calls.items():
             def counting(inp, fn=getattr(limit_classifier, name), counter=counter):
@@ -470,9 +466,9 @@ class TestClassifyStratum:
             monkeypatch.setattr(limit_classifier, name, counting)
         table = build_table(3, 0, Genus(10))
         assert sum(len(row.entries) for row in table.rows) > 2 * len(table.rows)
-        for counter in calls.values():
-            assert all(counter[id(row.stratum)] <= 1 for row in table.rows)
-        assert sum(calls["classify"].values()) == len(table.rows)
+        semistable = [id(row.stratum) for row in table.rows if row.stratum.is_semistable]
+        assert calls["classify"] == Counter(semistable) and len(semistable) == 1
+        assert calls["classify_rank3"] == Counter()
 
 
 def test_polystable_flag_follows_the_case_tag():

@@ -3,13 +3,17 @@ the one pass over the rank-3 grid that a sweep shares, criterion 2's
 integer case inequalities against a Fraction reference, mutations the
 pass must catch, and grids beyond the default."""
 
+import bisect
 import inspect
 import math
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from higgsstrata import cli, fixed_points, incidence, limit_classifier, matrix_oracle, verification
+from higgsstrata import (
+    admissibility, cli, fixed_points, incidence, limit_classifier, matrix_oracle, verification
+)
 from higgsstrata.admissibility import CaseFamily, enumerate_strata
 from higgsstrata.core import CaseTag, Genus, LimitOutcome
 
@@ -38,11 +42,12 @@ def classify_rank3_calls(monkeypatch):
 
 
 def test_run_all_classifies_each_grid_entry_once(classify_rank3_calls):
-    # 2188 feasible entries and 668 gap values once each, plus 56
-    # classifications in criterion 9's six incidence runs.
+    # The tables' 2188 feasible entries go through the row routine, not
+    # classify_rank3, and so do criterion 9's incidence runs: it decides
+    # only the 668 gap values, once each.
     results = verification.run_all()
     assert all(r.passed for r in results)
-    assert len(classify_rank3_calls) <= 2912
+    assert len(classify_rank3_calls) == 668
 
 
 def test_grid_criteria_share_one_pass(classify_rank3_calls):
@@ -349,39 +354,76 @@ def test_classifier_error_in_a_table_fails_criterion_2(monkeypatch, capsys):
 # source, with the criteria it must fail: the value and the rest swapped
 # in the weight order (A), and the case x.2 line taken from the other end
 # of the graded degrees (B), which the oracle and the case inequalities
-# accept and the audit refuses; and a limit of one degree too many (C),
-# whose polygon ends where the stratum's does not (3) and whose steps, at
-# some grid points, are out of slope order, so the table cannot be built
-# (2 and 9).
+# accept and the audit refuses; a limit of one degree too many (C), whose
+# polygon ends where the stratum's does not (3) and whose steps, at some
+# grid points, are out of slope order, so the table cannot be built (2
+# and 9); and the x.1 run split off past the threshold's ceiling (D), so
+# the value at an integer threshold, and the first one above a proper
+# fraction, are classified as case x.1.  In rows with no value truly below
+# the threshold that gives a type-(1,2) or (2,1) label outside the closed
+# form, which check_outcome refuses: no table builds (7 and 9).  With that
+# check loosened, D fails criteria 2, 5 and 8 instead.
 ROW_ROUTINE_MUTANTS = {
     "A": ("graded = before + (v, rest) + after", "graded = before + (rest, v) + after", [8]),
     "B": ("i, split = fam.refined, fam.split", "i, split = fam.refined, 2 - fam.split", [8]),
     "C": ("_hn_lines(*before, rest, v, *after)", "_hn_lines(*before, rest, v + 1, *after)", [2, 3, 9]),
+    "D": ("below = bisect_left(values,", "below = bisect_right(values,", [7, 9]),
 }
 
 
-def _mutant_refined_runs(old, new):
-    source = inspect.getsource(limit_classifier._refined_runs)
+def _mutant_slope_runs(old, new):
+    source = inspect.getsource(limit_classifier._slope_runs)
     assert source.count(old) == 1
-    namespace = dict(vars(limit_classifier))
+    namespace = {**vars(limit_classifier), "bisect_right": bisect.bisect_right}
     exec(source.replace(old, new), namespace)
-    return namespace["_refined_runs"]
+    return namespace["_slope_runs"]
 
 
 @pytest.mark.parametrize("mutant", sorted(ROW_ROUTINE_MUTANTS))
 def test_row_routine_mutant_fails_its_criteria(monkeypatch, mutant):
     old, new, failing = ROW_ROUTINE_MUTANTS[mutant]
-    monkeypatch.setattr(limit_classifier, "_refined_runs", _mutant_refined_runs(old, new))
+    monkeypatch.setattr(limit_classifier, "_slope_runs", _mutant_slope_runs(old, new))
     results = verification.run_all()
     assert len(results) == 9
     assert [r.number for r in results if not r.passed] == failing
+
+
+# Mutants of the feasible sets, each an exact-text patch of one function,
+# that only criterion 2's reference from hn.steps tells apart: the flag
+# False dropped when mu1 - mu3 = 2g-2, and the isolated point added when
+# the gap is empty, so that gap_low comes twice in a row.
+FEASIBLE_SET_MUTANTS = {
+    "feasible_inputs": (
+        limit_classifier, "feasible_inputs", "m1 - m3 <= 6", "m1 - m3 < 6"
+    ),
+    "AdmissibleStratum.__init__": (
+        admissibility.AdmissibleStratum, "__init__",
+        "gap_high6 > gap_low6", "gap_high6 >= gap_low6",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(FEASIBLE_SET_MUTANTS))
+def test_feasible_set_mutant_fails_criterion_2(monkeypatch, mutant):
+    owner, name, old, new = FEASIBLE_SET_MUTANTS[mutant]
+    function = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    results = verification.run_all()
+    assert len(results) == 9
+    failed = {r.number: r.details for r in results if not r.passed}
+    assert list(failed) == [2]
+    assert " miss or repeat a value" in failed[2]
 
 
 def test_limit_of_the_wrong_degree_fails_criterion_3_in_verify(monkeypatch, capsys):
     # Mutant C: verify names the stratum whose limit ends elsewhere,
     # instead of raising from dominates.
     old, new, _ = ROW_ROUTINE_MUTANTS["C"]
-    monkeypatch.setattr(limit_classifier, "_refined_runs", _mutant_refined_runs(old, new))
+    monkeypatch.setattr(limit_classifier, "_slope_runs", _mutant_slope_runs(old, new))
     assert cli.main(["verify"]) == 1
     out, err = capsys.readouterr()
     lines = out.splitlines()
@@ -395,8 +437,8 @@ def test_run_all_makes_a_new_pass_after_the_code_changes(monkeypatch, capsys):
     # A second run_all in one process, after the row routine changed, must
     # not report the first one's pass: that one passed 9/9.
     assert all(r.passed for r in verification.run_all())
-    routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS["A"][:2])
-    monkeypatch.setattr(limit_classifier, "_refined_runs", routine)
+    routine = _mutant_slope_runs(*ROW_ROUTINE_MUTANTS["A"][:2])
+    monkeypatch.setattr(limit_classifier, "_slope_runs", routine)
     assert [r.number for r in verification.run_all() if not r.passed] == [8]
     assert cli.main(["verify"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "8/9 criteria passed"
@@ -406,6 +448,6 @@ def test_single_criterion_makes_a_new_pass_after_the_code_changes(monkeypatch):
     # Each call without a sweep makes a new default one: the second call,
     # after mutant A, must not read the first call's pass.
     assert verification.criterion_stability_audit().passed
-    routine = _mutant_refined_runs(*ROW_ROUTINE_MUTANTS["A"][:2])
-    monkeypatch.setattr(limit_classifier, "_refined_runs", routine)
+    routine = _mutant_slope_runs(*ROW_ROUTINE_MUTANTS["A"][:2])
+    monkeypatch.setattr(limit_classifier, "_slope_runs", routine)
     assert not verification.criterion_stability_audit().passed

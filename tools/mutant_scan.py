@@ -12,7 +12,6 @@ A mutant that passes all nine criteria is a survivor.  Each allowed
 survivor is listed in SURVIVORS by file, enclosing function and the
 comparison's text, with why `verify` cannot catch it:
 
-* known gap: a real fault that only the tier-1 tests catch today;
 * checker: it weakens a check, so correct code still passes;
 * equivalent: it changes no output;
 * unreached: `verify` never runs the code.
@@ -40,14 +39,7 @@ FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 BOUNDARY = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 OPERATOR = re.compile(rb"[<>]=?")
 
-GAP = "known gap, ROADMAP item 11"
 SURVIVORS = {
-    ("limit_classifier.py", "_classify_slope", "v6 < threshold6"):
-        f"{GAP}: a value at the threshold classified as case x.1; tables never take this branch",
-    ("limit_classifier.py", "feasible_inputs", "m1 - m3 <= 6 * stratum.genus.canonical_degree"):
-        f"{GAP}: the flag False dropped when mu1 - mu3 = 2g-2",
-    ("admissibility.py", "AdmissibleStratum.__init__", "gap_high6 > gap_low6"):
-        f"{GAP}: the isolated point added when the gap is empty",
     ("limit_classifier.py", "AuditCheck.holds", "self.degree * self.r < self.d * self.rank"):
         "checker: a strict audit inequality that allows equality",
     ("fixed_points.py", "validate_fixed_111", "l1 + l2 - 2 * l3 > 0"):
@@ -56,10 +48,6 @@ SURVIVORS = {
         "checker: a strict stability inequality that allows equality",
     ("fixed_points.py", "validate_component_label", "degree < 2 * label.degrees[0]"):
         "checker: the lower rank-2 bound d < 2*d1 allows equality",
-    ("limit_classifier.py", "classify_stratum", "6 * inputs[0] > gap_low6"):
-        "equivalent: a first value at gap_low keeps classify's outcome, an equal one",
-    ("limit_classifier.py", "classify_stratum", "refined < len(inputs)"):
-        "equivalent: the row routine adds no run for no values",
     ("limit_classifier.py", "stability_audit", "len(s) > 1"):
         "equivalent: a summand of one line has no tail to check",
     ("admissibility.py", "invariant_range", "gap_high6 > gap_low6"):
