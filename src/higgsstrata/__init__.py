@@ -63,7 +63,6 @@ from .limit_classifier import (
     classify,
     classify_rank3,
     classify_stratum,
-    excluded_gap_integers,
     feasible_inputs,
     stability_audit,
 )

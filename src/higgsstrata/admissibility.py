@@ -51,11 +51,11 @@ class AdmissibleStratum(Frozen):
     semistable Higgs bundle hold; nonemptiness in the actual moduli
     space is not certified.
 
+    Only ranks 2 and 3 are supported; any other raises RankUnsupported.
     The integer data are plain attributes, computed once at construction:
-    ``mu6_vector`` and ``mu6`` for every rank, and for rank 3
-    ``case_family``, ``threshold6``, ``window6`` and
-    ``feasible_integers``.  Reading one of the rank-3 data on a stratum of
-    another rank raises RankUnsupported.
+    ``mu6_vector`` for both ranks, and for rank 3 ``case_family``,
+    ``window6`` and ``feasible_integers``.  Reading one of the rank-3 data
+    on a rank-2 stratum raises RankUnsupported.
     """
 
     _fields = ("hn", "genus")
@@ -63,18 +63,21 @@ class AdmissibleStratum(Frozen):
     def __init__(self, hn: HNType, genus: Genus) -> None:
         # Slopes scaled by 6, as integers.  Every step of a rank-2 or
         # rank-3 type has rank 1, 2 or 3, so 6*mu_i = 6*d_i/r_i is an
-        # integer, and so is 6*mu = 6*d/r.  Comparing 6*v with these
-        # decides exactly what comparing v with the slopes decides.  The
-        # values live in the instance __dict__ outside _fields, so
-        # __eq__, __hash__ and __repr__ never look at them.
+        # integer, and so is 6*mu = 6*d/r; in any other rank the division
+        # would floor.  Comparing 6*v with these decides exactly what
+        # comparing v with the slopes decides.  The values live in the
+        # instance __dict__ outside _fields, so __eq__, __hash__ and
+        # __repr__ never look at them.
+        rank = hn.total_rank
+        if rank != 2 and rank != 3:
+            raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
         _set(self, "hn", hn)
         _set(self, "genus", genus)
         steps = hn.steps
-        mu6 = 6 * hn.total_degree // hn.total_rank
-        if hn.total_rank != 3:
-            mu6_vector = tuple(6 * d // r for r, d in steps for _ in range(r))
-            vars(self).update(mu6_vector=mu6_vector, mu6=mu6)
+        if rank == 2:
+            _set(self, "mu6_vector", tuple(6 * d // r for r, d in steps for _ in range(r)))
             return
+        mu6 = 2 * hn.total_degree
         if len(steps) == 1:  # semistable
             m1 = m2 = m3 = mu6
         elif len(steps) == 3:  # three lines
@@ -84,10 +87,6 @@ class AdmissibleStratum(Frozen):
             (r1, d1), (_, d2) = steps
             m1, m3 = 6 * d1 // r1, 6 * d2 // (3 - r1)
             m2 = m1 if r1 == 2 else m3
-        # 6 * t for the case-1 threshold t = (-mu1 + 2*mu2 + 2*mu3)/3.  3t
-        # has denominator at most 2 (each mu_i has denominator 1 or 2 in
-        # rank 3), so 6t is an integer and the division is exact.
-        threshold6 = (-m1 + 2 * m2 + 2 * m3) // 3
         # window6 is 6 * (low, gap_low, gap_high, threshold) for the slope
         # invariant of case families 1 and 2, None for the others.  The
         # invariant's a-priori interval is [low, gap_low]; the open gap
@@ -101,7 +100,11 @@ class AdmissibleStratum(Frozen):
         if len(steps) == 1:
             family = CaseFamily.NONE
         elif m2 < mu6:
-            family, window6 = CaseFamily.CASE1_I, (m1 - k6, m3, m2, threshold6)
+            # 6 * t for the case-1 threshold t = (-mu1 + 2*mu2 + 2*mu3)/3.
+            # 3t has denominator at most 2 (each mu_i has denominator 1 or
+            # 2 in rank 3), so 6t is an integer and the division is exact.
+            t6 = (-m1 + 2 * m2 + 2 * m3) // 3
+            family, window6 = CaseFamily.CASE1_I, (m1 - k6, m3, m2, t6)
         elif m2 > mu6:
             family, window6 = CaseFamily.CASE2_N, (m1 + m2 - m3 - k6, m2, m1, mu6)
         else:
@@ -117,8 +120,8 @@ class AdmissibleStratum(Frozen):
             if gap_high6 > gap_low6 and gap_high6 % 6 == 0:
                 feasible += (gap_high6 // 6,)
         vars(self).update(
-            mu6_vector=(m1, m2, m3), mu6=mu6, case_family=family, threshold6=threshold6,
-            window6=window6, feasible_integers=feasible,
+            mu6_vector=(m1, m2, m3), case_family=family, window6=window6,
+            feasible_integers=feasible,
         )
 
     def __getattr__(self, name: str):
@@ -135,30 +138,27 @@ class AdmissibleStratum(Frozen):
         return str(self.hn)
 
 
-_RANK3_DATA = frozenset({"case_family", "threshold6", "window6", "feasible_integers"})
+_RANK3_DATA = frozenset({"case_family", "window6", "feasible_integers"})
 
 
 def validate(hn: HNType, genus: Genus) -> AdmissibleStratum:
-    """Check the slope bounds, naming the violated inequality on failure."""
+    """Check the slope bounds, naming the violated inequality on failure.
+    The stratum's constructor refuses a rank other than 2 or 3."""
     k = genus.canonical_degree
     rank = hn.total_rank
-    if rank == 2:
-        if not hn.is_semistable:
-            mu1, mu2 = hn.mu_vector
-            if mu1 - mu2 > k:
-                raise Rank2BoundViolated(
-                    f"2*d1 - d = {mu1 - mu2} exceeds 2g-2 = {k} for {hn}"
-                )
-        return AdmissibleStratum(hn, genus)
-    if rank == 3:
-        if not hn.is_semistable:
-            mu1, mu2, mu3 = hn.mu_vector
-            if mu1 - mu2 > k:
-                raise Rank3BoundViolated(f"mu1 - mu2 = {mu1 - mu2} > 2g-2 = {k} for {hn}")
-            if mu2 - mu3 > k:
-                raise Rank3BoundViolated(f"mu2 - mu3 = {mu2 - mu3} > 2g-2 = {k} for {hn}")
-        return AdmissibleStratum(hn, genus)
-    raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
+    if rank == 2 and not hn.is_semistable:
+        mu1, mu2 = hn.mu_vector
+        if mu1 - mu2 > k:
+            raise Rank2BoundViolated(
+                f"2*d1 - d = {mu1 - mu2} exceeds 2g-2 = {k} for {hn}"
+            )
+    elif rank == 3 and not hn.is_semistable:
+        mu1, mu2, mu3 = hn.mu_vector
+        if mu1 - mu2 > k:
+            raise Rank3BoundViolated(f"mu1 - mu2 = {mu1 - mu2} > 2g-2 = {k} for {hn}")
+        if mu2 - mu3 > k:
+            raise Rank3BoundViolated(f"mu2 - mu3 = {mu2 - mu3} > 2g-2 = {k} for {hn}")
+    return AdmissibleStratum(hn, genus)
 
 
 def _sort_key(stratum: AdmissibleStratum):

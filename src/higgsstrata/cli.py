@@ -28,7 +28,7 @@ from .core import (
     InvalidGenus,
     InvalidHNType,
     StrataError,
-    _sixths,
+    _ratio,
     format_hn_type,
     format_label,
     parse_hn_steps,
@@ -88,7 +88,7 @@ def _run_strata(config: RunConfig) -> tuple[int, str]:
     for stratum in strata:
         record = {
             "hn": format_hn_type(stratum.hn),
-            "mu_vector": [_sixths(m) for m in stratum.mu6_vector],
+            "mu_vector": [_ratio(m, 6) for m in stratum.mu6_vector],
         }
         if config.rank == 3:
             record["case_family"] = stratum.case_family.value

@@ -38,11 +38,12 @@ class InvalidGenus(StrataError, ValueError):
     """A genus below 2."""
 
 
-def _sixths(n: int) -> str:
-    """str(Fraction(n, 6)) in integers: n/6 in lowest terms, as "p/q" or
-    "p".  The writer of slopes held scaled by 6 (mu6_vector, window6)."""
-    common = gcd(n, 6)
-    p, q = n // common, 6 // common
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) in integers, for q > 0: p/q in lowest terms, as
+    "p/q" or "p".  The package's one writer of rational text; a slope held
+    scaled by 6 (mu6_vector, window6) is written as _ratio(n, 6)."""
+    common = gcd(p, q)
+    p, q = p // common, q // common
     return str(p) if q == 1 else f"{p}/{q}"
 
 

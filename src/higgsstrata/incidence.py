@@ -52,9 +52,7 @@ class IncidenceRow(Frozen):
 class IncidenceTable(Frozen):
     """One (rank, degree, genus) point's rows; ``bb_index`` lists, sorted by
     label text, each fixed-component label with the HN types of the strata
-    reaching it.  ``label_texts``, outside _fields, holds each component's
-    text in ``rows`` by its id, as build_table formats each distinct
-    component once; it is empty in any other table."""
+    reaching it."""
 
     _fields = ("rank", "degree", "genus", "rows", "bb_index")
 
@@ -64,15 +62,9 @@ class IncidenceTable(Frozen):
     ) -> None:
         for name, value in zip(self._fields, (rank, degree, genus, rows, bb_index)):
             _set(self, name, value)
-        _set(self, "label_texts", {})
 
     def bb_map(self) -> dict[FixedComponentLabel, tuple[HNType, ...]]:
         return dict(self.bb_index)
-
-    def label_text(self, component: FixedComponentLabel) -> str:
-        """format_label(component), as build_table formatted it."""
-        text = self.label_texts.get(id(component))
-        return format_label(component) if text is None else text
 
 
 def check_outcome(stratum: AdmissibleStratum, outcome: LimitOutcome) -> None:
@@ -106,12 +98,10 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     """
     rows = []
     interned: dict = {}  # equal outcomes of the table are one object
-    # Each distinct component's text and the strata reaching it.
-    reaching: dict[FixedComponentLabel, tuple[str, list[HNType]]] = {}
+    reaching: dict[FixedComponentLabel, list[HNType]] = {}  # by component
     # Each distinct outcome is checked, and its component looked up, once:
     # by the first stratum reaching it.  Later runs find it by its id.
     reached_by: dict[int, list[HNType]] = {}
-    texts: dict[int, str] = {}
     for stratum in enumerate_strata(rank, degree, genus):
         hn = stratum.hn
         runs = limit_classifier.classify_stratum(stratum, interned)
@@ -119,24 +109,16 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
             reached = reached_by.get(id(outcome))
             if reached is None:
                 check_outcome(stratum, outcome)
-                component = outcome.component
-                known = reaching.get(component)
-                if known is None:
-                    known = reaching[component] = (format_label(component), [])
-                texts[id(component)] = known[0]
-                reached = reached_by[id(outcome)] = known[1]
+                reached = reached_by[id(outcome)] = reaching.setdefault(outcome.component, [])
             # Rows are distinct strata, so a stratum already listed for
             # this component is the last one listed.
             if not reached or reached[-1] is not hn:
                 reached.append(hn)
         rows.append(IncidenceRow(stratum, runs))
     bb_index = tuple(
-        (label, tuple(strata))
-        for label, (_, strata) in sorted(reaching.items(), key=lambda item: item[1][0])
+        (label, tuple(reaching[label])) for label in sorted(reaching, key=format_label)
     )
-    table = IncidenceTable(rank, degree, genus, tuple(rows), bb_index)
-    table.label_texts.update(texts)
-    return table
+    return IncidenceTable(rank, degree, genus, tuple(rows), bb_index)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +236,7 @@ def records_json(table: IncidenceTable) -> str:
             if outcome_parts is None:
                 outcome_parts = fragments[id(outcome)] = (
                     f'{{{field_line}"case": {_json_string(outcome.case_tag.value)},'
-                    f'{field_line}"component": {_json_string(table.label_text(outcome.component))},'
+                    f'{field_line}"component": {_json_string(format_label(outcome.component))},'
                     f'{field_line}"feasible_set": ',
                     f"{_json(outcome.graded_degrees, field_line)},"
                     f'{field_line}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
@@ -289,7 +271,7 @@ def table_to_csv(table: IncidenceTable) -> str:
         for values, outcome in row.runs:
             tail = tails.get(id(outcome))
             if tail is None:
-                case, label = outcome.case_tag.value, table.label_text(outcome.component)
+                case, label = outcome.case_tag.value, format_label(outcome.component)
                 tail = tails[id(outcome)] = line(("", case, label, format_hn_type(outcome.hnt_limit)))
             for text in map(_CSV_INVARIANTS[type(values[0])], values):  # one type a run
                 parts += (head, text, tail)
@@ -308,11 +290,15 @@ def table_to_dot(table: IncidenceTable) -> str:
     for hn_text in strata:
         lines.append(f'  "hn:{hn_text}" [shape=box];')
     for label, _ in table.bb_index:
-        lines.append(f'  "bb:{table.label_text(label)}" [shape=ellipse];')
+        lines.append(f'  "bb:{format_label(label)}" [shape=ellipse];')
+    nodes: dict[int, str] = {}  # '"bb:component"' by outcome id
     edges: dict[str, None] = {}  # insertion-ordered set
     for hn_text, row in zip(strata, table.rows):
         for _, outcome in row.runs:
-            edges[f'  "hn:{hn_text}" -> "bb:{table.label_text(outcome.component)}";'] = None
+            node = nodes.get(id(outcome))
+            if node is None:
+                node = nodes[id(outcome)] = f'"bb:{format_label(outcome.component)}"'
+            edges[f'  "hn:{hn_text}" -> {node};'] = None
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

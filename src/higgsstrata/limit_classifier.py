@@ -8,7 +8,11 @@ degrees and the HN type of the limit.  All comparisons are exact; the
 thresholds involve thirds, so rounding anywhere would misclassify.
 
 One routine, _slope_runs, turns slope values into outcomes, for tables
-and limit alike; _check_window refuses a value and builds nothing.
+and limit alike; _check_window refuses a value and builds nothing.  The
+refusal texts and the audit's inequalities write their rationals with
+core._ratio, so this module builds no rational object.  It refuses a
+value in the excluded gap but does not list the gap's integers:
+verification derives them from the HN type, as it checks the refusal.
 
 The classifier builds its outcomes with core's trusted constructors
 (_hn_lines, _hodge_bundle, _limit_outcome): every degree it passes is
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from fractions import Fraction
 
 from .admissibility import AdmissibleStratum, CaseFamily
 from .core import (
@@ -32,7 +35,7 @@ from .core import (
     _hn_lines,
     _hodge_bundle,
     _limit_outcome,
-    _sixths,
+    _ratio,
 )
 
 
@@ -111,19 +114,19 @@ _FAMILIES = {
 
 def _check_window(stratum: AdmissibleStratum, fam: _SlopeFamily, v: int) -> None:
     # Refuse a slope value outside the window, building nothing: integer
-    # comparisons of 6*v, whose ends are fractions only in the messages.
+    # comparisons of 6*v, whose ends are rationals only in the messages.
     low6, gap_low6, gap_high6, _ = stratum.window6
     v6 = 6 * v
     low_name, gap_low_name, gap_high_name = fam.ends
     if v6 > gap_high6:
-        raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} > {gap_high_name} = {_sixths(gap_high6)}")
+        raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} > {gap_high_name} = {_ratio(gap_high6, 6)}")
     if gap_low6 < v6 < gap_high6:
         raise InfeasibleBySpecialization(
             f"mu({fam.datum}) = {v} lies strictly between {gap_low_name} = "
-            f"{_sixths(gap_low6)} and {gap_high_name} = {_sixths(gap_high6)}"
+            f"{_ratio(gap_low6, 6)} and {gap_high_name} = {_ratio(gap_high6, 6)}"
         )
     if v6 < low6:  # low <= gap_high by the slope bounds
-        raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} < {low_name} = {_sixths(low6)}")
+        raise SlopeOutOfBounds(f"mu({fam.datum}) = {v} < {low_name} = {_ratio(low6, 6)}")
 
 
 def _slope_runs(
@@ -136,10 +139,10 @@ def _slope_runs(
     x.3 outcome depends only on the family, on whether the value is at the
     threshold and on the graded degrees; ``interned`` keeps each under
     those integers, so rows given one dict share equal outcomes."""
-    _, gap_low6, _, threshold6 = stratum.window6
+    _, gap_low6, _, thresh6 = stratum.window6
     sub = sum(stratum.mu6_vector[: 2 - fam.refined]) // 6  # degree of E1 or E2
     pair = sub, stratum.hn.total_degree - sub
-    below = bisect_left(values, -(-threshold6 // 6))  # the values with 6*v < threshold6
+    below = bisect_left(values, -(-thresh6 // 6))  # the values with 6*v < thresh6
     runs = []
     if below:
         x1 = _limit_outcome(fam.tags[0], _hodge_bundle(fam.x1_type, pair), stratum.hn)
@@ -154,7 +157,7 @@ def _slope_runs(
             component = _hodge_bundle((1, 1, 1), tuple(m // 6 for m in stratum.mu6_vector))
             runs.append(((v,), _limit_outcome(fam.tags[3], component, stratum.hn)))
             continue
-        at_threshold = v6 == threshold6
+        at_threshold = v6 == thresh6
         key = (i, at_threshold, pair, v)
         outcome = interned.get(key)
         if outcome is None:
@@ -194,10 +197,12 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
     a-priori bounds raise SlopeOutOfBounds, and the two are never
     conflated because they encode different impossibility arguments.
 
-    The case family fixes the invariant's kind: an integer (an int, or a
-    Fraction with denominator 1) in families 1 and 2, a bool in family 3.
-    A wrong kind raises CaseFamilyMismatch; a slope value that is not an
-    integer (a float, a string, a proper fraction) raises InvalidInvariant.
+    The case family fixes the invariant's kind: an integer in families 1
+    and 2, a bool in family 3.  An integer is any value whose
+    ``denominator`` is 1: an int, or an integral rational, which becomes
+    its int.  A wrong kind raises CaseFamilyMismatch; a slope value that is
+    not an integer (a float, a string, a proper fraction) raises
+    InvalidInvariant.
     """
     stratum = inp.stratum
     if stratum.hn.total_rank != 3:
@@ -212,9 +217,7 @@ def classify_rank3(inp: ClassifierInput) -> LimitOutcome:
         relation, need = "=", "an alignment flag"
     elif invariant is None or isinstance(invariant, bool):
         relation, need = fam.relation, f"an integer mu({fam.datum})"
-    elif isinstance(invariant, int) or (
-        isinstance(invariant, Fraction) and invariant.denominator == 1
-    ):
+    elif getattr(invariant, "denominator", None) == 1:
         # I and N are line bundles; their slopes are honest integers, and
         # the outcome's degrees are ints.
         _check_window(stratum, fam, v := int(invariant))
@@ -283,14 +286,6 @@ def classify_stratum(stratum: AdmissibleStratum, interned: dict) -> tuple[Run, .
     return tuple(_slope_runs(stratum, fam, inputs, interned))
 
 
-def excluded_gap_integers(stratum: AdmissibleStratum) -> list[int]:
-    """Integers strictly inside the specialization-excluded gap."""
-    if stratum.hn.total_rank != 3 or stratum.window6 is None:
-        return []
-    _, gap_low6, gap_high6, _ = stratum.window6
-    return list(range(gap_low6 // 6 + 1, -(-gap_high6 // 6)))
-
-
 # ---------------------------------------------------------------------------
 # Stability audit
 
@@ -323,7 +318,7 @@ class AuditCheck(namedtuple(
     @property
     def inequality(self) -> str:
         rel = "<=" if self.allow_equal else "<"
-        return f"{Fraction(self.degree, self.rank)} {rel} {Fraction(self.d, self.r)}"
+        return f"{_ratio(self.degree, self.rank)} {rel} {_ratio(self.d, self.r)}"
 
 
 #: Per case family, the names of a limit's lines in weight order and the

@@ -18,9 +18,10 @@ t = (-mu1 + 2*mu2 + 2*mu3)/3 and the total slope mu = (mu1 + mu2 +
 mu3)/3.  So v < t is 3*(6v) < -6mu1 + 12mu2 + 12mu3, and so on for
 every case inequality.  The scaled slopes are computed from each
 stratum's ``hn.steps``, not read from the window the classifier
-compares with (``window6``, ``threshold6``), so a fault in that window
-shows as a disagreement instead of being shared; so is each row's
-feasible set.
+compares with (``window6``), so a fault in that window shows as a
+disagreement instead of being shared.  Each row's feasible set and the
+integers of its excluded gap come from the same inequalities, so no
+check of criterion 2 reads the classifier's data.
 """
 
 from __future__ import annotations
@@ -177,10 +178,19 @@ def _feasible_reference(stratum, inequalities: tuple | None) -> tuple:
     return values if isolated6 is None else (*values, isolated6 // 6)
 
 
-def _check_gap_value(stratum, inequalities: tuple, v: int, failures: list[str]) -> None:
-    # Criterion 2 on one integer inside the excluded gap.
-    if _case_matches(inequalities, v):
-        failures.append(f"{stratum.hn} gap value {v} matches a case")
+def _gap_values(inequalities: tuple | None) -> range:
+    """A row's excluded gap from its _case_inequalities: the integers
+    strictly between case x.3's high end and case x.4's value, none when
+    case x.4 cannot occur or the stratum takes no slope invariant."""
+    if inequalities is None or inequalities[4] is None:
+        return range(0)
+    _, _, _, high6, isolated6 = inequalities
+    return range(high6 // 6 + 1, -(-isolated6 // 6))
+
+
+def _check_gap_value(stratum, v: int, failures: list[str]) -> None:
+    # Criterion 2 on one integer inside the excluded gap: the classifier
+    # must refuse it as infeasible.
     try:
         limit_classifier.classify_rank3(limit_classifier.ClassifierInput(stratum, v))
         failures.append(f"{stratum.hn} gap value {v} did not raise")
@@ -322,9 +332,9 @@ def _check_rank3(table: incidence.IncidenceTable, failures: dict[int, list[str]]
                     failures[8].append(f"audit fails for {tag.value} of {stratum.hn}")
                 if equalities != (1 if outcome.strictly_polystable else 0):
                     failures[8].append(f"{stratum.hn} case {tag.value}: {equalities} equalities")
-        for v in limit_classifier.excluded_gap_integers(stratum):
+        for v in _gap_values(inequalities):
             gap_checked += 1
-            _check_gap_value(stratum, inequalities, v, failures[2])
+            _check_gap_value(stratum, v, failures[2])
     return classified, gap_checked, classified if coprime else 0, _check_hn_bb(table, failures[5])
 
 

@@ -191,9 +191,11 @@ def test_threshold_below_mu3_iff_case1():
             for stratum in enumerate_strata(3, d, Genus(g)):
                 if stratum.is_semistable:
                     continue
-                mu2, mu3 = stratum.hn.mu_vector[1], stratum.hn.mu_vector[2]
+                mu1, mu2, mu3 = stratum.hn.mu_vector
                 mu = Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
-                t = Fraction(stratum.threshold6, 6)  # the case-1 threshold
+                t = (-mu1 + 2 * mu2 + 2 * mu3) / 3  # the case-1 threshold
+                if stratum.case_family is CaseFamily.CASE1_I:
+                    assert stratum.window6[3] == 6 * t
                 assert (mu2 < mu) == (mu3 > t)
                 assert (mu2 >= mu) == (mu3 <= t)
 
@@ -220,7 +222,7 @@ def test_wide_spread_forces_singleton_feasible_set():
     assert seen > 0
 
 
-RANK3_DATA = ("case_family", "threshold6", "window6", "feasible_integers")
+RANK3_DATA = ("case_family", "window6", "feasible_integers")
 
 
 def reference_rank3_data(stratum) -> dict:
@@ -248,7 +250,6 @@ def reference_rank3_data(stratum) -> dict:
         )
     return {
         "case_family": family,
-        "threshold6": 6 * t,
         "window6": None if window is None else tuple(6 * w for w in window),
         "feasible_integers": feasible,
     }
@@ -261,18 +262,17 @@ class TestEagerIntegerData:
                 for d in range(-8, 9):
                     for stratum in enumerate_strata(rank, d, Genus(g)):
                         # Set at construction, before any read.
-                        names = ("mu6_vector", "mu6") + (RANK3_DATA if rank == 3 else ())
+                        names = ("mu6_vector",) + (RANK3_DATA if rank == 3 else ())
                         assert set(names) <= vars(stratum).keys()
                         assert {"total_rank", "total_degree"} <= vars(stratum.hn).keys()
                         assert (stratum.hn.total_rank, stratum.hn.total_degree) == (rank, d)
                         assert stratum.mu6_vector == tuple(6 * m for m in stratum.hn.mu_vector)
-                        assert stratum.mu6 == 6 * Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
                         if rank == 3:
                             got = {name: getattr(stratum, name) for name in RANK3_DATA}
                             assert got == reference_rank3_data(stratum), stratum.hn
-                        integers = [*stratum.mu6_vector, stratum.mu6]
+                        integers = list(stratum.mu6_vector)
                         if rank == 3:
-                            integers += [stratum.threshold6, *(stratum.window6 or ())]
+                            integers += stratum.window6 or ()
                             integers += stratum.feasible_integers
                         assert all(type(v) is int for v in integers)
 

@@ -107,7 +107,10 @@ class TestMToL:
 class TestValidateFixed111:
     @pytest.mark.parametrize(
         "degrees,valid",
-        [((1, 0, -1), True), ((2, 0, -2), True), ((0, 0, 0), False)],
+        # (1, -1, 0) and (0, 1, -1) meet one strict stability inequality
+        # with equality.
+        [((1, 0, -1), True), ((2, 0, -2), True), ((0, 0, 0), False),
+         ((1, -1, 0), False), ((0, 1, -1), False)],
     )
     def test_examples_at_genus2_degree0(self, degrees, valid):
         assert validate_fixed_111(HodgeBundle((1, 1, 1), degrees), 0, Genus(2)) is valid

@@ -388,8 +388,10 @@ class TestSharedOutcomes:
         assert calls == []
 
     def test_each_component_is_formatted_once_per_table(self, monkeypatch):
-        # build_table formats each distinct component for bb_index; the
-        # three writers reuse its texts.
+        # build_table formats each distinct component once, to sort
+        # bb_index.  Each writer formats a component at most once per
+        # distinct outcome object; table_to_dot also once per bb_index
+        # label, for its node.
         calls = []
         format_component = incidence.format_label
 
@@ -399,11 +401,17 @@ class TestSharedOutcomes:
 
         monkeypatch.setattr(incidence, "format_label", counting)
         table = build_table(3, 0, Genus(10))
-        records_json(table)
-        table_to_csv(table)
-        table_to_dot(table)
-        components = {outcome.component for row in table.rows for _, outcome in row.entries}
-        assert 0 < len(calls) <= len(components)
+        components = {outcome.component for row in table.rows for _, outcome in row.runs}
+        outcomes = {id(outcome) for row in table.rows for _, outcome in row.runs}
+        assert len(calls) == len(components) == len(table.bb_index) > 0
+        for write, bound in (
+            (records_json, len(outcomes)),
+            (table_to_csv, len(outcomes)),
+            (table_to_dot, len(components) + len(outcomes)),
+        ):
+            calls.clear()
+            write(table)
+            assert 0 < len(calls) <= bound, write.__name__
 
     def test_shared_outcomes_serialize_like_separate_ones(self):
         table = build_table(3, 1, Genus(6))

@@ -39,7 +39,7 @@ from higgsstrata.core import (
     HodgeBundle,
     LimitOutcome,
     PolystableSum,
-    _sixths,
+    _ratio,
 )
 
 # ---------------------------------------------------------------------------
@@ -153,10 +153,13 @@ def check_stratum(stratum) -> None:
     bound (gap and both out-of-bounds sides included), or both flags."""
     mu1, mu2, mu3 = stratum.hn.mu_vector
     assert stratum.mu6_vector == tuple(6 * m for m in stratum.hn.mu_vector)
-    assert stratum.mu6 == 6 * Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
-    assert stratum.threshold6 == 2 * (-mu1 + 2 * mu2 + 2 * mu3)
     k = stratum.genus.canonical_degree
     family = stratum.case_family
+    if stratum.window6 is not None:
+        # The threshold: t = (-mu1 + 2*mu2 + 2*mu3)/3 in family 1, mu in 2.
+        mu = Fraction(stratum.hn.total_degree, stratum.hn.total_rank)
+        t = (-mu1 + 2 * mu2 + 2 * mu3) / 3 if family is CaseFamily.CASE1_I else mu
+        assert stratum.window6[3] == 6 * t
     if family is CaseFamily.CASE3_FLAG:
         for flag in (True, False):
             _assert_agree(stratum, flag, reference_case3, flag)
@@ -206,9 +209,11 @@ def unstable_rank3(g: int, d: int):
 
 
 def test_sixths_writes_what_fraction_writes():
-    # The refusal messages and strata's slope texts are written with _sixths.
-    for n in range(-600, 601):
-        assert _sixths(n) == str(Fraction(n, 6)), n
+    # The refusal messages, strata's slope texts (q = 6) and the audit's
+    # inequalities are written with _ratio.
+    for q in range(1, 13):
+        for n in range(-600, 601):
+            assert _ratio(n, q) == str(Fraction(n, q)), (n, q)
 
 
 def test_classify_matches_fraction_reference_on_every_small_stratum():
@@ -418,14 +423,11 @@ def test_package_source_has_no_floating_point():
 
 
 #: The scopes that may name Fraction: the slope API the benchmark still
-#: reads (HNType.mu_vector, invariant_range and its InvariantRange), the
-#: check that a slope invariant is integral, and the audit's text.
+#: reads (HNType.mu_vector, invariant_range and its InvariantRange).
 FRACTION_SCOPES = (
     "HNType.mu_vector",
     "InvariantRange",
     "invariant_range",
-    "classify_rank3",
-    "AuditCheck.inequality",
 )
 
 

@@ -26,13 +26,12 @@ from higgsstrata import (
     classify_rank3,
     classify_stratum,
     enumerate_strata,
-    excluded_gap_integers,
     feasible_inputs,
     parse_hn_type,
     stability_audit,
     validate,
 )
-from higgsstrata import limit_classifier
+from higgsstrata import limit_classifier, verification
 from higgsstrata.core import CaseTag
 
 X1_TAGS = (CaseTag.C1_1, CaseTag.C2_1)
@@ -201,9 +200,20 @@ class TestFeasibleInputs:
         assert feasible_inputs(stratum("1:2,1:0,1:-2", 2)) == [True]
 
     def test_gap_integers(self):
-        assert excluded_gap_integers(stratum("1:5,1:2,1:0", 3)) == [1]
-        assert excluded_gap_integers(stratum("1:0,1:-2,1:-5", 3)) == [-1]
-        assert excluded_gap_integers(stratum("1:1,2:0", 3)) == []
+        # The excluded gap as verify derives it from the HN type, and the
+        # values the classifier refuses as infeasible: the same integers.
+        for hn, gap in (("1:5,1:2,1:0", [1]), ("1:0,1:-2,1:-5", [-1]), ("1:1,2:0", [])):
+            s = stratum(hn, 3)
+            assert list(verification._gap_values(verification._case_inequalities(s))) == gap
+            refused = []
+            for v in range(-20, 21):
+                try:
+                    classify_rank3(ClassifierInput(s, v))
+                except InfeasibleBySpecialization:
+                    refused.append(v)
+                except SlopeOutOfBounds:
+                    pass
+            assert refused == gap, hn
 
 
 class TestInvariantData:
@@ -311,6 +321,13 @@ class TestStabilityAudit:
     def test_semistable_has_nothing_to_audit(self):
         inp = ClassifierInput(stratum("3:0", 2), None)
         assert stability_audit(classify(inp), inp) == []
+
+    def test_a_strict_check_fails_at_equality(self):
+        check = limit_classifier.AuditCheck(("E1",), 1, 3, 1, 3)
+        assert check.is_equality and not check.holds
+        assert check.inequality == "1/3 < 1/3"
+        loose = check._replace(allow_equal=True)
+        assert loose.holds and loose.inequality == "1/3 <= 1/3"
 
 
 # Each stratum's case family decides the kind of invariant classify takes:

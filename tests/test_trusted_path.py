@@ -14,7 +14,6 @@ from itertools import product
 import pytest
 
 from higgsstrata import (
-    ClassifierInput,
     Genus,
     HNType,
     HodgeBundle,
@@ -22,10 +21,9 @@ from higgsstrata import (
     LimitOutcome,
     PolystableSum,
     build_table,
-    classify,
     enumerate_strata,
 )
-from higgsstrata.admissibility import AdmissibleStratum
+from higgsstrata.admissibility import AdmissibleStratum, RankUnsupported
 from higgsstrata.core import CaseTag, _hn_lines, _hodge_bundle, _limit_outcome
 
 
@@ -64,11 +62,12 @@ def test_hodge_bundle_shares_the_ranks_tuple():
 
 
 def test_classify_keeps_the_refusal_of_an_unsupported_rank():
-    # A stratum built without validate: the semistable type of rank 4,
-    # whose Hodge type the trusted constructor hands to the checked one.
-    stratum = AdmissibleStratum(HNType(((4, 0),)), Genus(2))
-    with pytest.raises(ValueError, match=r"not a supported Hodge type: \(4,\)"):
-        classify(ClassifierInput(stratum, None))
+    # A stratum built without validate refuses its rank, with validate's
+    # text, so none holds slopes scaled by 6 that the division floored
+    # (6 * 1/4 would read 1) and classify never sees such a rank.
+    for steps, rank in (((4, 0),), 4), (((4, 1),), 4), (((1, 0),), 1), (((1, 1), (3, 0)), 4):
+        with pytest.raises(RankUnsupported, match=f"only ranks 2 and 3 are supported, got {rank}$"):
+            AdmissibleStratum(HNType(steps), Genus(2))
 
 
 def _retained_bytes(make, n: int = 2000) -> int:

@@ -300,7 +300,7 @@ def test_value_past_a_case_x1_run_fails_criteria_2_and_8(monkeypatch):
         runs = classify_stratum(stratum, interned)
         if widened or not runs or not isinstance(runs[0][0], range) or len(runs[0][0]) < 2:
             return runs
-        (values, outcome), threshold6 = runs[0], stratum.threshold6
+        (values, outcome), threshold6 = runs[0], stratum.window6[3]
         if stratum.case_family is not CaseFamily.CASE1_I or threshold6 != 6 * values.stop:
             return runs
         widened.append((str(stratum), stratum.genus.g, range(values.start, values.stop + 1)))

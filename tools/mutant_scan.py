@@ -1,7 +1,9 @@
 """Generated boundary mutants of the decision code, against `verify`.
 
-Each `<`, `<=`, `>` and `>=` in limit_classifier.py, admissibility.py and
-fixed_points.py is flipped (`<` <-> `<=`, `>` <-> `>=`), one at a time.
+Each `<`, `<=`, `>` and `>=` in the decision code (limit_classifier.py,
+admissibility.py, fixed_points.py), in core.py and matrix_oracle.py, which
+it builds on, and in verification.py, which checks it, is flipped (`<` <->
+`<=`, `>` <-> `>=`), one at a time.
 The operator is found from the `ast` positions of its two operands, so the
 rest of the file stays byte for byte as it is.  Each mutant is written
 into a temporary copy of `src/`, never into the checkout, and
@@ -34,7 +36,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "higgsstrata")
-FILES = ("limit_classifier.py", "admissibility.py", "fixed_points.py")
+FILES = (
+    "limit_classifier.py", "admissibility.py", "fixed_points.py",
+    "core.py", "matrix_oracle.py", "verification.py",
+)
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 BOUNDARY = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 OPERATOR = re.compile(rb"[<>]=?")
@@ -52,6 +57,28 @@ SURVIVORS = {
         "equivalent: a summand of one line has no tail to check",
     ("admissibility.py", "invariant_range", "gap_high6 > gap_low6"):
         "unreached: verify never calls invariant_range",
+    ("core.py", "HNType.__init__", "d * pr < pd * r"):
+        "equivalent: steps of equal slope are merged before this comparison",
+    ("core.py", "_hn_lines", "high < middle"):
+        "equivalent: equal degrees reach the checked constructor, which merges them alike",
+    ("core.py", "_hn_lines", "middle < low"):
+        "equivalent: equal degrees reach the checked constructor, which merges them alike",
+    ("core.py", "HNPolygon._height", "r0 <= x"):
+        "equivalent: at a vertex both neighbouring segments give its height",
+    ("core.py", "HNPolygon._height", "x <= r1"):
+        "equivalent: at a vertex both neighbouring segments give its height",
+    ("core.py", "HNPolygon.__init__", "len(v) < 2"):
+        "unreached: verify builds polygons only through polygon_of",
+    ("core.py", "HNPolygon.__init__", "r1 <= r0"):
+        "unreached: verify builds polygons only through polygon_of",
+    ("core.py", "HNPolygon.__init__", "d1 * r0 >= d0 * r1"):
+        "unreached: verify builds polygons only through polygon_of",
+    ("matrix_oracle.py", "oracle_check", "stated < computed"):
+        "equivalent: the other conjuncts already exclude equality",
+    ("verification.py", "_result", "len(failures) > 5"):
+        "equivalent: it only words the details of a failing result",
+    ("verification.py", "_check_rank3", "excess < 0"):
+        "equivalent: the equality count fails an equality in a strict check",
 }
 
 # Run in the mutant's copy: the failed criteria, or the error that ended the run.
