@@ -9,6 +9,10 @@ slopes are always derived, never accepted raw.
 One parser serves every ``main`` call of a process, one table maps each
 command to its handler, and one renderer writes every command's JSON
 envelope or text lines.
+
+Importing this module loads only what every command needs: ``verify``
+imports the verification module when it runs, and only the CSV writer
+imports csv, so a one-shot query pays for neither.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import sys
 from collections import namedtuple
 
 from . import incidence as incidence_mod
-from . import verification
 from .admissibility import CaseFamily, enumerate_strata, validate
 from .core import (
     Genus,
@@ -196,6 +199,11 @@ def _run_incidence(config: RunConfig) -> tuple[int, str]:
 
 
 def _run_verify(config: RunConfig) -> tuple[int, str]:
+    """Run the acceptance suite; exit status 1 if a criterion fails.
+    verification is imported here, on the first verify of a process, so
+    that no other command pays for it; it imports this module lazily too."""
+    from . import verification  # here, not at the top: only verify runs the suite
+
     results = verification.run_all()
     passed = sum(1 for r in results if r.passed)
     records = [

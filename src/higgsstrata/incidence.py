@@ -7,12 +7,17 @@ One stratum meeting several components is the expected picture in
 rank 3; in rank 2 the correspondence is a bijection.  This module builds
 and writes tables; the acceptance checks that read them are in
 verification.
+
+The JSON writer encodes strings with CPython's C function
+``_json.encode_basestring_ascii``, the one ``json.dumps`` uses, without
+importing the json package; ``table_to_csv`` imports csv on its first call.
 """
 
 from __future__ import annotations
 
-import csv
-from json.encoder import encode_basestring_ascii as _json_string
+# The C function that json.encoder re-exports, taken from _json so that the
+# json package, with its decoder and scanner, is never imported.
+from _json import encode_basestring_ascii as _json_string
 from types import SimpleNamespace
 
 from . import fixed_points, limit_classifier, matrix_oracle
@@ -262,6 +267,8 @@ def table_to_csv(table: IncidenceTable) -> str:
     """One line per (stratum, invariant, outcome) under the fixed header.
     csv.writer quotes each row's stratum and each outcome's fields once;
     an invariant's text never needs quoting, so it is written as it is."""
+    import csv  # here, not at the top: only the CSV format needs the module
+
     # writerow returns what the file's write returns: here, the line.
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     parts = [line(CSV_HEADER)]

@@ -319,19 +319,29 @@ class TestSharedParser:
         )
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
+def test_imports_load_no_module_that_not_every_command_uses():
     # Without site, the interpreter loads only what the import asks for.
+    # No command uses dataclasses, inspect or typing, nor the JSON decoder;
+    # only incidence --format csv uses csv, and only verify runs the suite.
+    # The package itself parses no argv.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    script = (
-        "import sys\n"
-        "import higgsstrata.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))\n"
-    )
+    unused = {"dataclasses", "inspect", "typing"}
+    imports = {
+        "higgsstrata.cli": unused | {"json", "json.decoder", "csv", "higgsstrata.verification"},
+        "higgsstrata": unused | {"argparse"},
+    }
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout == "[]\n"
+    for module, absent in imports.items():
+        script = (
+            "import sys\n"
+            f"import {module}\n"
+            f"print(sorted({sorted(absent)!r} & sys.modules.keys()))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env,
+            check=True,
+        )
+        assert proc.stdout == "[]\n", module
 
 
 @pytest.fixture
@@ -376,6 +386,35 @@ class TestCollectorPause:
         for argv, code in runs:
             assert self.outcome(argv, capsys) == code, argv
             assert gc.collect() == 0, argv
+
+    def test_lazy_imports_leave_no_cyclic_garbage(self):
+        # In a fresh process, csv and verification are first imported
+        # inside main, with the collector paused.
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        script = (
+            "import gc, io, sys\n"
+            "import higgsstrata.cli as cli\n"
+            "gc.disable()\n"
+            "cli.build_parser()\n"
+            "gc.collect()\n"
+            "runs = [\n"
+            "    (['incidence', '--genus', '3', '--rank', '3', '--degree', '0', '--format', 'csv'],\n"
+            "     'incidence_r3_d0_g3.csv', 'csv'),\n"
+            "    (['verify', '--format', 'json'], 'verify.json', 'higgsstrata.verification'),\n"
+            "]\n"
+            "for argv, name, module in runs:\n"
+            "    assert module not in sys.modules, module\n"
+            "    sys.stdout = io.StringIO()\n"
+            "    code = cli.main(argv)\n"
+            "    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+            "    assert code == 0, argv\n"
+            "    with open(f'{sys.argv[1]}/{name}', 'rb') as handle:\n"
+            "        assert out.encode('utf-8') == handle.read(), name\n"
+            "    assert gc.collect() == 0, argv\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-S", "-c", script, golden], check=True, env=env)
 
     def test_an_argparse_error_leaves_only_argparse_formatter_cycles(self, capsys, collector):
         # argparse's HelpFormatter refers to itself through its sections;

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higgsstrata import incidence
 from higgsstrata.incidence import to_json
 
 # Quotes, backslashes and control characters next to any other character,
@@ -41,6 +42,12 @@ DOCUMENTS = st.recursive(
     ),
     max_leaves=20,
 )
+
+
+def test_strings_are_written_by_the_stdlib_c_encoder():
+    # incidence takes the function from _json so as not to import json;
+    # it must be the very function json.dumps writes strings with.
+    assert incidence._json_string is json.encoder.encode_basestring_ascii
 
 
 @settings(max_examples=200, deadline=None)
