@@ -199,9 +199,9 @@ def _run_incidence(config: RunConfig) -> tuple[int, str]:
 
 
 def _run_verify(config: RunConfig) -> tuple[int, str]:
-    """Run the acceptance suite; exit status 1 if a criterion fails.
-    verification is imported here, on the first verify of a process, so
-    that no other command pays for it; it imports this module lazily too."""
+    """Run the acceptance suite; exit status 1 if a criterion fails.  The
+    verification module, which imports this one lazily too, loads on the
+    first verify of a process."""
     from . import verification  # here, not at the top: only verify runs the suite
 
     results = verification.run_all()

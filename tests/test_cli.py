@@ -389,7 +389,8 @@ class TestCollectorPause:
 
     def test_lazy_imports_leave_no_cyclic_garbage(self):
         # In a fresh process, csv and verification are first imported
-        # inside main, with the collector paused.
+        # inside main, with the collector paused.  The shared parser is
+        # built, and its own cycles collected, first, as in the test above.
         golden = os.path.join(os.path.dirname(__file__), "golden")
         script = (
             "import gc, io, sys\n"
