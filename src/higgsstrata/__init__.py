@@ -13,7 +13,6 @@ from .admissibility import (
     RankUnsupported,
     enumerate_strata,
     invariant_range,
-    validate,
 )
 from .core import (
     CaseTag,

@@ -52,10 +52,12 @@ class AdmissibleStratum(Frozen):
     space is not certified.
 
     Only ranks 2 and 3 are supported; any other raises RankUnsupported.
-    The integer data are plain attributes, computed once at construction:
-    ``mu6_vector`` for both ranks, and for rank 3 ``case_family``,
-    ``window6`` and ``feasible_integers``.  Reading one of the rank-3 data
-    on a rank-2 stratum raises RankUnsupported.
+    An unstable type whose slope gaps exceed 2g-2 raises
+    Rank2BoundViolated or Rank3BoundViolated, naming the inequality.
+    The integer data are plain attributes, computed once at construction,
+    with one shape for both ranks: ``mu6_vector``, ``case_family``,
+    ``window6`` and ``feasible_integers``.  A rank-2 stratum has no case
+    family, so it holds None, None and ().
     """
 
     _fields = ("hn", "genus")
@@ -71,11 +73,27 @@ class AdmissibleStratum(Frozen):
         rank = hn.total_rank
         if rank != 2 and rank != 3:
             raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
+        if not hn.is_semistable:
+            # The slope bounds: each consecutive gap is at most 2g-2.
+            k = genus.canonical_degree
+            if rank == 2:
+                mu1, mu2 = hn.mu_vector
+                if mu1 - mu2 > k:
+                    raise Rank2BoundViolated(f"2*d1 - d = {mu1 - mu2} exceeds 2g-2 = {k} for {hn}")
+            else:
+                mu1, mu2, mu3 = hn.mu_vector
+                if mu1 - mu2 > k:
+                    raise Rank3BoundViolated(f"mu1 - mu2 = {mu1 - mu2} > 2g-2 = {k} for {hn}")
+                if mu2 - mu3 > k:
+                    raise Rank3BoundViolated(f"mu2 - mu3 = {mu2 - mu3} > 2g-2 = {k} for {hn}")
         _set(self, "hn", hn)
         _set(self, "genus", genus)
         steps = hn.steps
         if rank == 2:
-            _set(self, "mu6_vector", tuple(6 * d // r for r, d in steps for _ in range(r)))
+            vars(self).update(
+                mu6_vector=tuple(6 * d // r for r, d in steps for _ in range(r)),
+                case_family=None, window6=None, feasible_integers=(),
+            )
             return
         mu6 = 2 * hn.total_degree
         if len(steps) == 1:  # semistable
@@ -124,41 +142,12 @@ class AdmissibleStratum(Frozen):
             feasible_integers=feasible,
         )
 
-    def __getattr__(self, name: str):
-        # Reached only for a name __init__ did not set.
-        if name in _RANK3_DATA:
-            raise RankUnsupported("case families are defined for rank 3 only")
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
     @property
     def is_semistable(self) -> bool:
         return self.hn.is_semistable
 
     def __str__(self) -> str:
         return str(self.hn)
-
-
-_RANK3_DATA = frozenset({"case_family", "window6", "feasible_integers"})
-
-
-def validate(hn: HNType, genus: Genus) -> AdmissibleStratum:
-    """Check the slope bounds, naming the violated inequality on failure.
-    The stratum's constructor refuses a rank other than 2 or 3."""
-    k = genus.canonical_degree
-    rank = hn.total_rank
-    if rank == 2 and not hn.is_semistable:
-        mu1, mu2 = hn.mu_vector
-        if mu1 - mu2 > k:
-            raise Rank2BoundViolated(
-                f"2*d1 - d = {mu1 - mu2} exceeds 2g-2 = {k} for {hn}"
-            )
-    elif rank == 3 and not hn.is_semistable:
-        mu1, mu2, mu3 = hn.mu_vector
-        if mu1 - mu2 > k:
-            raise Rank3BoundViolated(f"mu1 - mu2 = {mu1 - mu2} > 2g-2 = {k} for {hn}")
-        if mu2 - mu3 > k:
-            raise Rank3BoundViolated(f"mu2 - mu3 = {mu2 - mu3} > 2g-2 = {k} for {hn}")
-    return AdmissibleStratum(hn, genus)
 
 
 def _sort_key(stratum: AdmissibleStratum):
@@ -176,7 +165,8 @@ def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStr
 
     The loops generate canonical steps only: integer degrees, strictly
     decreasing slopes, no equal neighbours.  So each type is built with
-    the trusted constructor; validate still checks every one's bounds.
+    the trusted constructor; the stratum's constructor still checks every
+    one's bounds.
     """
     k = genus.canonical_degree
     if rank not in (2, 3):
@@ -206,7 +196,7 @@ def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStr
             # c = d - a - b < b and b - c <= k bound b, with a - k <= b < a.
             for b in range(max(a - k, (d - a) // 2 + 1), min(a, (d - a + k) // 2 + 1)):
                 found.append(_hn_type(((1, a), (1, b), (1, d - a - b)), 3, d))
-    strata = [validate(hn, genus) for hn in found]
+    strata = [AdmissibleStratum(hn, genus) for hn in found]
     strata.sort(key=_sort_key)
     return strata
 

@@ -24,7 +24,7 @@ import sys
 from collections import namedtuple
 
 from . import incidence as incidence_mod
-from .admissibility import CaseFamily, enumerate_strata, validate
+from .admissibility import AdmissibleStratum, CaseFamily, enumerate_strata
 from .core import (
     Genus,
     HNType,
@@ -142,10 +142,10 @@ def _run_limit(config: RunConfig) -> tuple[int, str]:
             f"--degree {config.degree} contradicts the HN type's degree "
             f"{hn.total_degree}"
         )
-    stratum = validate(hn, genus)
+    stratum = AdmissibleStratum(hn, genus)
     outcome = classify(ClassifierInput(stratum, _limit_invariant(config, stratum)))
     incidence_mod.check_outcome(stratum, outcome)
-    feasible = list(stratum.feasible_integers) if stratum.hn.total_rank == 3 else []
+    feasible = list(stratum.feasible_integers)
     record = incidence_mod.outcome_record(hn, config.invariant, outcome, feasible)
     query = {
         "genus": config.genus,

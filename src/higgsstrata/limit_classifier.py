@@ -77,7 +77,18 @@ Run = tuple[range | tuple[Invariant, ...], LimitOutcome]
 ClassifierInput = namedtuple("ClassifierInput", "stratum invariant")
 
 
-class _SlopeFamily(namedtuple("_SlopeFamily", "relation datum ends tags x1_type refined split")):
+#: Per case family, the names of a limit's lines in weight order and the
+#: one a polystable limit splits off.  A rank-2 stratum's case family is None.
+_LINE_NAMES = {
+    None: (("E1", "E/E1"), None),
+    CaseFamily.NONE: (("E",), None),
+    CaseFamily.CASE1_I: (("E1", "I", "Q"), 2),
+    CaseFamily.CASE2_N: (("N", "R", "E/E2"), 0),
+    CaseFamily.CASE3_FLAG: (("E1", "E2/E1", "E/E2"), 1),
+}
+
+
+class _SlopeFamily(namedtuple("_SlopeFamily", "relation datum ends tags x1_type refined")):
     """What tells case family 2 from case family 1.
 
     Both read the window AdmissibleStratum.window6.  Below the threshold
@@ -92,7 +103,7 @@ class _SlopeFamily(namedtuple("_SlopeFamily", "relation datum ends tags x1_type 
     measures; ends: the names of the window's low, gap_low and gap_high;
     tags: cases x.1 to x.4; x1_type: the Hodge type of case x.1's (sub,
     quotient) limit; refined: the rank-2 piece the datum line refines, 0
-    sub or 1 quotient; split: the line, in weight order, split off in x.2.
+    sub or 1 quotient.
     """
 
     __slots__ = ()
@@ -102,12 +113,12 @@ _FAMILIES = {
     CaseFamily.CASE1_I: _SlopeFamily(
         relation="<", datum="I", ends=("mu1 - (2g-2)", "mu3", "mu2"),
         tags=(CaseTag.C1_1, CaseTag.C1_2, CaseTag.C1_3, CaseTag.C1_4),
-        x1_type=(1, 2), refined=1, split=2,
+        x1_type=(1, 2), refined=1,
     ),
     CaseFamily.CASE2_N: _SlopeFamily(
         relation=">", datum="N", ends=("mu1 + mu2 - mu3 - (2g-2)", "mu2", "mu1"),
         tags=(CaseTag.C2_1, CaseTag.C2_2, CaseTag.C2_3, CaseTag.C2_4),
-        x1_type=(2, 1), refined=0, split=0,
+        x1_type=(2, 1), refined=0,
     ),
 }
 
@@ -147,7 +158,7 @@ def _slope_runs(
     if below:
         x1 = _limit_outcome(fam.tags[0], _hodge_bundle(fam.x1_type, pair), stratum.hn)
         runs.append((range(values[0], values[0] + below), x1))
-    i, split = fam.refined, fam.split
+    i, split = fam.refined, _LINE_NAMES[stratum.case_family][1]
     before, refined, after = pair[:i], pair[i], pair[i + 1 :]
     for v in values[below:]:
         v6 = 6 * v
@@ -321,17 +332,6 @@ class AuditCheck(namedtuple(
         return f"{_ratio(self.degree, self.rank)} {rel} {_ratio(self.d, self.r)}"
 
 
-#: Per case family, the names of a limit's lines in weight order and the
-#: one a polystable limit splits off.  Rank 2 has no case family.
-_LINE_NAMES = {
-    None: (("E1", "E/E1"), None),
-    CaseFamily.NONE: (("E",), None),
-    CaseFamily.CASE1_I: (("E1", "I", "Q"), 2),
-    CaseFamily.CASE2_N: (("N", "R", "E/E2"), 0),
-    CaseFamily.CASE3_FLAG: (("E1", "E2/E1", "E/E2"), 1),
-}
-
-
 def stability_audit(outcome: LimitOutcome, inp: ClassifierInput) -> list[AuditCheck]:
     """Re-derive the slope inequality of every Higgs-invariant subobject
     of the limit from its component, in integers.  Three rules:
@@ -349,7 +349,7 @@ def stability_audit(outcome: LimitOutcome, inp: ClassifierInput) -> list[AuditCh
     """
     stratum = inp.stratum
     d, r = stratum.hn.total_degree, stratum.hn.total_rank
-    names, split = _LINE_NAMES[stratum.case_family if r == 3 else None]
+    names, split = _LINE_NAMES[stratum.case_family]
     component = outcome.component
     if isinstance(component, PolystableSum):
         # The coupled summand's lines take the names the split line leaves.

@@ -16,7 +16,6 @@ from higgsstrata import (
     enumerate_strata,
     invariant_range,
     parse_hn_type,
-    validate,
 )
 
 
@@ -50,27 +49,39 @@ def naive_strata(rank: int, degree: int, g: int) -> set[HNType]:
 class TestValidate:
     def test_rank3_gap_violation_names_the_gap(self):
         with pytest.raises(Rank3BoundViolated, match="mu1 - mu2 = 3"):
-            validate(parse_hn_type("1:3,2:0"), Genus(2))
+            AdmissibleStratum(parse_hn_type("1:3,2:0"), Genus(2))
 
     def test_rank3_second_gap(self):
         with pytest.raises(Rank3BoundViolated, match="mu2 - mu3"):
-            validate(parse_hn_type("1:1,1:0,1:-9"), Genus(2))
+            AdmissibleStratum(parse_hn_type("1:1,1:0,1:-9"), Genus(2))
 
     def test_valid_triple(self):
-        stratum = validate(parse_hn_type("1:1,1:0,1:-1"), Genus(2))
+        stratum = AdmissibleStratum(parse_hn_type("1:1,1:0,1:-1"), Genus(2))
         assert stratum.hn.mu_vector == (Fraction(1), Fraction(0), Fraction(-1))
 
     def test_semistable_always_valid(self):
-        assert validate(parse_hn_type("3:0"), Genus(2)).is_semistable
+        assert AdmissibleStratum(parse_hn_type("3:0"), Genus(2)).is_semistable
 
     def test_rank2_bound(self):
-        validate(parse_hn_type("1:1,1:0"), Genus(2))
+        AdmissibleStratum(parse_hn_type("1:1,1:0"), Genus(2))
         with pytest.raises(Rank2BoundViolated):
-            validate(parse_hn_type("1:3,1:0"), Genus(2))
+            AdmissibleStratum(parse_hn_type("1:3,1:0"), Genus(2))
 
     def test_unsupported_rank(self):
         with pytest.raises(RankUnsupported):
-            validate(HNType(((4, 0),)), Genus(2))
+            AdmissibleStratum(HNType(((4, 0),)), Genus(2))
+
+    @pytest.mark.parametrize("hn_text, error, text", [
+        ("1:10,2:-10", Rank3BoundViolated, "mu1 - mu2 = 15 > 2g-2 = 2 for 1:10,2:-10"),
+        ("1:3,1:0,1:-3", Rank3BoundViolated, "mu1 - mu2 = 3 > 2g-2 = 2 for 1:3,1:0,1:-3"),
+        ("1:5,1:-5", Rank2BoundViolated, "2*d1 - d = 10 exceeds 2g-2 = 2 for 1:5,1:-5"),
+    ])
+    def test_no_stratum_is_built_outside_the_bounds(self, hn_text, error, text):
+        # The constructor is the one way to build a stratum, so none that
+        # breaks the bounds reaches classify_stratum or check_outcome.
+        with pytest.raises(error) as caught:
+            AdmissibleStratum(parse_hn_type(hn_text), Genus(2))
+        assert str(caught.value) == text
 
 
 class TestEnumerateStrata:
@@ -117,7 +128,7 @@ class TestEnumerateStrata:
 
 class TestInvariantRange:
     def test_case1_interval(self):
-        stratum = validate(parse_hn_type("1:1,2:0"), Genus(3))
+        stratum = AdmissibleStratum(parse_hn_type("1:1,2:0"), Genus(3))
         rng = invariant_range(stratum)
         assert rng.case_family is CaseFamily.CASE1_I
         assert (rng.interval_low, rng.interval_high) == (Fraction(-3), Fraction(0))
@@ -125,7 +136,7 @@ class TestInvariantRange:
         assert rng.feasible_integers == (-3, -2, -1, 0)
 
     def test_case2_interval(self):
-        stratum = validate(parse_hn_type("2:1,1:-1"), Genus(2))
+        stratum = AdmissibleStratum(parse_hn_type("2:1,1:-1"), Genus(2))
         rng = invariant_range(stratum)
         assert rng.case_family is CaseFamily.CASE2_N
         assert (rng.interval_low, rng.interval_high) == (Fraction(0), Fraction(1, 2))
@@ -133,17 +144,17 @@ class TestInvariantRange:
         assert rng.feasible_integers == (0,)
 
     def test_case3_flag(self):
-        stratum = validate(parse_hn_type("1:2,1:0,1:-2"), Genus(2))
+        stratum = AdmissibleStratum(parse_hn_type("1:2,1:0,1:-2"), Genus(2))
         rng = invariant_range(stratum)
         assert rng.case_family is CaseFamily.CASE3_FLAG
         assert rng.feasible_integers == ()
 
     def test_semistable_has_no_range(self):
-        rng = invariant_range(validate(parse_hn_type("3:0"), Genus(2)))
+        rng = invariant_range(AdmissibleStratum(parse_hn_type("3:0"), Genus(2)))
         assert rng.case_family is CaseFamily.NONE
 
     def test_isolated_point_present_when_slopes_split(self):
-        stratum = validate(parse_hn_type("1:2,1:0,1:-1"), Genus(2))
+        stratum = AdmissibleStratum(parse_hn_type("1:2,1:0,1:-1"), Genus(2))
         rng = invariant_range(stratum)
         assert rng.case_family is CaseFamily.CASE1_I
         assert rng.isolated_point == Fraction(0)
@@ -152,7 +163,7 @@ class TestInvariantRange:
 
     def test_rank2_rejected(self):
         with pytest.raises(RankUnsupported):
-            invariant_range(validate(parse_hn_type("1:1,1:0"), Genus(2)))
+            invariant_range(AdmissibleStratum(parse_hn_type("1:1,1:0"), Genus(2)))
 
 
 class TestFeasibleIntegers:
@@ -165,7 +176,7 @@ class TestFeasibleIntegers:
                     assert all(type(v) is int for v in integers)
 
     def test_cached_and_shared_with_invariant_range(self):
-        stratum = validate(parse_hn_type("1:1,2:0"), Genus(3))
+        stratum = AdmissibleStratum(parse_hn_type("1:1,2:0"), Genus(3))
         assert stratum.feasible_integers is stratum.feasible_integers
         assert invariant_range(stratum).feasible_integers is stratum.feasible_integers
 
@@ -261,9 +272,8 @@ class TestEagerIntegerData:
             for g in range(2, 9):
                 for d in range(-8, 9):
                     for stratum in enumerate_strata(rank, d, Genus(g)):
-                        # Set at construction, before any read.
-                        names = ("mu6_vector",) + (RANK3_DATA if rank == 3 else ())
-                        assert set(names) <= vars(stratum).keys()
+                        # Set at construction, before any read, for both ranks.
+                        assert {"mu6_vector", *RANK3_DATA} <= vars(stratum).keys()
                         assert {"total_rank", "total_degree"} <= vars(stratum.hn).keys()
                         assert (stratum.hn.total_rank, stratum.hn.total_degree) == (rank, d)
                         assert stratum.mu6_vector == tuple(6 * m for m in stratum.hn.mu_vector)
@@ -271,17 +281,20 @@ class TestEagerIntegerData:
                             got = {name: getattr(stratum, name) for name in RANK3_DATA}
                             assert got == reference_rank3_data(stratum), stratum.hn
                         integers = list(stratum.mu6_vector)
-                        if rank == 3:
-                            integers += stratum.window6 or ()
-                            integers += stratum.feasible_integers
+                        integers += stratum.window6 or ()
+                        integers += stratum.feasible_integers
                         assert all(type(v) is int for v in integers)
 
     @pytest.mark.parametrize("name", RANK3_DATA)
     @pytest.mark.parametrize("hn_text", ["1:1,1:0", "1:2,1:-1", "2:1"])
-    def test_rank3_data_of_a_rank2_stratum_is_refused(self, hn_text, name):
-        stratum = validate(parse_hn_type(hn_text), Genus(3))
-        with pytest.raises(RankUnsupported, match="defined for rank 3 only"):
-            getattr(stratum, name)
+    def test_rank3_data_of_a_rank2_stratum_is_empty(self, hn_text, name):
+        # One shape for both ranks: a rank-2 stratum has no case family,
+        # no window and no feasible integers, set at construction.
+        stratum = AdmissibleStratum(parse_hn_type(hn_text), Genus(3))
+        assert name in vars(stratum)
+        assert getattr(stratum, name) == {
+            "case_family": None, "window6": None, "feasible_integers": (),
+        }[name]
         with pytest.raises(AttributeError):
             stratum.no_such_attribute
 
@@ -292,10 +305,10 @@ class TestEagerIntegerData:
         assert repr(hn) == "HNType(steps=((1, 1), (2, 0)))"
         assert hn == HNType(((1, 1), (2, 0)))
         assert hash(hn) == hash((((1, 1), (2, 0)),))
-        stratum = validate(hn, Genus(3))
+        stratum = AdmissibleStratum(hn, Genus(3))
         assert repr(stratum) == (
             "AdmissibleStratum(hn=HNType(steps=((1, 1), (2, 0))), genus=Genus(g=3))"
         )
         assert hash(stratum) == hash((hn, Genus(3)))
-        assert stratum == validate(parse_hn_type("1:1,2:0"), Genus(3))
-        assert stratum != validate(hn, Genus(4))
+        assert stratum == AdmissibleStratum(parse_hn_type("1:1,2:0"), Genus(3))
+        assert stratum != AdmissibleStratum(hn, Genus(4))

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from higgsstrata import (
+    AdmissibleStratum,
     AlignmentImpossible,
     ClassifierInput,
     Genus,
@@ -31,7 +32,6 @@ from higgsstrata import (
     enumerate_strata,
     matrix_oracle,
     stability_audit,
-    validate,
 )
 from higgsstrata.admissibility import CaseFamily
 from higgsstrata.core import (
@@ -177,7 +177,7 @@ def rank3_strata(draw):
     """An unstable admissible rank-3 stratum with g in 2..40, |d| <= 20.
 
     Draws the HN type directly (cheaper than enumerating the strata);
-    validate() then checks it is admissible.
+    AdmissibleStratum then checks it is admissible.
     """
     g = draw(st.integers(min_value=2, max_value=40))
     d = draw(st.integers(min_value=-20, max_value=20))
@@ -195,7 +195,7 @@ def rank3_strata(draw):
         c = d - a - b
         assume(c < b and b - c <= k)
         steps = ((1, a), (1, b), (1, c))
-    return validate(HNType(steps), Genus(g))
+    return AdmissibleStratum(HNType(steps), Genus(g))
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,7 +380,7 @@ def test_stability_audit_matches_fraction_reference():
 def test_stability_audit_reads_the_component():
     # A 1.4 outcome whose component is not the stratum's HN filtration:
     # the tail E2/E1 + E/E2 of degree 0 is steeper than mu = -2/3.
-    stratum = validate(HNType(((1, 1), (1, -1), (1, -2))), Genus(2))
+    stratum = AdmissibleStratum(HNType(((1, 1), (1, -1), (1, -2))), Genus(2))
     outcome = LimitOutcome(CaseTag.C1_4, HodgeBundle((1, 1, 1), (-2, -1, 1)), stratum.hn)
     checks = stability_audit(outcome, ClassifierInput(stratum, -1))
     assert not all(c.holds for c in checks)

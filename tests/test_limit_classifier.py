@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgsstrata import (
+    AdmissibleStratum,
     AlignmentImpossible,
     CaseFamilyMismatch,
     ClassificationError,
@@ -29,7 +30,6 @@ from higgsstrata import (
     feasible_inputs,
     parse_hn_type,
     stability_audit,
-    validate,
 )
 from higgsstrata import limit_classifier, verification
 from higgsstrata.core import CaseTag
@@ -38,7 +38,7 @@ X1_TAGS = (CaseTag.C1_1, CaseTag.C2_1)
 
 
 def stratum(hn_text: str, g: int):
-    return validate(parse_hn_type(hn_text), Genus(g))
+    return AdmissibleStratum(parse_hn_type(hn_text), Genus(g))
 
 
 def rank3(hn_text: str, g: int, invariant):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from higgsstrata import (
+    AdmissibleStratum,
     BlockPattern,
     CaseTag,
     ClassifierInput,
@@ -17,7 +18,6 @@ from higgsstrata import (
     parse_hn_type,
     scale_exponents,
     take_limit,
-    validate,
 )
 
 weight_vectors = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=4)
@@ -107,30 +107,30 @@ class TestTakeLimit:
 
 class TestOracleCheck:
     def test_type111_case(self):
-        stratum = validate(parse_hn_type("1:1,2:0"), Genus(3))
+        stratum = AdmissibleStratum(parse_hn_type("1:1,2:0"), Genus(3))
         out = classify_rank3(ClassifierInput(stratum, 0))
         assert oracle_check(out)
 
     def test_rank2_case(self):
-        out = classify(ClassifierInput(validate(parse_hn_type("1:1,1:0"), Genus(2)), None))
+        out = classify(ClassifierInput(AdmissibleStratum(parse_hn_type("1:1,1:0"), Genus(2)), None))
         assert oracle_check(out)
 
     def test_semistable_case(self):
-        out = classify(ClassifierInput(validate(parse_hn_type("3:0"), Genus(2)), None))
+        out = classify(ClassifierInput(AdmissibleStratum(parse_hn_type("3:0"), Genus(2)), None))
         assert oracle_check(out)
 
     def test_polystable_case12(self):
-        stratum = validate(parse_hn_type("1:1,2:-1"), Genus(2))
+        stratum = AdmissibleStratum(parse_hn_type("1:1,2:-1"), Genus(2))
         out = classify_rank3(ClassifierInput(stratum, -1))
         assert out.strictly_polystable and oracle_check(out)
 
     def test_polystable_case22(self):
-        stratum = validate(parse_hn_type("2:1,1:-1"), Genus(2))
+        stratum = AdmissibleStratum(parse_hn_type("2:1,1:-1"), Genus(2))
         out = classify_rank3(ClassifierInput(stratum, 0))
         assert out.strictly_polystable and oracle_check(out)
 
     def test_polystable_case32(self):
-        stratum = validate(parse_hn_type("1:1,1:0,1:-1"), Genus(2))
+        stratum = AdmissibleStratum(parse_hn_type("1:1,1:0,1:-1"), Genus(2))
         out = classify_rank3(ClassifierInput(stratum, False))
         assert out.strictly_polystable and oracle_check(out)
 
@@ -139,7 +139,7 @@ class TestOracleCheck:
         # outcome with a type-(1,1,1) one: the oracle reads whether the
         # limit is polystable from the component, so neither passes.
         def outcome(hn_text, g, invariant):
-            stratum = validate(parse_hn_type(hn_text), Genus(g))
+            stratum = AdmissibleStratum(parse_hn_type(hn_text), Genus(g))
             return classify_rank3(ClassifierInput(stratum, invariant))
 
         case12, case13 = outcome("1:1,2:-1", 2, -1), outcome("1:1,2:0", 3, 0)

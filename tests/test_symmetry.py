@@ -8,6 +8,7 @@ through the other, so these are independent checks of the classifier.
 """
 
 from higgsstrata import (
+    AdmissibleStratum,
     ClassificationError,
     ClassifierInput,
     Genus,
@@ -19,7 +20,6 @@ from higgsstrata import (
     classify,
     enumerate_strata,
     feasible_inputs,
-    validate,
 )
 from higgsstrata.admissibility import CaseFamily
 from higgsstrata.core import CaseTag
@@ -74,7 +74,7 @@ def test_duality_maps_case_family_2_onto_case_family_1():
             for stratum in enumerate_strata(3, d, genus):
                 if stratum.is_semistable or stratum.case_family is not CaseFamily.CASE2_N:
                     continue
-                dual = validate(dual_hn(stratum.hn), genus)
+                dual = AdmissibleStratum(dual_hn(stratum.hn), genus)
                 assert dual.case_family is CaseFamily.CASE1_I, stratum.hn
                 e2 = d - stratum.hn.steps[-1][1]  # deg E2
                 feasible = feasible_inputs(stratum)

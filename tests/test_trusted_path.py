@@ -62,9 +62,9 @@ def test_hodge_bundle_shares_the_ranks_tuple():
 
 
 def test_classify_keeps_the_refusal_of_an_unsupported_rank():
-    # A stratum built without validate refuses its rank, with validate's
-    # text, so none holds slopes scaled by 6 that the division floored
-    # (6 * 1/4 would read 1) and classify never sees such a rank.
+    # The stratum's constructor refuses a rank other than 2 or 3, so
+    # none holds slopes scaled by 6 that the division floored (6 * 1/4
+    # would read 1) and classify never sees such a rank.
     for steps, rank in (((4, 0),), 4), (((4, 1),), 4), (((1, 0),), 1), (((1, 1), (3, 0)), 4):
         with pytest.raises(RankUnsupported, match=f"only ranks 2 and 3 are supported, got {rank}$"):
             AdmissibleStratum(HNType(steps), Genus(2))

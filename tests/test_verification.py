@@ -365,7 +365,10 @@ def test_classifier_error_in_a_table_fails_criterion_2(monkeypatch, capsys):
 # check loosened, D fails criteria 2, 5 and 8 instead.
 ROW_ROUTINE_MUTANTS = {
     "A": ("graded = before + (v, rest) + after", "graded = before + (rest, v) + after", [8]),
-    "B": ("i, split = fam.refined, fam.split", "i, split = fam.refined, 2 - fam.split", [8]),
+    "B": (
+        "split = fam.refined, _LINE_NAMES[stratum.case_family][1]",
+        "split = fam.refined, 2 - _LINE_NAMES[stratum.case_family][1]", [8],
+    ),
     "C": ("_hn_lines(*before, rest, v, *after)", "_hn_lines(*before, rest, v + 1, *after)", [2, 3, 9]),
     "D": ("below = bisect_left(values,", "below = bisect_right(values,", [7, 9]),
 }
