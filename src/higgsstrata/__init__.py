@@ -17,7 +17,6 @@ from .admissibility import (
 from .core import (
     CaseTag,
     Genus,
-    HNPolygon,
     HNType,
     InvalidGenus,
     InvalidHNType,

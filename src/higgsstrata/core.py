@@ -4,15 +4,17 @@ Harder-Narasimhan data, fixed-component labels and limit outcomes are
 immutable values built on integers: slopes are compared by
 cross-multiplying or held scaled by 6.  Nothing in this package ever
 touches floating point, because strict-versus-non-strict comparisons at
-rational thresholds decide which classification case applies.
+rational thresholds decide which classification case applies.  The HN
+polygon is no value of its own: ``dominates`` compares two HN types by
+their polygons' heights, computed from the steps.
 
 Every constructor checks its arguments.  The few values that the
 package builds from data it has already checked also have a private
-trusted constructor that skips the re-checks: ``polygon_of`` for
-``HNPolygon``; ``_hn_type``, which ``enumerate_strata`` uses for the
-types its loops generate; and ``_hn_lines``, ``_hodge_bundle`` and
-``_limit_outcome``, which the limit classifier uses on its per-value
-path (and ``fixed_points`` for the type-(1,1,1) labels it solves for).
+trusted constructor that skips the re-checks: ``_hn_type``, which
+``enumerate_strata`` uses for the types its loops generate; and
+``_hn_lines``, ``_hodge_bundle`` and ``_limit_outcome``, which the
+limit classifier uses on its per-value path (and ``fixed_points`` for
+the type-(1,1,1) labels it solves for).
 Each builds an object equal to the checked one, so anything a user or
 another module builds directly stays checked, with every error text.
 """
@@ -240,72 +242,39 @@ def parse_hn_type(text: str) -> HNType:
     return HNType(parse_hn_steps(text))
 
 
-class HNPolygon(Frozen):
-    """Convex polygon of cumulative (rank, degree) pairs from (0,0)."""
-
-    _fields = ("vertices",)
-
-    def __init__(self, vertices: tuple[tuple[int, int], ...]) -> None:
-        v = tuple(map(_ints, vertices))
-        if any(p is None or len(p) != 2 for p in v):
-            raise ValueError(f"polygon vertices must be pairs of integers: {vertices!r}")
-        if len(v) < 2 or v[0] != (0, 0):
-            raise ValueError(f"polygon must start at (0,0): {v}")
-        segs = list(zip(v, v[1:]))
-        if any(r1 <= r0 for (r0, _), (r1, _) in segs):
-            raise ValueError(f"cumulative ranks must strictly increase: {v}")
-        # Segment slopes compared by cross-multiplying, as in HNType.
-        runs = [(r1 - r0, d1 - d0) for (r0, d0), (r1, d1) in segs]
-        if any(d1 * r0 >= d0 * r1 for (r0, d0), (r1, d1) in zip(runs, runs[1:])):
-            raise ValueError(f"polygon is not strictly convex: {v}")
-        _set(self, "vertices", v)
-
-    @property
-    def total_rank(self) -> int:
-        return self.vertices[-1][0]
-
-    @property
-    def total_degree(self) -> int:
-        return self.vertices[-1][1]
-
-    def _height(self, x: int) -> tuple[int, int]:
-        """Height of the upper boundary at integer rank x, as the fraction
-        (numerator, segment length); the length is positive."""
-        for (r0, d0), (r1, d1) in zip(self.vertices, self.vertices[1:]):
-            if r0 <= x <= r1:
-                return d0 * (r1 - r0) + (d1 - d0) * (x - r0), r1 - r0
-        raise ValueError(f"rank {x} outside polygon range 0..{self.total_rank}")
-
-
-def polygon_of(hn: HNType) -> HNPolygon:
-    """Polygon of partial (rank, degree) sums; convex by the HN invariant.
-
-    HNType has already checked what HNPolygon's constructor would: integer
-    steps of positive rank with strictly decreasing slopes.  So the
-    polygon is built without re-running those checks.
-    """
+def polygon_of(hn: HNType) -> tuple[tuple[int, int], ...]:
+    """Vertices of the HN polygon: partial (rank, degree) sums from (0,0),
+    convex by the HN invariant."""
     vertices = [(0, 0)]
     for r, d in hn.steps:
         pr, pd = vertices[-1]
         vertices.append((pr + r, pd + d))
-    polygon = _new(HNPolygon)
-    _set(polygon, "vertices", tuple(vertices))
-    return polygon
+    return tuple(vertices)
 
 
-def dominates(p: HNPolygon, q: HNPolygon) -> bool:
-    """True iff p lies on or above q at every intermediate integer rank.
+def _heights(hn: HNType):
+    """The HN polygon's height at each integer rank 1..r, as the fraction
+    (numerator, rank of the step over that rank).  At r it is the total
+    degree, which dominates has already compared."""
+    degree = 0
+    for r, d in hn.steps:
+        for x in range(1, r + 1):
+            yield degree * r + d * x, r
+        degree += d
+
+
+def dominates(p: HNType, q: HNType) -> bool:
+    """True iff the HN polygon of p lies on or above that of q at every
+    intermediate integer rank.
 
     This is the partial order in which the polygon rises under
     specialization; both polygons must share the endpoints (0,0) and
-    (r,d).
+    (r,d), so both types have the same total rank and degree.
     """
-    if p.vertices[-1] != q.vertices[-1]:
-        raise ValueError(
-            f"polygons have different endpoints: {p.vertices[-1]} vs {q.vertices[-1]}"
-        )
-    for x in range(1, p.total_rank):
-        (p_num, p_len), (q_num, q_len) = p._height(x), q._height(x)
+    p_end, q_end = (p.total_rank, p.total_degree), (q.total_rank, q.total_degree)
+    if p_end != q_end:
+        raise ValueError(f"polygons have different endpoints: {p_end} vs {q_end}")
+    for (p_num, p_len), (q_num, q_len) in zip(_heights(p), _heights(q)):
         if p_num * q_len < q_num * p_len:
             return False
     return True

@@ -354,7 +354,7 @@ def stability_audit(outcome: LimitOutcome, inp: ClassifierInput) -> list[AuditCh
     if isinstance(component, PolystableSum):
         # The coupled summand's lines take the names the split line leaves.
         coupled = names[:split] + names[split + 1 :]
-        chains = [((1,) * len(s), s, coupled) for s in component.summands if len(s) > 1]
+        chains = [((1,) * len(s), s, coupled) for s in component.summands]
         singles = [s for s in component.summands if len(s) == 1]
         checks = [AuditCheck((names[split],), s[0], 1, d, r, True) for s in singles]
     else:

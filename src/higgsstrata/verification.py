@@ -32,7 +32,7 @@ from math import gcd
 from . import fixed_points, incidence, limit_classifier, matrix_oracle
 from .admissibility import CaseFamily
 from .core import (
-    CaseTag, Genus, HNType, HodgeBundle, StrataError, dominates, format_label, polygon_of
+    CaseTag, Genus, HNType, HodgeBundle, StrataError, dominates, format_label
 )
 from .matrix_oracle import BlockPattern
 
@@ -288,16 +288,15 @@ def _check_rank3(table: incidence.IncidenceTable, failures: dict[int, list[str]]
         inequalities = _case_inequalities(stratum)
         if row.feasible_set != _feasible_reference(stratum, inequalities):
             failures[2].append(f"runs of {stratum.hn} at g={table.genus.g} miss or repeat a value")
-        polygon = polygon_of(stratum.hn)
+        end = (stratum.hn.total_rank, stratum.hn.total_degree)
         for values, outcome in row.runs:
-            n, tag = len(values), outcome.case_tag
+            n, tag, limit = len(values), outcome.case_tag, outcome.hnt_limit
             classified += n
-            limit, end = polygon_of(outcome.hnt_limit), polygon.vertices[-1]
-            if limit.vertices[-1] != end:
-                fault = f"ends at {limit.vertices[-1]}, not {end}"
-                failures[3] += [f"{stratum.hn} -> {outcome.hnt_limit} {fault}"] * n
-            elif not dominates(limit, polygon):
-                failures[3] += [f"{stratum.hn} -> {outcome.hnt_limit} fails to rise"] * n
+            limit_end = (limit.total_rank, limit.total_degree)
+            if limit_end != end:
+                failures[3] += [f"{stratum.hn} -> {limit} ends at {limit_end}, not {end}"] * n
+            elif not dominates(limit, stratum.hn):
+                failures[3] += [f"{stratum.hn} -> {limit} fails to rise"] * n
             if coprime and outcome.strictly_polystable:
                 failures[4] += [f"polystable limit for {stratum.hn} at d={d}"] * n
             # Audited at the run's first value.  Only a case-x.1 run has a

@@ -169,9 +169,9 @@ def test_incidence_wide_outputs_match_the_benchmark_digests():
 def test_every_traced_layer_resolves_in_the_package():
     # perfbench/layers.py's Tracer.install looks up every (module, name) of
     # TRACED and wraps the HNType.mu_vector property, whose calls run.py's
-    # MUST_CALL requires.  So invariant_range stays, though nothing in the
-    # package calls it, and so does HNType.mu_vector, while the benchmark
-    # names them.
+    # MUST_CALL requires.  So invariant_range and polygon_of stay, though
+    # nothing in the package calls them, and so does HNType.mu_vector,
+    # while the benchmark names them.
     layers = _perfbench("layers")
     for module, name in layers.TRACED:
         assert callable(getattr(importlib.import_module(f"higgsstrata.{module}"), name, None)), name

@@ -1,4 +1,4 @@
-"""Exact arithmetic, HN types, polygons, dominance and label encodings."""
+"""Exact arithmetic, HN types, their polygons and dominance, and label encodings."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from higgsstrata import (
     Genus,
-    HNPolygon,
     HNType,
     InvalidGenus,
     InvalidHNType,
@@ -139,93 +138,33 @@ class TestHNType:
     ],
 )
 def test_polygon_of_partial_sums(steps, vertices):
-    assert polygon_of(HNType(steps)).vertices == vertices
-
-
-def test_polygon_rejects_non_convex():
-    with pytest.raises(ValueError):
-        HNPolygon(((0, 0), (1, 0), (2, 1)))
-    with pytest.raises(ValueError):
-        HNPolygon(((0, 0), (1, 1), (2, 2)))  # collinear is not strictly convex
-
-
-class TestTrustedPolygons:
-    """polygon_of skips HNPolygon's checks, which HNType has already made;
-    direct construction keeps every check and its message."""
-
-    def test_polygon_of_equals_checked_construction(self):
-        from higgsstrata import enumerate_strata
-
-        for rank, degree, g in ((3, 0, 4), (3, -2, 3), (2, 1, 4)):
-            for stratum in enumerate_strata(rank, degree, Genus(g)):
-                trusted = polygon_of(stratum.hn)
-                checked = HNPolygon(trusted.vertices)
-                assert trusted == checked
-                assert all(type(x) is int for vertex in trusted.vertices for x in vertex)
-
-    def test_polygon_of_runs_no_check(self, monkeypatch):
-        def refuse(self, *args):
-            raise AssertionError("HNPolygon checks ran")
-
-        monkeypatch.setattr(HNPolygon, "__init__", refuse)
-        assert polygon_of(HNType(((1, 2), (1, 0), (1, -2)))).vertices == (
-            (0, 0), (1, 2), (2, 2), (3, 0),
-        )
-
-    @pytest.mark.parametrize(
-        "vertices,message",
-        [
-            (((1, 0), (2, 1)), "polygon must start at (0,0): ((1, 0), (2, 1))"),
-            (((0, 0),), "polygon must start at (0,0): ((0, 0),)"),
-            (
-                ((0, 0), (1, 1), (1, 0)),
-                "cumulative ranks must strictly increase: ((0, 0), (1, 1), (1, 0))",
-            ),
-            (((0, 0), (1, 0), (2, 1)), "polygon is not strictly convex: ((0, 0), (1, 0), (2, 1))"),
-        ],
-    )
-    def test_direct_construction_keeps_its_checks(self, vertices, message):
-        with pytest.raises(ValueError) as info:
-            HNPolygon(vertices)
-        assert str(info.value) == message
-
-    def test_direct_construction_converts_to_int(self):
-        assert HNPolygon(((0, 0), (Fraction(1), 2.0))).vertices == ((0, 0), (1, 2))
-        assert HNPolygon([[0, 0], [1, Fraction(2)], (3, 3)]).vertices == ((0, 0), (1, 2), (3, 3))
-
-    @pytest.mark.parametrize(
-        "vertex", [(1, 2.5), (1, Fraction(5, 2)), (1, "2"), (1.5, 2), (1, None), (1, 2, 3), (1,)]
-    )
-    def test_direct_construction_refuses_non_integer_vertices(self, vertex):
-        with pytest.raises(ValueError, match="polygon vertices must be pairs of integers"):
-            HNPolygon(((0, 0), vertex, (3, 3)))
+    assert polygon_of(HNType(steps)) == vertices
 
 
 class TestDominates:
     def test_spec_examples(self):
-        p = polygon_of(HNType(((1, 2), (1, 0), (1, -2))))
-        q = polygon_of(HNType(((1, 1), (1, 0), (1, -1))))
+        p = HNType(((1, 2), (1, 0), (1, -2)))
+        q = HNType(((1, 1), (1, 0), (1, -1)))
         assert dominates(p, q)       # heights (2,2) >= (1,1)
         assert dominates(p, p)       # reflexive
         assert not dominates(q, p)   # height 1 < 2 at rank 1
 
     def test_rejects_mismatched_endpoints(self):
-        p = polygon_of(HNType(((3, 0),)))
-        q = polygon_of(HNType(((3, 1),)))
-        with pytest.raises(ValueError):
-            dominates(p, q)
+        with pytest.raises(ValueError) as info:
+            dominates(HNType(((3, 0),)), HNType(((3, 1),)))
+        assert str(info.value) == "polygons have different endpoints: (3, 0) vs (3, 1)"
 
     def test_partial_order_on_admissible_types(self):
         from higgsstrata import enumerate_strata
 
         for rank, degree, g in ((3, 0, 2), (3, 1, 3), (2, 1, 2)):
-            polys = [polygon_of(s.hn) for s in enumerate_strata(rank, degree, Genus(g))]
-            for p in polys:
+            types = [s.hn for s in enumerate_strata(rank, degree, Genus(g))]
+            for p in types:
                 assert dominates(p, p)
-                for q in polys:
+                for q in types:
                     if dominates(p, q) and dominates(q, p):
                         assert p == q
-                    for r in polys:
+                    for r in types:
                         if dominates(p, q) and dominates(q, r):
                             assert dominates(p, r)
 
@@ -238,33 +177,53 @@ def fraction_height(vertices, x):
     raise AssertionError(f"rank {x} outside the polygon")
 
 
-class TestIntegerPolygonArithmetic:
-    """Convexity, and dominance by heights, agree with Fraction references."""
+def reference_dominates(p, q):
+    vertices_p, vertices_q = polygon_of(p), polygon_of(q)
+    return all(
+        fraction_height(vertices_p, x) >= fraction_height(vertices_q, x)
+        for x in range(1, p.total_rank)
+    )
 
-    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-9, 9)), min_size=1, max_size=4))
-    def test_convexity_and_heights(self, steps):
-        vertices = [(0, 0)]
-        for r, d in steps:
-            vertices.append((vertices[-1][0] + r, vertices[-1][1] + d))
-        slopes = [Fraction(d, r) for r, d in steps]
-        if any(b >= a for a, b in zip(slopes, slopes[1:])):
-            with pytest.raises(ValueError, match="not strictly convex"):
-                HNPolygon(tuple(vertices))
-            return
-        assert HNPolygon(tuple(vertices)).vertices == tuple(vertices)
+
+_STEP = st.tuples(st.integers(1, 3), st.integers(-9, 9))
+
+
+def _steepest_first(steps):
+    return HNType(tuple(sorted(steps, key=lambda s: Fraction(s[1], s[0]), reverse=True)))
+
+
+@st.composite
+def hn_pairs(draw):
+    """Two HN types of equal total rank and degree, from steps of rank 1-3."""
+    steps = draw(st.lists(_STEP, min_size=1, max_size=4))
+    rank, degree = sum(r for r, _ in steps), sum(d for _, d in steps)
+    other = []
+    while rank > 0:
+        r = draw(st.integers(1, min(3, rank)))
+        d = draw(st.integers(-9, 9)) if rank > r else degree
+        other.append((r, d))
+        rank, degree = rank - r, degree - d
+    return _steepest_first(steps), _steepest_first(other)
+
+
+class TestIntegerPolygonArithmetic:
+    """Dominance by integer heights agrees with a Fraction reference."""
+
+    @given(hn_pairs())
+    def test_dominance_matches_fraction_heights(self, pair):
+        p, q = pair
+        assert (p.total_rank, p.total_degree) == (q.total_rank, q.total_degree)
+        assert dominates(p, q) == reference_dominates(p, q)
+        assert dominates(q, p) == reference_dominates(q, p)
 
     def test_dominance_on_admissible_types(self):
         from higgsstrata import enumerate_strata
 
         for rank, degree, g in ((3, 0, 4), (3, 1, 3), (3, -2, 3), (2, 1, 4)):
-            polys = [polygon_of(s.hn) for s in enumerate_strata(rank, degree, Genus(g))]
-            for p in polys:
-                for q in polys:
-                    expected = all(
-                        fraction_height(p.vertices, x) >= fraction_height(q.vertices, x)
-                        for x in range(1, rank)
-                    )
-                    assert dominates(p, q) == expected
+            types = [s.hn for s in enumerate_strata(rank, degree, Genus(g))]
+            for p in types:
+                for q in types:
+                    assert dominates(p, q) == reference_dominates(p, q)
 
 
 class TestLabels:
@@ -402,10 +361,6 @@ _POLY = PolystableSum(((0,), (1, -1)))
 FROZEN_VALUES = {
     Genus: (lambda: Genus(3), "Genus(g=3)"),
     HNType: (lambda: HNType(((1, 1), (2, 0))), "HNType(steps=((1, 1), (2, 0)))"),
-    HNPolygon: (
-        lambda: HNPolygon(((0, 0), (1, 1), (3, 1))),
-        "HNPolygon(vertices=((0, 0), (1, 1), (3, 1)))",
-    ),
     HodgeBundle: (
         lambda: HodgeBundle((1, 2), (1, -1)), "HodgeBundle(ranks=(1, 2), degrees=(1, -1))"
     ),

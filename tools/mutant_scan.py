@@ -53,8 +53,6 @@ SURVIVORS = {
         "checker: a strict stability inequality that allows equality",
     ("fixed_points.py", "validate_component_label", "degree < 2 * label.degrees[0]"):
         "checker: the lower rank-2 bound d < 2*d1 allows equality",
-    ("limit_classifier.py", "stability_audit", "len(s) > 1"):
-        "equivalent: a summand of one line has no tail to check",
     ("admissibility.py", "invariant_range", "gap_high6 > gap_low6"):
         "unreached: verify never calls invariant_range",
     ("core.py", "HNType.__init__", "d * pr < pd * r"):
@@ -63,16 +61,6 @@ SURVIVORS = {
         "equivalent: equal degrees reach the checked constructor, which merges them alike",
     ("core.py", "_hn_lines", "middle < low"):
         "equivalent: equal degrees reach the checked constructor, which merges them alike",
-    ("core.py", "HNPolygon._height", "r0 <= x"):
-        "equivalent: at a vertex both neighbouring segments give its height",
-    ("core.py", "HNPolygon._height", "x <= r1"):
-        "equivalent: at a vertex both neighbouring segments give its height",
-    ("core.py", "HNPolygon.__init__", "len(v) < 2"):
-        "unreached: verify builds polygons only through polygon_of",
-    ("core.py", "HNPolygon.__init__", "r1 <= r0"):
-        "unreached: verify builds polygons only through polygon_of",
-    ("core.py", "HNPolygon.__init__", "d1 * r0 >= d0 * r1"):
-        "unreached: verify builds polygons only through polygon_of",
     ("matrix_oracle.py", "oracle_check", "stated < computed"):
         "equivalent: the other conjuncts already exclude equality",
     ("verification.py", "_result", "len(failures) > 5"):
