@@ -178,6 +178,7 @@ def fraction_height(vertices, x):
 
 
 def reference_dominates(p, q):
+    """Reference: p's polygon on or above q's at ranks 1..r-1, by Fraction heights."""
     vertices_p, vertices_q = polygon_of(p), polygon_of(q)
     return all(
         fraction_height(vertices_p, x) >= fraction_height(vertices_q, x)
@@ -189,6 +190,7 @@ _STEP = st.tuples(st.integers(1, 3), st.integers(-9, 9))
 
 
 def _steepest_first(steps):
+    """The HN type of the steps sorted steepest first; equal slopes merge."""
     return HNType(tuple(sorted(steps, key=lambda s: Fraction(s[1], s[0]), reverse=True)))
 
 
