@@ -67,7 +67,6 @@ from .limit_classifier import (
 from .matrix_oracle import (
     BlockPattern,
     LimitPattern,
-    nonzero_set,
     oracle_check,
     scale_exponents,
     take_limit,

@@ -5,23 +5,31 @@ scales the Higgs block (i, j) by z^(1 + w_j - w_i) and the upper
 triangular dbar block by z^(w_j - w_i).  The engine works at
 zero/nonzero granularity: the limit computations depend only on these
 exponents and on which blocks vanish, never on the entries themselves.
+A pattern and a limit are therefore sets of nonzero blocks, each a
+1-indexed (row, column) position.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 
 from .core import CaseTag, Frozen, LimitOutcome, _set
 
-Grid = tuple[tuple[bool, ...], ...]
+Blocks = frozenset[tuple[int, int]]
 IntGrid = tuple[tuple[int, ...], ...]
 
 
-class BlockPattern(Frozen):
-    """Zero/nonzero block flags for a Higgs field and a dbar operator,
-    with one Hodge weight per graded piece.
+def _upper(n: int) -> Blocks:
+    """The strictly upper triangular positions of an n x n grid."""
+    return frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
-    The dbar grid must be strictly upper triangular: the holomorphic
+
+class BlockPattern(Frozen):
+    """The nonzero blocks of a Higgs field and of a dbar operator, with
+    one Hodge weight per graded piece.
+
+    The dbar blocks must be strictly upper triangular: the holomorphic
     structure is an iterated extension along the filtration.  Weights
     need not be sorted; the engine is general even though the limit
     computations only ever use (0,1), (0,1,2) and (0,0,1).
@@ -29,24 +37,22 @@ class BlockPattern(Frozen):
 
     _fields = ("weights", "higgs_blocks", "dbar_blocks")
 
-    def __init__(self, weights: tuple[int, ...], higgs_blocks: Grid, dbar_blocks: Grid) -> None:
+    def __init__(
+        self, weights: tuple[int, ...], higgs_blocks: Blocks, dbar_blocks: Blocks
+    ) -> None:
         n = len(weights)
-        for name, grid in (("higgs", higgs_blocks), ("dbar", dbar_blocks)):
-            if len(grid) != n or any(len(row) != n for row in grid):
-                raise ValueError(f"{name} grid must be {n}x{n}")
-        for i in range(n):
-            for j in range(i + 1):
-                if dbar_blocks[i][j]:
-                    raise ValueError(
-                        f"dbar block ({i + 1},{j + 1}) on or below the diagonal"
-                    )
+        higgs, dbar = frozenset(higgs_blocks), frozenset(dbar_blocks)
+        grid = frozenset(product(range(1, n + 1), repeat=2))
+        for name, blocks in (("higgs", higgs), ("dbar", dbar)):
+            if outside := blocks - grid:
+                i, j = min(outside)
+                raise ValueError(f"{name} block ({i},{j}) outside the {n}x{n} grid")
+        if below := dbar - _upper(n):
+            i, j = min(below)
+            raise ValueError(f"dbar block ({i},{j}) on or below the diagonal")
         _set(self, "weights", weights)
-        _set(self, "higgs_blocks", higgs_blocks)
-        _set(self, "dbar_blocks", dbar_blocks)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
+        _set(self, "higgs_blocks", higgs)
+        _set(self, "dbar_blocks", dbar)
 
 
 class LimitPattern(namedtuple(
@@ -56,6 +62,7 @@ class LimitPattern(namedtuple(
 
     Converges iff every nonzero block scales with nonnegative exponent;
     the limit keeps a block nonzero exactly when its exponent is zero.
+    ``limit_higgs`` and ``limit_dbar`` are those blocks' positions;
     ``exponents`` is the Higgs exponent grid.
     """
 
@@ -65,9 +72,8 @@ class LimitPattern(namedtuple(
 def scale_exponents(p: BlockPattern) -> tuple[IntGrid, IntGrid]:
     """Per-block z-exponents: 1 + w_j - w_i for Higgs, w_j - w_i for dbar."""
     w = p.weights
-    n = p.n
-    higgs = tuple(tuple(1 + w[j] - w[i] for j in range(n)) for i in range(n))
-    dbar = tuple(tuple(w[j] - w[i] for j in range(n)) for i in range(n))
+    higgs = tuple(tuple(1 + wj - wi for wj in w) for wi in w)
+    dbar = tuple(tuple(wj - wi for wj in w) for wi in w)
     return higgs, dbar
 
 
@@ -75,57 +81,17 @@ def take_limit(p: BlockPattern) -> LimitPattern:
     """Apply the scaling and read off the limiting pattern.
 
     Divergence (a nonzero block with negative exponent) is a value, not
-    an error; the offending blocks are listed 1-indexed.
+    an error; the offending blocks are listed 1-indexed, the Higgs
+    blocks first, each kind in row-major order.
     """
     higgs_exp, dbar_exp = scale_exponents(p)
-    n = p.n
-    divergent = []
-    for i in range(n):
-        for j in range(n):
-            if p.higgs_blocks[i][j] and higgs_exp[i][j] < 0:
-                divergent.append(("higgs", i + 1, j + 1))
-            if p.dbar_blocks[i][j] and dbar_exp[i][j] < 0:
-                divergent.append(("dbar", i + 1, j + 1))
-    limit_higgs = tuple(
-        tuple(p.higgs_blocks[i][j] and higgs_exp[i][j] == 0 for j in range(n))
-        for i in range(n)
-    )
-    limit_dbar = tuple(
-        tuple(p.dbar_blocks[i][j] and dbar_exp[i][j] == 0 for j in range(n))
-        for i in range(n)
-    )
-    return LimitPattern(
-        converges=not divergent,
-        limit_higgs=limit_higgs,
-        limit_dbar=limit_dbar,
-        exponents=higgs_exp,
-        divergent_blocks=tuple(divergent),
-    )
-
-
-def nonzero_set(grid: Grid) -> frozenset[tuple[int, int]]:
-    """1-indexed positions of the nonzero blocks."""
-    return frozenset(
-        (i + 1, j + 1)
-        for i, row in enumerate(grid)
-        for j, flag in enumerate(row)
-        if flag
-    )
-
-
-def _grid(n: int, nonzero: set[tuple[int, int]]) -> Grid:
-    return tuple(
-        tuple((i + 1, j + 1) in nonzero for j in range(n)) for i in range(n)
-    )
-
-
-def _upper_dbar(n: int) -> Grid:
-    return _grid(n, {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
-
-
-def _full_higgs(n: int, zero: set[tuple[int, int]] = frozenset()) -> Grid:
-    all_blocks = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-    return _grid(n, all_blocks - set(zero))
+    divergent, limits = [], []
+    kinds = ("higgs", p.higgs_blocks, higgs_exp), ("dbar", p.dbar_blocks, dbar_exp)
+    for kind, blocks, exp in kinds:
+        scaled = {(i, j): exp[i - 1][j - 1] for i, j in sorted(blocks)}
+        divergent += [(kind, i, j) for (i, j), e in scaled.items() if e < 0]
+        limits.append(frozenset(block for block, e in scaled.items() if e == 0))
+    return LimitPattern(not divergent, *limits, higgs_exp, tuple(divergent))
 
 
 # For each case: the nonzero set of the limiting Higgs field computed
@@ -139,11 +105,14 @@ _CASE_TABLE: dict[CaseTag, tuple[frozenset | None, frozenset, frozenset]] = {}
 
 
 def _register(tag, weights, higgs_zero, stated, zeroed=frozenset()):
+    # Every Higgs block but higgs_zero is nonzero, and so is every upper
+    # dbar block.
     n = len(weights)
-    pattern = BlockPattern(weights, _full_higgs(n, higgs_zero), _upper_dbar(n))
-    limit = take_limit(pattern)
-    computed = nonzero_set(limit.limit_higgs) if limit.converges else None
-    _CASE_TABLE[tag] = (computed, frozenset(stated), frozenset(zeroed))
+    higgs = set(product(range(1, n + 1), repeat=2)) - higgs_zero
+    limit = take_limit(BlockPattern(weights, higgs, _upper(n)))
+    _CASE_TABLE[tag] = (
+        limit.limit_higgs if limit.converges else None, frozenset(stated), frozenset(zeroed)
+    )
 
 
 _register(CaseTag.SEMISTABLE, (0,), set(), set())

@@ -19,9 +19,10 @@ mu3)/3.  So v < t is 3*(6v) < -6mu1 + 12mu2 + 12mu3, and so on for
 every case inequality.  The scaled slopes are computed from each
 stratum's ``hn.steps``, not read from the window the classifier
 compares with (``window6``), so a fault in that window shows as a
-disagreement instead of being shared.  Each row's feasible set and the
-integers of its excluded gap come from the same inequalities, so no
-check of criterion 2 reads the classifier's data.
+disagreement instead of being shared.  Each row's feasible set, the
+integers of its excluded gap and the values just outside the row come
+from the same inequalities, so no check of criterion 2 reads the
+classifier's data.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .admissibility import CaseFamily
 from .core import (
     CaseTag, Genus, HNType, HodgeBundle, StrataError, dominates, format_label
 )
+from .limit_classifier import AlignmentImpossible, InfeasibleBySpecialization, SlopeOutOfBounds
 from .matrix_oracle import BlockPattern
 
 GENERA = (2, 3, 4, 5)
@@ -188,16 +190,30 @@ def _gap_values(inequalities: tuple | None) -> range:
     return range(high6 // 6 + 1, -(-isolated6 // 6))
 
 
-def _check_gap_value(stratum, v: int, failures: list[str]) -> None:
-    # Criterion 2 on one integer inside the excluded gap: the classifier
-    # must refuse it as infeasible.
+def _check_refused(stratum, what: str, v, error: type, failures: list[str]) -> None:
+    # Criterion 2 on one invariant the row leaves out, a gap value, an
+    # edge value or a flag: the classifier must refuse it with error.
     try:
         limit_classifier.classify_rank3(limit_classifier.ClassifierInput(stratum, v))
-        failures.append(f"{stratum.hn} gap value {v} did not raise")
-    except limit_classifier.InfeasibleBySpecialization:
+        failures.append(f"{stratum.hn} {what} {v} did not raise")
+    except error:
         pass
     except limit_classifier.ClassificationError as exc:
-        failures.append(f"{stratum.hn} gap value {v}: wrong error {exc!r}")
+        failures.append(f"{stratum.hn} {what} {v}: wrong error {exc!r}")
+
+
+def _check_edges(stratum, inequalities: tuple | None, reference: tuple, failures) -> None:
+    # Criterion 2 just outside a row: one below its first and one above
+    # its last feasible value, refused as infeasible inside the gap and as
+    # out of bounds elsewhere; for a balanced row of True alone, the flag
+    # False.
+    if inequalities is not None:
+        gap = _gap_values(inequalities)
+        for v in (reference[0] - 1, reference[-1] + 1):
+            error = InfeasibleBySpecialization if v in gap else SlopeOutOfBounds
+            _check_refused(stratum, "edge value", v, error, failures)
+    elif reference == (True,):
+        _check_refused(stratum, "flag", False, AlignmentImpossible, failures)
 
 
 def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
@@ -255,14 +271,14 @@ def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
 _ANCHORED_LIMITS = (
     # Weights (0,1), everything nonzero.
     ("two-piece",
-     BlockPattern((0, 1), ((True, True), (True, True)), ((False, True), (False, False))),
+     BlockPattern((0, 1), {(1, 1), (1, 2), (2, 1), (2, 2)}, {(1, 2)}),
      ((1, 2), (0, 1)), {(2, 1)}, "the single subdiagonal block"),
     # Weights (0,1,2), bottom-left block zero.
     ("three-piece",
      BlockPattern(
          (0, 1, 2),
-         ((True, True, True), (True, True, True), (False, True, True)),
-         ((False, True, True), (False, False, True), (False, False, False)),
+         {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)},
+         {(1, 2), (1, 3), (2, 3)},
      ),
      ((1, 2, 3), (0, 1, 2), (-1, 0, 1)), {(2, 1), (3, 2)}, "the subdiagonal chain"),
 )
@@ -286,7 +302,8 @@ def _check_rank3(table: incidence.IncidenceTable, failures: dict[int, list[str]]
         if coprime and stratum.case_family is CaseFamily.CASE3_FLAG:
             failures[4].append(f"balanced stratum {stratum.hn} at coprime d={d}")
         inequalities = _case_inequalities(stratum)
-        if row.feasible_set != _feasible_reference(stratum, inequalities):
+        reference = _feasible_reference(stratum, inequalities)
+        if row.feasible_set != reference:
             failures[2].append(f"runs of {stratum.hn} at g={table.genus.g} miss or repeat a value")
         end = (stratum.hn.total_rank, stratum.hn.total_degree)
         for values, outcome in row.runs:
@@ -333,7 +350,8 @@ def _check_rank3(table: incidence.IncidenceTable, failures: dict[int, list[str]]
                     failures[8].append(f"{stratum.hn} case {tag.value}: {equalities} equalities")
         for v in _gap_values(inequalities):
             gap_checked += 1
-            _check_gap_value(stratum, v, failures[2])
+            _check_refused(stratum, "gap value", v, InfeasibleBySpecialization, failures[2])
+        _check_edges(stratum, inequalities, reference, failures[2])
     return classified, gap_checked, classified if coprime else 0, _check_hn_bb(table, failures[5])
 
 
@@ -349,9 +367,9 @@ def _rank3_grid_pass(sweep: Sweep) -> tuple[CriterionResult, ...]:
         lim = matrix_oracle.take_limit(pattern)
         if lim.exponents != exponents:
             failures[7].append(f"{name} exponents {lim.exponents}")
-        if not lim.converges or matrix_oracle.nonzero_set(lim.limit_higgs) != higgs:
+        if not lim.converges or lim.limit_higgs != higgs:
             failures[7].append(f"{name} limit is not {shape}")
-        if matrix_oracle.nonzero_set(lim.limit_dbar):
+        if lim.limit_dbar:
             failures[7].append(f"{name} limit dbar did not diagonalize")
     return (
         _result(2, "exhaustive-classification", failures[2],
@@ -367,7 +385,11 @@ def _rank3_grid_pass(sweep: Sweep) -> tuple[CriterionResult, ...]:
 def criterion_exhaustive_classification(sweep: Sweep | None = None) -> CriterionResult:
     """Every feasible invariant fires exactly one case (checked against
     an independent inequality evaluation); every integer in the excluded
-    gaps raises InfeasibleBySpecialization."""
+    gaps raises InfeasibleBySpecialization; and each row's edges hold:
+    one below its first and one above its last feasible value raise
+    InfeasibleBySpecialization inside a gap and SlopeOutOfBounds
+    elsewhere, and the flag False of a balanced row that admits only
+    True raises AlignmentImpossible."""
     return (sweep or Sweep()).rank3_result(2)
 
 

@@ -380,11 +380,9 @@ FROZEN_VALUES = {
         "AdmissibleStratum(hn=HNType(steps=((1, 1), (2, 0))), genus=Genus(g=3))",
     ),
     BlockPattern: (
-        lambda: BlockPattern(
-            (0, 1), ((False, False), (True, False)), ((False, True), (False, False))
-        ),
-        "BlockPattern(weights=(0, 1), higgs_blocks=((False, False), (True, False)), "
-        "dbar_blocks=((False, True), (False, False)))",
+        lambda: BlockPattern((0, 1), {(2, 1)}, {(1, 2)}),
+        "BlockPattern(weights=(0, 1), higgs_blocks=frozenset({(2, 1)}), "
+        "dbar_blocks=frozenset({(1, 2)}))",
     ),
     IncidenceRow: (
         lambda: IncidenceRow(AdmissibleStratum(HNType(((2, 1),)), Genus(2)), ()),

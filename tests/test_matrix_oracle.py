@@ -1,5 +1,7 @@
 """Gauge-scaling engine: exponents, limits and the per-case checks."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from higgsstrata import (
     LimitOutcome,
     classify,
     classify_rank3,
-    nonzero_set,
     oracle_check,
     parse_hn_type,
     scale_exponents,
@@ -24,16 +25,25 @@ weight_vectors = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, ma
 
 
 def full_pattern(weights):
-    n = len(weights)
-    higgs = tuple(tuple(True for _ in range(n)) for _ in range(n))
-    dbar = tuple(tuple(j > i for j in range(n)) for i in range(n))
-    return BlockPattern(tuple(weights), higgs, dbar)
+    pieces = range(1, len(weights) + 1)
+    upper = {(i, j) for i, j in product(pieces, repeat=2) if i < j}
+    return BlockPattern(tuple(weights), set(product(pieces, repeat=2)), upper)
 
 
 def chain_pattern(weights):
-    n = len(weights)
-    higgs = tuple(tuple(i == j + 1 for j in range(n)) for i in range(n))
-    dbar = tuple(tuple(False for _ in range(n)) for _ in range(n))
+    return BlockPattern(tuple(weights), {(i + 1, i) for i in range(1, len(weights))}, set())
+
+
+@st.composite
+def block_patterns(draw):
+    """Any pattern of 1 to 4 pieces: weights in -3..3, a random set of
+    Higgs blocks and a random set of strictly upper dbar blocks."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    weights = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+    grid = sorted(product(range(1, n + 1), repeat=2))
+    upper = [(i, j) for i, j in grid if i < j]
+    higgs = draw(st.sets(st.sampled_from(grid)))
+    dbar = draw(st.sets(st.sampled_from(upper))) if upper else set()
     return BlockPattern(tuple(weights), higgs, dbar)
 
 
@@ -53,7 +63,7 @@ class TestScaleExponents:
         assert higgs == ((1, 1), (1, 1))
         limit = take_limit(full_pattern((0, 0)))
         assert limit.converges
-        assert nonzero_set(limit.limit_higgs) == set()
+        assert limit.limit_higgs == set()
 
     @given(weight_vectors)
     def test_higgs_exponents_antisymmetric_around_two(self, weights):
@@ -69,24 +79,50 @@ class TestTakeLimit:
     def test_two_piece_full_pattern(self):
         limit = take_limit(full_pattern((0, 1)))
         assert limit.converges
-        assert nonzero_set(limit.limit_higgs) == {(2, 1)}
-        assert nonzero_set(limit.limit_dbar) == set()
+        assert limit.limit_higgs == {(2, 1)}
+        assert limit.limit_dbar == set()
 
     def test_three_piece_pattern_without_corner(self):
-        pattern = BlockPattern(
-            (0, 1, 2),
-            ((True, True, True), (True, True, True), (False, True, True)),
-            ((False, True, True), (False, False, True), (False, False, False)),
-        )
-        limit = take_limit(pattern)
+        higgs = set(product((1, 2, 3), repeat=2)) - {(3, 1)}
+        limit = take_limit(BlockPattern((0, 1, 2), higgs, {(1, 2), (1, 3), (2, 3)}))
         assert limit.converges
-        assert nonzero_set(limit.limit_higgs) == {(2, 1), (3, 2)}
-        assert nonzero_set(limit.limit_dbar) == set()
+        assert limit.limit_higgs == {(2, 1), (3, 2)}
+        assert limit.limit_dbar == set()
 
     def test_nonzero_corner_diverges(self):
         limit = take_limit(full_pattern((0, 1, 2)))
         assert not limit.converges
-        assert ("higgs", 3, 1) in limit.divergent_blocks
+        assert limit.divergent_blocks == (("higgs", 3, 1),)
+
+    def test_divergent_blocks_list_the_higgs_blocks_first(self):
+        # Decreasing weights: every dbar block and the Higgs corner (1,3)
+        # scale with a negative exponent.
+        limit = take_limit(full_pattern((2, 1, 0)))
+        assert limit.divergent_blocks == (
+            ("higgs", 1, 3), ("dbar", 1, 2), ("dbar", 1, 3), ("dbar", 2, 3),
+        )
+
+    @given(block_patterns())
+    def test_limit_keeps_exactly_the_blocks_of_exponent_zero(self, pattern):
+        # Exponents from the weights, as the gauge scales each block.
+        w = pattern.weights
+        exponent = {
+            "higgs": lambda i, j: 1 + w[j - 1] - w[i - 1],
+            "dbar": lambda i, j: w[j - 1] - w[i - 1],
+        }
+        blocks = {"higgs": pattern.higgs_blocks, "dbar": pattern.dbar_blocks}
+        limit = take_limit(pattern)
+        assert limit.limit_higgs == {b for b in blocks["higgs"] if exponent["higgs"](*b) == 0}
+        assert limit.limit_dbar == {b for b in blocks["dbar"] if exponent["dbar"](*b) == 0}
+        divergent = [
+            (kind, i, j) for kind in blocks for i, j in blocks[kind] if exponent[kind](i, j) < 0
+        ]
+        assert sorted(limit.divergent_blocks) == sorted(divergent)
+        assert limit.converges == (not divergent)
+        n = len(w)
+        assert limit.exponents == tuple(
+            tuple(exponent["higgs"](i, j) for j in range(1, n + 1)) for i in range(1, n + 1)
+        )
 
     @given(weight_vectors, st.integers(min_value=-7, max_value=7))
     def test_weight_shift_invariance(self, weights, shift):
@@ -152,10 +188,22 @@ class TestOracleCheck:
 
 class TestBlockPatternValidation:
     def test_dbar_must_be_strictly_upper(self):
-        with pytest.raises(ValueError):
-            BlockPattern((0, 1), ((True, True), (True, True)), ((True, False), (False, False)))
+        for i, j in ((1, 1), (2, 1)):
+            with pytest.raises(ValueError) as raised:
+                BlockPattern((0, 1), set(), {(1, 2), (i, j)})
+            assert str(raised.value) == f"dbar block ({i},{j}) on or below the diagonal"
 
     def test_grid_shape_checked(self):
-        with pytest.raises(ValueError):
-            BlockPattern((0, 1), ((True,),), ((False, False), (False, False)))
+        # A position outside the n x n grid, in either set.
+        with pytest.raises(ValueError) as raised:
+            BlockPattern((0, 1), {(2, 1), (3, 1)}, set())
+        assert str(raised.value) == "higgs block (3,1) outside the 2x2 grid"
+        with pytest.raises(ValueError) as raised:
+            BlockPattern((0, 1), set(), {(0, 1)})
+        assert str(raised.value) == "dbar block (0,1) outside the 2x2 grid"
 
+    def test_blocks_are_held_as_frozensets(self):
+        pattern = BlockPattern((0, 1), [(2, 1), (2, 1)], ((1, 2),))
+        assert pattern.higgs_blocks == frozenset({(2, 1)})
+        assert pattern.dbar_blocks == frozenset({(1, 2)})
+        assert type(pattern.higgs_blocks) is type(pattern.dbar_blocks) is frozenset

@@ -44,10 +44,14 @@ def classify_rank3_calls(monkeypatch):
 def test_run_all_classifies_each_grid_entry_once(classify_rank3_calls):
     # The tables' 2188 feasible entries go through the row routine, not
     # classify_rank3, and so do criterion 9's incidence runs: it decides
-    # only the 668 gap values, once each.
+    # only what the rows leave out, once each.  That is the 668 gap values,
+    # the 1532 values just outside the 766 slope rows, and the flag False
+    # of the 50 balanced rows that admit True alone.
     results = verification.run_all()
     assert all(r.passed for r in results)
-    assert len(classify_rank3_calls) == 668
+    assert len(classify_rank3_calls) == 668 + 1532 + 50
+    flags = [inp.invariant for inp in classify_rank3_calls if isinstance(inp.invariant, bool)]
+    assert flags == [False] * 50
 
 
 def test_grid_criteria_share_one_pass(classify_rank3_calls):
@@ -420,6 +424,31 @@ def test_feasible_set_mutant_fails_criterion_2(monkeypatch, mutant):
     failed = {r.number: r.details for r in results if not r.passed}
     assert list(failed) == [2]
     assert " miss or repeat a value" in failed[2]
+
+
+# Mutants of the refusals, each an exact-text patch of one function, that
+# only criterion 2's checks just outside each row catch: a window one value
+# wider below, and case 3.2's bound moved by 2.  Moved by 1 it would change
+# nothing, since a balanced stratum has mu1 - mu3 even.
+EDGE_MUTANTS = {
+    "_check_window": ("if v6 < low6:", "if v6 < low6 - 6:", "edge value"),
+    "_classify_case3": ("if mu1 - mu3 > k:", "if mu1 - mu3 > k + 2:", "flag False did not raise"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(EDGE_MUTANTS))
+def test_edge_mutant_fails_criterion_2(monkeypatch, mutant):
+    old, new, detail = EDGE_MUTANTS[mutant]
+    source = inspect.getsource(getattr(limit_classifier, mutant))
+    assert source.count(old) == 1
+    namespace = dict(vars(limit_classifier))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(limit_classifier, mutant, namespace[mutant])
+    results = verification.run_all()
+    assert len(results) == 9
+    failed = {r.number: r.details for r in results if not r.passed}
+    assert list(failed) == [2]
+    assert detail in failed[2]
 
 
 def test_limit_of_the_wrong_degree_fails_criterion_3_in_verify(monkeypatch, capsys):
