@@ -5,12 +5,15 @@ The files under tests/golden/ hold the exact output of ``cli.run`` or
 replaces the golden file in the same change and is recorded in
 CHANGES.md.
 
-``GOLDEN_RUNS`` pairs every golden file with the console-script argv
-that writes it.  Run as a script, this file prints one line per pair,
-the file's path from the repository root and then the argv, for the CI
-step that pipes each installed ``higgsstrata`` run into ``cmp``.
+``GOLDEN_RUNS`` pairs every golden file of a command's output with the
+console-script argv that writes it, and ``ARGPARSE_RUNS`` does the same
+for help texts and usage errors, which argparse writes.  Run as a
+script, this file prints one line per pair: the exit status, the file's
+path from the repository root, then the argv, for the CI step that
+compares each installed ``higgsstrata`` run with its file.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,14 +127,57 @@ GOLDEN_RUNS = (
 )
 
 
+# Help texts and usage errors: argv, golden file, exit status.  A file
+# of a status-0 run holds stdout, one of a status-2 run stderr.  argparse
+# words and wraps these texts itself, and the bytes vary with the Python
+# version (3.13 wraps a usage line's exclusive group elsewhere), so the
+# files hold what Python 3.10 and 3.11 print at 80 columns, and only
+# those versions compare them.
+ARGPARSE_PYTHONS = ((3, 10), (3, 11))
+LIMIT_111 = ["limit", "--genus", "2", "--hn", "1:1,1:0,1:-1"]
+ARGPARSE_RUNS = [
+    (["-h"], "argparse/help.stdout", 0),
+    *(
+        ([command, "-h"], f"argparse/{command}_help.stdout", 0)
+        for command in ("strata", "fixed", "limit", "incidence", "verify")
+    ),
+    (["strata", "--rank", "3", "--degree", "0"], "argparse/missing_genus.stderr", 2),
+    (["strata", "--genus", "2", "--rank", "3", "--degree", "0", "--format", "xml"],
+     "argparse/format_xml.stderr", 2),
+    ([*LIMIT_111, "--inv", "1", "--aligned", "true"], "argparse/inv_and_aligned.stderr", 2),
+    ([*LIMIT_111, "--aligned", "maybe"], "argparse/aligned_maybe.stderr", 2),
+    (["fix", "--genus", "2"], "argparse/unknown_command.stderr", 2),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] not in ARGPARSE_PYTHONS,
+    reason="the files hold argparse's bytes as Python 3.10 and 3.11 print them",
+)
+@pytest.mark.parametrize("argv,name,code", ARGPARSE_RUNS, ids=[n for _, n, _ in ARGPARSE_RUNS])
+def test_argparse_output_matches_golden_file(argv, name, code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == code
+    out, err = capsys.readouterr()
+    written, silent = (err, out) if code else (out, err)
+    assert written.encode("utf-8") == (GOLDEN / name).read_bytes()
+    assert silent == ""
+
+
 def test_golden_runs_cover_every_golden_file_and_write_it(capsys):
     files = sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file())
-    assert sorted(name for _, name in GOLDEN_RUNS) == files
+    names = [name for _, name in GOLDEN_RUNS] + [name for _, name, _ in ARGPARSE_RUNS]
+    assert sorted(names) == files
     for argv, name in GOLDEN_RUNS:
         assert cli.main(argv) == 0, name
         assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes(), name
 
 
 if __name__ == "__main__":
-    for argv, name in GOLDEN_RUNS:
-        print(f"tests/golden/{name}", *argv)
+    runs = [(argv, name, 0) for argv, name in GOLDEN_RUNS]
+    if sys.version_info[:2] in ARGPARSE_PYTHONS:
+        runs += ARGPARSE_RUNS
+    for argv, name, code in runs:
+        print(code, f"tests/golden/{name}", *argv)
