@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-from .core import CaseTag, Frozen, LimitOutcome, _set
+from .core import CaseTag, Frozen, LimitOutcome, _ints, _set
 
 Blocks = frozenset[tuple[int, int]]
 IntGrid = tuple[tuple[int, ...], ...]
@@ -31,8 +31,9 @@ class BlockPattern(Frozen):
 
     The dbar blocks must be strictly upper triangular: the holomorphic
     structure is an iterated extension along the filtration.  Weights
-    need not be sorted; the engine is general even though the limit
-    computations only ever use (0,1), (0,1,2) and (0,0,1).
+    are integers, held as a tuple of ints, and need not be sorted; the
+    engine is general even though the limit computations only ever use
+    (0,1), (0,1,2) and (0,0,1).
     """
 
     _fields = ("weights", "higgs_blocks", "dbar_blocks")
@@ -40,7 +41,10 @@ class BlockPattern(Frozen):
     def __init__(
         self, weights: tuple[int, ...], higgs_blocks: Blocks, dbar_blocks: Blocks
     ) -> None:
-        n = len(weights)
+        ints = _ints(weights)
+        if ints is None:
+            raise ValueError(f"weights must be integers: {weights!r}")
+        n = len(ints)
         higgs, dbar = frozenset(higgs_blocks), frozenset(dbar_blocks)
         grid = frozenset(product(range(1, n + 1), repeat=2))
         for name, blocks in (("higgs", higgs), ("dbar", dbar)):
@@ -50,7 +54,7 @@ class BlockPattern(Frozen):
         if below := dbar - _upper(n):
             i, j = min(below)
             raise ValueError(f"dbar block ({i},{j}) on or below the diagonal")
-        _set(self, "weights", weights)
+        _set(self, "weights", ints)
         _set(self, "higgs_blocks", higgs)
         _set(self, "dbar_blocks", dbar)
 

@@ -1,5 +1,6 @@
 """Gauge-scaling engine: exponents, limits and the per-case checks."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -201,6 +202,18 @@ class TestBlockPatternValidation:
         with pytest.raises(ValueError) as raised:
             BlockPattern((0, 1), set(), {(0, 1)})
         assert str(raised.value) == "dbar block (0,1) outside the 2x2 grid"
+
+    def test_weights_are_held_as_an_int_tuple(self):
+        pattern = BlockPattern([0, 1], {(2, 1)}, set())
+        assert pattern.weights == (0, 1)
+        assert hash(pattern) == hash(BlockPattern((0, 1), {(2, 1)}, set()))
+        assert type(BlockPattern((0.0, Fraction(1)), set(), set()).weights[0]) is int
+
+    @pytest.mark.parametrize("weights", [(0, 1.5), (0, Fraction(1, 2)), (0, "1"), (0, None)])
+    def test_non_integer_weights_refused(self, weights):
+        with pytest.raises(ValueError) as raised:
+            BlockPattern(weights, {(1, 2), (2, 1)}, set())
+        assert str(raised.value) == f"weights must be integers: {weights!r}"
 
     def test_blocks_are_held_as_frozensets(self):
         pattern = BlockPattern((0, 1), [(2, 1), (2, 1)], ((1, 2),))
