@@ -6,18 +6,18 @@ component labels), ``limit`` (classify one downward-flow limit),
 ``verify`` (the acceptance suite).  All degree-like flags take integers;
 slopes are always derived, never accepted raw.
 
-One parser serves every ``main`` call of a process, one table maps each
-command to its handler, and one renderer writes every command's JSON
-envelope or text lines.
+One table holds the command-line grammar, one maps each command to its
+handler, and one renderer writes every command's JSON envelope or text
+lines.
 
 Importing this module loads only what every command needs: ``verify``
-imports the verification module when it runs, and only the CSV writer
-imports csv, so a one-shot query pays for neither.
+imports the verification module when it runs, only the CSV writer
+imports csv, and only a command line that the plain reader refuses
+imports argparse, so a one-shot query pays for none of them.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import sys
@@ -243,125 +243,131 @@ def _parse_aligned(text: str) -> bool:
         return True
     if lowered in ("false", "no", "0"):
         return False
+    import argparse  # here, not at the top: only a refused value needs argparse's error
+
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
+# The command-line grammar: each command's help line and its flags in
+# argparse's order, each with its add_argument keywords.  The flags in
+# _EXCLUSIVE form one mutually exclusive group.  build_parser builds
+# argparse's parser from this table, and _parse_plain reads plain
+# command lines from it.
+_GENUS = {"type": int, "required": True, "help": "genus of the curve (>= 2)"}
+_OUTPUT = {"help": "write the result to this path instead of stdout"}
+_FORMAT = {"choices": ("table", "json"), "default": "table"}
+_GRID = {
+    "--genus": _GENUS,
+    "--rank": {"type": int, "choices": (2, 3), "required": True},
+    "--degree": {"type": int, "required": True},
+    "--output": _OUTPUT,
+    "--format": _FORMAT,
+}
+_GRAMMAR = {
+    "strata": ("enumerate admissible HN types", _GRID),
+    "fixed": ("enumerate fixed-point component labels", _GRID),
+    "limit": ("classify one downward-flow limit", {
+        "--genus": _GENUS,
+        "--degree": {"type": int},
+        "--output": _OUTPUT,
+        "--hn": {"required": True, "help": 'HN type, e.g. "1:1,2:0"'},
+        "--inv": {
+            "dest": "invariant", "metavar": "INV", "type": int,
+            "help": "integer slope of I or N",
+        },
+        "--aligned": {
+            "dest": "invariant", "metavar": "ALIGNED", "type": _parse_aligned,
+            "help": "alignment flag for balanced strata",
+        },
+        "--format": _FORMAT,
+    }),
+    "incidence": ("build the full incidence table", {
+        **_GRID, "--format": {"choices": ("table", "json", "csv", "dot"), "default": "table"},
+    }),
+    "verify": ("run the acceptance suite", {"--format": _FORMAT, "--output": {}}),
+}
+_EXCLUSIVE = ("--inv", "--aligned")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then shared."""
+def build_parser():
+    """The argparse parser of ``_GRAMMAR``, built on first use and
+    then shared.  Only a command line that ``_parse_plain`` refuses
+    needs it."""
+    import argparse  # here, not at the top: a plain command line needs no argparse
+
     parser = argparse.ArgumentParser(
         prog="higgsstrata",
         description="Exact stratification calculator for rank-2/3 Higgs bundle moduli.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Kept for parse_args, which reads plain argv against a subcommand's actions.
-    parser.subcommands = sub
-
-    def add_common(p, *, rank: bool, degree_required: bool):
-        p.add_argument("--genus", type=int, required=True, help="genus of the curve (>= 2)")
-        if rank:
-            p.add_argument("--rank", type=int, choices=(2, 3), required=True)
-        p.add_argument("--degree", type=int, required=degree_required)
-        p.add_argument("--output", help="write the result to this path instead of stdout")
-
-    p_strata = sub.add_parser("strata", help="enumerate admissible HN types")
-    add_common(p_strata, rank=True, degree_required=True)
-    p_strata.add_argument("--format", choices=("table", "json"), default="table")
-
-    p_fixed = sub.add_parser("fixed", help="enumerate fixed-point component labels")
-    add_common(p_fixed, rank=True, degree_required=True)
-    p_fixed.add_argument("--format", choices=("table", "json"), default="table")
-
-    p_limit = sub.add_parser("limit", help="classify one downward-flow limit")
-    add_common(p_limit, rank=False, degree_required=False)
-    p_limit.add_argument("--hn", required=True, help='HN type, e.g. "1:1,2:0"')
-    group = p_limit.add_mutually_exclusive_group()
-    group.add_argument(
-        "--inv", dest="invariant", metavar="INV", type=int, help="integer slope of I or N"
-    )
-    group.add_argument(
-        "--aligned", dest="invariant", metavar="ALIGNED", type=_parse_aligned,
-        help="alignment flag for balanced strata",
-    )
-    p_limit.add_argument("--format", choices=("table", "json"), default="table")
-
-    p_inc = sub.add_parser("incidence", help="build the full incidence table")
-    add_common(p_inc, rank=True, degree_required=True)
-    p_inc.add_argument("--format", choices=("table", "json", "csv", "dot"), default="table")
-
-    p_verify = sub.add_parser("verify", help="run the acceptance suite")
-    p_verify.add_argument("--format", choices=("table", "json"), default="table")
-    p_verify.add_argument("--output")
-
+    for command, (help_text, flags) in _GRAMMAR.items():
+        subparser = sub.add_parser(command, help=help_text)
+        group = None
+        for flag, spec in flags.items():
+            if flag in _EXCLUSIVE:
+                group = group or subparser.add_mutually_exclusive_group()
+                group.add_argument(flag, **spec)
+            else:
+                subparser.add_argument(flag, **spec)
     return parser
 
 
-@functools.cache
-def _plain_grammar(command: str, subparser: argparse.ArgumentParser) -> tuple:
-    """A subcommand parser's plain store actions by exact option string, its
-    required actions' destinations, and the namespace of a parse that gives
-    no flag: the command and each action's default, as argparse sets them.
-    RunConfig supplies every field a subcommand has no action for."""
-    plain = {
-        flag: action
-        for flag, action in subparser._option_string_actions.items()
-        if type(action) is argparse._StoreAction
-    }
-    required = frozenset(action.dest for action in subparser._actions if action.required)
-    start = {"command": command}
-    for action in subparser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            start.setdefault(action.dest, action.default)
-    return plain, required, start
-
-
-def _parse_plain(command: str, subparser, tokens) -> argparse.Namespace | None:
-    """The namespace of ``tokens`` when they are exact ``--flag value``
-    pairs that argparse would read the same way: each flag a plain store
-    action's own option string, no dest given twice, each value a string
-    that argparse takes as an argument and that the action's type converts
-    into its choices, and no required action left out.  A value may start
-    with "-" only as a negative integer in ASCII digits, which argparse
-    reads as a value because no option of these parsers looks like a
-    negative number.  None for any other tokens, which argparse then
-    parses and words."""
+def _parse_plain(command: str, tokens) -> RunConfig | None:
+    """The RunConfig of ``tokens`` when they are exact ``--flag value``
+    pairs that argparse would read the same way: each flag one of the
+    command's own in ``_GRAMMAR``, no dest given twice, each value a
+    string that argparse takes as an argument and that the flag's type
+    converts into its choices, and no required flag left out.  A value
+    may start with "-" only as a negative integer in ASCII digits, which
+    argparse reads as a value because no option of these parsers looks
+    like a negative number.  None for any other tokens, which argparse
+    then parses and words."""
     if len(tokens) % 2:
         return None
-    plain, required, start = _plain_grammar(command, subparser)
+    flags = _GRAMMAR[command][1]
     given = {}
     for flag, value in zip(tokens[::2], tokens[1::2]):
-        action = plain.get(flag)
-        if action is None or action.dest in given or not isinstance(value, str):
+        spec = flags.get(flag)
+        if spec is None or not isinstance(value, str):
+            return None
+        dest = spec.get("dest", flag[2:])
+        if dest in given:
             return None
         if value[:1] == "-" and not (value[1:].isdigit() and value[1:].isascii()):
             return None
-        if action.type is not None:
+        if "type" in spec:
+            # Any refusal: int's ValueError, or _parse_aligned's
+            # argparse.ArgumentTypeError, whose module a plain command line
+            # does not load.  The full parse raises or words it again.
             try:
-                value = action.type(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = spec["type"](value)
+            except Exception:
                 return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in spec and value not in spec["choices"]:
             return None
-        given[action.dest] = value
-    if not required <= given.keys():
-        return None
-    return argparse.Namespace(**{**start, **given})
+        given[dest] = value
+    for flag, spec in flags.items():
+        if spec.get("required") and spec.get("dest", flag[2:]) not in given:
+            return None
+    return RunConfig(command, **given)
 
 
-def parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """build_parser().parse_args(argv): the same namespace, exit status and
-    messages.  When argv[0] names a subcommand and the rest is plain
-    ``--flag value`` pairs, they are read against that subcommand's own
-    argparse actions (``_parse_plain``).  Any other argv takes the full
-    parse, so argparse parses, and words, every error, usage line and help
-    text."""
-    parser = build_parser()
-    subparser = parser.subcommands.choices.get(argv[0]) if argv else None
-    if subparser is not None:
-        args = _parse_plain(argv[0], subparser, argv[1:])
-        if args is not None:
-            return args
-    return parser.parse_args(argv)
+def parse_args(argv: list[str] | None) -> RunConfig:
+    """The RunConfig of ``build_parser().parse_args(argv)``, with the same
+    exit status and messages; ``argv`` defaults to ``sys.argv[1:]``.  When
+    argv[0] names a command and the rest is plain ``--flag value`` pairs,
+    they are read from ``_GRAMMAR`` (``_parse_plain``) over RunConfig's
+    defaults, and argparse is neither imported nor built.  Any other argv
+    takes the full parse, so argparse parses, and words, every error,
+    usage line and help text."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _GRAMMAR:
+        config = _parse_plain(argv[0], argv[1:])
+        if config is not None:
+            return config
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -377,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        config = RunConfig(**vars(parse_args(argv)))
+        config = parse_args(argv)
         try:
             code, text = run(config)
         except (UsageError, InvalidGenus) as exc:

@@ -249,7 +249,8 @@ class TestBadInput:
 
 
 class TestSharedParser:
-    """``main`` builds the parser once per process, and reusing it
+    """``main`` builds argparse's parser at most once per process, for the
+    first command line that the plain reader refuses, and reusing it
     changes no call's exit status, output or error text."""
 
     @staticmethod
@@ -277,6 +278,8 @@ class TestSharedParser:
         subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
     def test_one_parser_across_calls(self, capsys, monkeypatch):
+        # A plain command line builds no parser, even a refused one's
+        # usage error; the command lines argparse parses share one.
         cli.build_parser.cache_clear()
         built = []
         init = argparse.ArgumentParser.__init__
@@ -286,13 +289,21 @@ class TestSharedParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        self.outcome(["strata", "--genus", "2", "--rank", "3", "--degree", "0"], capsys)
-        one_build = len(built)
-        assert one_build > 0
         for argv in (
+            ["strata", "--genus", "2", "--rank", "3", "--degree", "0"],
             ["limit", "--genus", "2", "--hn", "3:0"],
             ["fixed", "--genus", "2", "--rank", "2", "--degree", "1"],
             ["strata", "--genus", "1", "--rank", "3", "--degree", "0"],
+        ):
+            self.outcome(argv, capsys)
+        assert built == []
+        self.outcome(["strata", "--genus=2", "--rank", "3", "--degree", "0"], capsys)
+        one_build = len(built)
+        assert one_build > 0
+        for argv in (
+            ["limit", "--genus", "2", "--hn", "3:0", "--inv", "0", "--aligned", "true"],
+            ["fixed", "--genus", "2", "--rank", "4", "--degree", "1"],
+            ["--help"],
         ):
             self.outcome(argv, capsys)
         assert len(built) == one_build
@@ -319,29 +330,80 @@ class TestSharedParser:
         )
 
 
-def test_imports_load_no_module_that_not_every_command_uses():
-    # Without site, the interpreter loads only what the import asks for.
-    # No command uses dataclasses, inspect or typing, nor the JSON decoder;
-    # only incidence --format csv uses csv, and only verify runs the suite.
-    # The package itself parses no argv.
+def run_without_site(script, *args):
+    """Run ``script`` in a fresh interpreter without site, which loads
+    only what the script asks for; returns its stdout."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    unused = {"dataclasses", "inspect", "typing"}
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script, *args], capture_output=True, text=True,
+        env=env, check=True,
+    ).stdout
+
+
+def test_imports_load_no_module_that_not_every_command_uses():
+    # No command uses dataclasses, inspect or typing, nor the JSON decoder;
+    # only incidence --format csv uses csv, only verify runs the suite, and
+    # only a command line that the plain reader refuses uses argparse and
+    # its gettext.  The package itself parses no argv.
+    unused = {"dataclasses", "inspect", "typing", "argparse", "gettext"}
     imports = {
         "higgsstrata.cli": unused | {"json", "json.decoder", "csv", "higgsstrata.verification"},
-        "higgsstrata": unused | {"argparse"},
+        "higgsstrata": unused,
     }
-    env = {**os.environ, "PYTHONPATH": src}
     for module, absent in imports.items():
         script = (
             "import sys\n"
             f"import {module}\n"
             f"print(sorted({sorted(absent)!r} & sys.modules.keys()))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env,
-            check=True,
-        )
-        assert proc.stdout == "[]\n", module
+        assert run_without_site(script) == "[]\n", module
+
+
+def test_plain_command_lines_load_no_argparse():
+    # One golden command line of each command, then a joined flag, which
+    # only argparse reads.
+    from test_golden import GOLDEN, GOLDEN_RUNS
+
+    runs = {}
+    for argv, name in GOLDEN_RUNS:
+        runs.setdefault(argv[0], (argv, str(GOLDEN / name)))
+    assert sorted(runs) == sorted(cli._COMMANDS)
+    refused = (["strata", "--genus=4", "--rank", "3", "--degree", "0"],
+               str(GOLDEN / "strata_r3_d0_g4.table"))
+    script = (
+        "import io, json, sys\n"
+        "import higgsstrata.cli as cli\n"
+        "for argv, path in json.loads(sys.argv[1]):\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    code = cli.main(argv)\n"
+        "    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+        "    assert code == 0, argv\n"
+        "    with open(path, 'rb') as handle:\n"
+        "        assert out.encode('utf-8') == handle.read(), argv\n"
+        "    print(argv[0], sorted({'argparse', 'gettext'} & sys.modules.keys()))\n"
+    )
+    lines = run_without_site(script, json.dumps([*runs.values(), refused])).splitlines()
+    assert lines == [f"{command} []" for command in runs] + ["strata ['argparse', 'gettext']"]
+
+
+def test_console_script_takes_the_plain_path():
+    # The console script calls main() with no argv, so it reads sys.argv.
+    from test_golden import GOLDEN, LIMIT_CASES
+
+    script = (
+        "import io, sys\n"
+        "import higgsstrata.cli as cli\n"
+        "path, sys.argv = sys.argv[1], ['higgsstrata', *sys.argv[2:]]\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = cli.main()\n"
+        "out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+        "with open(path, 'rb') as handle:\n"
+        "    assert out.encode('utf-8') == handle.read()\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    golden = str(GOLDEN / "limit" / "1.1.table")
+    assert run_without_site(script, golden, "limit", *LIMIT_CASES["1.1"]) == "0 False\n"
 
 
 @pytest.fixture
@@ -379,7 +441,7 @@ class TestCollectorPause:
 
         self.outcome(["strata", "--genus", "2", "--rank", "3", "--degree", "0"], capsys)
         gc.disable()
-        gc.collect()  # what building the shared parser left
+        gc.collect()  # what earlier calls and tests left
         runs = [(argv, 0) for argv, _ in GOLDEN_RUNS] + [
             ([arg.format(tmp=tmp_path) for arg in argv], code) for argv, code in self.REFUSALS
         ]
@@ -389,14 +451,13 @@ class TestCollectorPause:
 
     def test_lazy_imports_leave_no_cyclic_garbage(self):
         # In a fresh process, csv and verification are first imported
-        # inside main, with the collector paused.  The shared parser is
-        # built, and its own cycles collected, first, as in the test above.
+        # inside main, with the collector paused.  What the import of the
+        # CLI left is collected first.
         golden = os.path.join(os.path.dirname(__file__), "golden")
         script = (
             "import gc, io, sys\n"
             "import higgsstrata.cli as cli\n"
             "gc.disable()\n"
-            "cli.build_parser()\n"
             "gc.collect()\n"
             "runs = [\n"
             "    (['incidence', '--genus', '3', '--rank', '3', '--degree', '0', '--format', 'csv'],\n"
