@@ -278,8 +278,8 @@ class TestSharedParser:
         subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
     def test_one_parser_across_calls(self, capsys, monkeypatch):
-        # A plain command line builds no parser, even a refused one's
-        # usage error; the command lines argparse parses share one.
+        # A plain command line builds no parser, even one that run()
+        # refuses (genus 1); the command lines argparse parses share one.
         cli.build_parser.cache_clear()
         built = []
         init = argparse.ArgumentParser.__init__
