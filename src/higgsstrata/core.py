@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import attrgetter
 
@@ -166,8 +165,8 @@ class HNType(Frozen):
             raise InvalidHNType(f"step ranks must be positive: {tuple(raw)}")
         if not slopes_decrease:
             raise InvalidHNType(f"subquotient slopes must be strictly decreasing: {tuple(raw)}")
-        # total_rank, total_degree and the cached mu_vector below are outside
-        # _fields: __eq__, __hash__ and __repr__ never look at them.
+        # total_rank and total_degree are outside _fields: __eq__, __hash__
+        # and __repr__ never look at them.
         _set(self, "steps", tuple(merged))
         _set(self, "total_rank", rank)
         _set(self, "total_degree", degree)
@@ -176,7 +175,7 @@ class HNType(Frozen):
     def is_semistable(self) -> bool:
         return len(self.steps) == 1
 
-    @cached_property
+    @property
     def mu_vector(self) -> tuple[Fraction, ...]:
         """Subquotient slopes repeated with multiplicity, non-increasing."""
         out: list[Fraction] = []

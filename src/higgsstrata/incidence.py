@@ -1,12 +1,12 @@
 """Assemble the full incidence relation between the two stratifications.
 
 A table records, for every admissible Harder-Narasimhan stratum of a
-moduli space, the downward-flow limit of each feasible invariant value,
-and indexes the fixed-component labels by the strata reaching them.
-One stratum meeting several components is the expected picture in
-rank 3; in rank 2 the correspondence is a bijection.  This module builds
-and writes tables; the acceptance checks that read them are in
-verification.
+moduli space, the downward-flow limit of each feasible invariant value.
+The index of fixed-component labels by the strata reaching them is
+derived from those rows when it is read.  One stratum meeting several
+components is the expected picture in rank 3; in rank 2 the
+correspondence is a bijection.  This module builds and writes tables;
+the acceptance checks that read them are in verification.
 
 The JSON writer encodes strings with CPython's C function
 ``_json.encode_basestring_ascii``, the one ``json.dumps`` uses, without
@@ -55,18 +55,31 @@ class IncidenceRow(Frozen):
 
 
 class IncidenceTable(Frozen):
-    """One (rank, degree, genus) point's rows; ``bb_index`` lists, sorted by
-    label text, each fixed-component label with the HN types of the strata
-    reaching it."""
+    """One (rank, degree, genus) point's rows.  ``bb_index`` is derived
+    from the rows on each read: each fixed-component label with the HN
+    types of the strata reaching it, sorted by label text."""
 
-    _fields = ("rank", "degree", "genus", "rows", "bb_index")
+    _fields = ("rank", "degree", "genus", "rows")
 
-    def __init__(
-        self, rank: int, degree: int, genus: Genus, rows: tuple[IncidenceRow, ...],
-        bb_index: tuple[tuple[FixedComponentLabel, tuple[HNType, ...]], ...],
-    ) -> None:
-        for name, value in zip(self._fields, (rank, degree, genus, rows, bb_index)):
+    def __init__(self, rank: int, degree: int, genus: Genus, rows: tuple[IncidenceRow, ...]) -> None:
+        for name, value in zip(self._fields, (rank, degree, genus, rows)):
             _set(self, name, value)
+
+    @property
+    def bb_index(self) -> tuple[tuple[FixedComponentLabel, tuple[HNType, ...]], ...]:
+        reaching: dict[FixedComponentLabel, list[HNType]] = {}  # by component
+        reached_by: dict[int, list[HNType]] = {}  # the same lists, by outcome id
+        for row in self.rows:
+            hn = row.stratum.hn
+            for _, outcome in row.runs:
+                reached = reached_by.get(id(outcome))
+                if reached is None:
+                    reached = reached_by[id(outcome)] = reaching.setdefault(outcome.component, [])
+                # Rows are distinct strata, so a stratum already listed for
+                # this component is the last one listed.
+                if not reached or reached[-1] is not hn:
+                    reached.append(hn)
+        return tuple((label, tuple(reaching[label])) for label in sorted(reaching, key=format_label))
 
     def bb_map(self) -> dict[FixedComponentLabel, tuple[HNType, ...]]:
         return dict(self.bb_index)
@@ -93,8 +106,7 @@ def check_outcome(stratum: AdmissibleStratum, outcome: LimitOutcome) -> None:
 
 
 def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
-    """Classify every (stratum, feasible invariant) pair and index the
-    outcomes.
+    """Classify every (stratum, feasible invariant) pair into the rows.
 
     Construction is deterministic: strata in enumeration order, slope
     invariants ascending, alignment flags True before False.  Every
@@ -103,27 +115,16 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
     """
     rows = []
     interned: dict = {}  # equal outcomes of the table are one object
-    reaching: dict[FixedComponentLabel, list[HNType]] = {}  # by component
-    # Each distinct outcome is checked, and its component looked up, once:
-    # by the first stratum reaching it.  Later runs find it by its id.
-    reached_by: dict[int, list[HNType]] = {}
+    # Each distinct outcome is checked once, by the first stratum reaching it.
+    checked: set[int] = set()  # outcome ids
     for stratum in enumerate_strata(rank, degree, genus):
-        hn = stratum.hn
         runs = limit_classifier.classify_stratum(stratum, interned)
         for _, outcome in runs:
-            reached = reached_by.get(id(outcome))
-            if reached is None:
+            if id(outcome) not in checked:
                 check_outcome(stratum, outcome)
-                reached = reached_by[id(outcome)] = reaching.setdefault(outcome.component, [])
-            # Rows are distinct strata, so a stratum already listed for
-            # this component is the last one listed.
-            if not reached or reached[-1] is not hn:
-                reached.append(hn)
+                checked.add(id(outcome))
         rows.append(IncidenceRow(stratum, runs))
-    bb_index = tuple(
-        (label, tuple(reaching[label])) for label in sorted(reaching, key=format_label)
-    )
-    return IncidenceTable(rank, degree, genus, tuple(rows), bb_index)
+    return IncidenceTable(rank, degree, genus, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +224,18 @@ def records_json(table: IncidenceTable) -> str:
     outcome object (equal outcomes of a table are one object), row
     fragments once per row; per value only the invariant is written.
     """
-    # Line breaks with the indent of a record's braces and of its fields.
+    # Line breaks with the indent of a record's braces, fields and list items.
     record_line = "\n    "
     field_line = record_line + "  "
+    item_line = field_line + "  "
     separator = "," + record_line
     parts = ["["]
     fragments: dict[int, tuple[str, str, str]] = {}  # by outcome id
     for row in table.rows:
-        feasible = _json([k for k in row.feasible_set if k is not None], field_line)
+        keys = [k for k in row.feasible_set if k is not None]  # all ints or all bools
+        feasible = "[" + item_line + ("," + item_line).join(
+            map(_JSON_SCALARS[type(keys[0])], keys)
+        ) + field_line + "]" if keys else "[]"
         row_feasible = f'{feasible},{field_line}"graded_degrees": '
         row_stratum = (
             f',{field_line}"stratum": {_json_string(format_hn_type(row.stratum.hn))},'
@@ -296,15 +301,17 @@ def table_to_dot(table: IncidenceTable) -> str:
     strata = [format_hn_type(row.stratum.hn) for row in table.rows]
     for hn_text in strata:
         lines.append(f'  "hn:{hn_text}" [shape=box];')
-    for label, _ in table.bb_index:
-        lines.append(f'  "bb:{format_label(label)}" [shape=ellipse];')
-    nodes: dict[int, str] = {}  # '"bb:component"' by outcome id
+    # '"bb:component"' by component, in bb_index order, then by outcome id.
+    components = {label: f'"bb:{format_label(label)}"' for label, _ in table.bb_index}
+    for node in components.values():
+        lines.append(f"  {node} [shape=ellipse];")
+    nodes: dict[int, str] = {}
     edges: dict[str, None] = {}  # insertion-ordered set
     for hn_text, row in zip(strata, table.rows):
         for _, outcome in row.runs:
             node = nodes.get(id(outcome))
             if node is None:
-                node = nodes[id(outcome)] = f'"bb:{format_label(outcome.component)}"'
+                node = nodes[id(outcome)] = components[outcome.component]
             edges[f'  "hn:{hn_text}" -> {node};'] = None
     lines.extend(edges)
     lines.append("}")

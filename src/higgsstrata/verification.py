@@ -222,8 +222,9 @@ def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
     # stratum with the same slope vector alone, from its whole feasible
     # set.  The table's type-(1,2) and (2,1) labels, found by classifying,
     # must be the ones fixed_points lists in closed form.
+    labels = table.bb_map()  # derived from the rows on each read
     reached = {
-        label for label, _ in table.bb_index
+        label for label in labels
         if isinstance(label, HodgeBundle) and label.ranks in ((1, 2), (2, 1))
     }
     if reached != set(fixed_points._reachable_pair_labels(table.degree, table.genus)):
@@ -261,7 +262,7 @@ def _check_hn_bb(table: incidence.IncidenceTable, failures: list[str]) -> int:
             failures.append("(2,0,-2) not verified at g=2, d=0")
         if narrow in verified:
             failures.append("(1,0,-1) wrongly in scope at g=2, d=0")
-        if narrow not in table.bb_map():
+        if narrow not in labels:
             failures.append("(1,0,-1) missing from the g=2, d=0 table")
     return len(verified)
 

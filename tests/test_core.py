@@ -390,8 +390,8 @@ FROZEN_VALUES = {
         "genus=Genus(g=2)), runs=())",
     ),
     IncidenceTable: (
-        lambda: IncidenceTable(2, 1, Genus(2), (), ()),
-        "IncidenceTable(rank=2, degree=1, genus=Genus(g=2), rows=(), bb_index=())",
+        lambda: IncidenceTable(2, 1, Genus(2), ()),
+        "IncidenceTable(rank=2, degree=1, genus=Genus(g=2), rows=())",
     ),
 }
 

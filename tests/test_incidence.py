@@ -22,7 +22,7 @@ from higgsstrata import (
     table_to_dot,
     table_to_records,
 )
-from higgsstrata import fixed_points, incidence, matrix_oracle, verification
+from higgsstrata import cli, fixed_points, incidence, matrix_oracle, verification
 from higgsstrata.core import CaseTag, format_hn_type
 from higgsstrata.incidence import CSV_HEADER, records_json, table_case_tags
 
@@ -284,7 +284,7 @@ class TestCsv:
 
     def test_empty_table(self):
         table = build_table(3, 0, Genus(2))
-        empty = type(table)(table.rank, table.degree, table.genus, (), ())
+        empty = type(table)(table.rank, table.degree, table.genus, ())
         assert table_to_csv(empty) == reference_csv(empty) == ",".join(CSV_HEADER) + "\n"
 
 
@@ -312,7 +312,7 @@ class TestRecordsJson:
 
     def test_empty_table(self):
         table = build_table(3, 0, Genus(2))
-        empty = type(table)(table.rank, table.degree, table.genus, (), ())
+        empty = type(table)(table.rank, table.degree, table.genus, ())
         assert records_json(empty) == json.dumps([], indent=2) == "[]"
 
 
@@ -388,10 +388,11 @@ class TestSharedOutcomes:
         assert calls == []
 
     def test_each_component_is_formatted_once_per_table(self, monkeypatch):
-        # build_table formats each distinct component once, to sort
-        # bb_index.  Each writer formats a component at most once per
-        # distinct outcome object; table_to_dot also once per bb_index
-        # label, for its node.
+        # build_table formats no component.  One read of bb_index formats
+        # each distinct component once, to sort it.  Each writer formats a
+        # component at most once per distinct outcome object; table_to_dot
+        # reads bb_index once and formats each of its labels once more,
+        # for its node.
         calls = []
         format_component = incidence.format_label
 
@@ -401,9 +402,11 @@ class TestSharedOutcomes:
 
         monkeypatch.setattr(incidence, "format_label", counting)
         table = build_table(3, 0, Genus(10))
+        assert calls == []
         components = {outcome.component for row in table.rows for _, outcome in row.runs}
         outcomes = {id(outcome) for row in table.rows for _, outcome in row.runs}
-        assert len(calls) == len(components) == len(table.bb_index) > 0
+        index = table.bb_index
+        assert len(calls) == len(set(calls)) == len(components) == len(index) > 0
         for write, bound in (
             (records_json, len(outcomes)),
             (table_to_csv, len(outcomes)),
@@ -419,8 +422,82 @@ class TestSharedOutcomes:
             type(row)(row.stratum, tuple((values, copy(out)) for values, out in row.runs))
             for row in table.rows
         )
-        unshared = type(table)(table.rank, table.degree, table.genus, rows, table.bb_index)
+        unshared = type(table)(table.rank, table.degree, table.genus, rows)
         assert unshared == table
         assert table_to_csv(unshared) == table_to_csv(table)
         assert table_to_dot(unshared) == table_to_dot(table)
         assert records_json(unshared) == records_json(table)
+
+
+def reference_bb_index(table):
+    """Each component with the strata reaching it, in row order, from the
+    entries alone, sorted by label text."""
+    reaching: dict = {}
+    for row in table.rows:
+        for _, outcome in row.entries:
+            strata = reaching.setdefault(outcome.component, [])
+            if row.stratum.hn not in strata:
+                strata.append(row.stratum.hn)
+    return tuple((label, tuple(reaching[label])) for label in sorted(reaching, key=format_label))
+
+
+GOLDEN_INCIDENCE_FILES = sorted(
+    path.name for path in GOLDEN.glob("incidence_r*_d*_g*.*") if path.suffix != ".dot"
+)
+
+
+def golden_incidence_argv(name):
+    rank, degree, genus = name.split(".")[0].split("_")[1:]
+    return ["incidence", "--rank", rank[1:], "--degree", degree[1:], "--genus", genus[1:],
+            "--format", name.rpartition(".")[2]]
+
+
+class TestDerivedIndex:
+    """bb_index is derived from the rows on each read; only DOT and
+    verify read it."""
+
+    @pytest.mark.parametrize("rank", (2, 3))
+    def test_index_matches_a_reference_from_the_entries(self, rank):
+        for g in range(2, 7):
+            for degree in range(-6, 7):
+                table = build_table(rank, degree, Genus(g))
+                assert table.bb_index == reference_bb_index(table), (g, degree)
+                assert table.bb_map() == dict(reference_bb_index(table))
+
+    def test_a_stratum_is_listed_once_per_component(self):
+        # No built row reaches a component from two runs; a row built by
+        # hand whose runs repeat, as copies, still lists its stratum once.
+        table = build_table(3, 1, Genus(6))
+        rows = tuple(
+            type(row)(row.stratum, row.runs + tuple((values, copy(out)) for values, out in row.runs))
+            for row in table.rows
+        )
+        doubled = type(table)(table.rank, table.degree, table.genus, rows)
+        assert doubled.bb_index == table.bb_index == reference_bb_index(doubled)
+
+    def test_golden_files_cover_every_other_format(self):
+        assert {name.rpartition(".")[2] for name in GOLDEN_INCIDENCE_FILES} == {"json", "csv", "table"}
+
+    @pytest.mark.parametrize("name", GOLDEN_INCIDENCE_FILES)
+    def test_other_formats_never_read_the_index(self, name, monkeypatch, capsys):
+        def refuse(table):
+            raise AssertionError("bb_index read")
+
+        monkeypatch.setattr(incidence.IncidenceTable, "bb_index", property(refuse))
+        assert cli.main(golden_incidence_argv(name)) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("rank,degree,genus", golden_incidence_points())
+    def test_dot_reads_the_index_once(self, rank, degree, genus, monkeypatch, capsys):
+        reads = []
+        derive = incidence.IncidenceTable.bb_index.fget
+
+        def counting(table):
+            reads.append(table)
+            return derive(table)
+
+        monkeypatch.setattr(incidence.IncidenceTable, "bb_index", property(counting))
+        name = f"incidence_r{rank}_d{degree}_g{genus}.dot"
+        assert cli.main(golden_incidence_argv(name)) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+        assert len(reads) == 1

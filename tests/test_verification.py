@@ -105,7 +105,7 @@ def test_check_rank3_on_one_table_outside_the_grid():
     wrong = LimitOutcome(CaseTag.C1_3, outcome.component, outcome.hnt_limit)
     rows = list(table.rows)
     rows[at] = incidence.IncidenceRow(row.stratum, ((values, wrong), *rest))
-    rebuilt = incidence.IncidenceTable(3, 1, Genus(7), tuple(rows), table.bb_index)
+    rebuilt = incidence.IncidenceTable(3, 1, Genus(7), tuple(rows))
     failures = {n: [] for n in (2, 3, 4, 5, 8)}
     assert verification._check_rank3(rebuilt, failures) == (classified, gaps, coprime, labels)
     assert {n: len(f) for n, f in failures.items()} == {2: len(values), 3: 0, 4: 0, 5: 0, 8: 0}
