@@ -26,7 +26,13 @@ CASES = [
     ("incidence", rank, degree, genus, fmt)
     for rank, degree, genus in ((3, 0, 2), (3, 0, 3), (3, 1, 3), (3, 2, 5), (2, 1, 2))
     for fmt in ("json", "csv", "dot")
-] + [("strata", 3, 0, 4, "json"), ("fixed", 3, 0, 4, "json"), ("fixed", 3, 1, 5, "json")]
+] + [
+    ("strata", 3, 0, 4, "json"),
+    ("strata", 2, 1, 2, "json"),
+    ("strata", 3, -5, 12, "json"),
+    ("fixed", 3, 0, 4, "json"),
+    ("fixed", 3, 1, 5, "json"),
+]
 
 
 @pytest.mark.parametrize(
@@ -65,6 +71,7 @@ def test_verify_table_output_matches_golden_file(capsys):
 TABLE_CASES = [
     ("strata", 3, 0, 4),
     ("strata", 2, 1, 2),
+    ("strata", 3, -5, 12),
     ("fixed", 3, 0, 4),
     ("fixed", 2, 1, 2),
     ("fixed", 3, -2, 7),
