@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from operator import attrgetter
 
 from .core import Frozen, Genus, HNType, StrataError, _hn_type, _set
 
@@ -150,18 +150,13 @@ class AdmissibleStratum(Frozen):
         return str(self.hn)
 
 
-def _sort_key(stratum: AdmissibleStratum):
-    # Ascending polygon height profile is a linear extension of dominance
-    # (semistable first, most unstable last); step tuples break ties.
-    # The height at rank x is mu1 + ... + mux, here scaled by 6.
-    return (tuple(accumulate(stratum.mu6_vector[:-1])), stratum.hn.steps)
-
-
 def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStratum]:
     """Every admissible HN type of the given rank and degree.
 
     Includes the semistable type; finite by the slope bounds; sorted by
-    polygon dominance, then lexicographically by steps.
+    the slope vector mu6_vector: the order of the polygon's heights mu1,
+    mu1 + mu2, a linear extension of dominance (semistable first, most
+    unstable last).  No two types tie: the slopes determine the type.
 
     The loops generate canonical steps only: integer degrees, strictly
     decreasing slopes, no equal neighbours.  So each type is built with
@@ -197,7 +192,7 @@ def enumerate_strata(rank: int, degree: int, genus: Genus) -> list[AdmissibleStr
             for b in range(max(a - k, (d - a) // 2 + 1), min(a, (d - a + k) // 2 + 1)):
                 found.append(_hn_type(((1, a), (1, b), (1, d - a - b)), 3, d))
     strata = [AdmissibleStratum(hn, genus) for hn in found]
-    strata.sort(key=_sort_key)
+    strata.sort(key=attrgetter("mu6_vector"))
     return strata
 
 

@@ -51,9 +51,10 @@ class UsageError(StrataError):
 def _render(config: RunConfig, query: dict, records: list | str, meta: dict, text) -> str:
     """A command's output: the JSON envelope of its query, records and
     meta data, or the lines ``text()`` yields (called only for text).
-    ``records`` may be JSON text already, indented for the envelope
-    (``incidence.records_json``).  Every envelope is written by
-    ``incidence.to_json``."""
+    ``records`` may be JSON text already, indented for the envelope:
+    ``incidence --format json`` (``incidence.records_json``) and
+    ``strata --format json`` (``_run_strata``) write it so.  Every
+    envelope is written by ``incidence.to_json``."""
     if config.format == "json":
         doc = {"query": {"command": config.command, **query}, "meta": meta}
         if isinstance(records, str):
@@ -77,30 +78,44 @@ def _render_grid(config: RunConfig, header: str, records: list, meta: dict, row)
     )
 
 
-def _strata_row(record: dict) -> str:
-    line = f"  {record['hn']:<16} mu=({', '.join(record['mu_vector'])})"
-    if "case_family" in record:
-        line += f"  family={record['case_family']}  feasible={record['feasible_set']}"
-    return line
+# Line breaks with the indent of a record's braces, fields and list items
+# in an envelope's results.
+_RECORD = "\n    "
+_FIELD = _RECORD + "  "
+_ITEM = _FIELD + "  "
 
 
 def _run_strata(config: RunConfig) -> tuple[int, str]:
+    """Each stratum's text row or JSON record, keys sorted, written from the
+    stratum: its HN text formatted once, each scaled slope's text once a
+    query.  The HN, family and slope texts need no JSON escaping."""
     genus = Genus(config.genus)
     strata = enumerate_strata(config.rank, config.degree, genus)
-    records = []
+    as_json = config.format == "json"
+    text = '"{}"'.format if as_json else str
+    slopes = {m: text(_ratio(m, 6)) for m in {m for s in strata for m in s.mu6_vector}}
+    rows = []
     for stratum in strata:
-        record = {
-            "hn": format_hn_type(stratum.hn),
-            "mu_vector": [_ratio(m, 6) for m in stratum.mu6_vector],
-        }
-        if config.rank == 3:
-            record["case_family"] = stratum.case_family.value
-            record["feasible_set"] = list(stratum.feasible_integers)
-        records.append(record)
-    return 0, _render_grid(
-        config, "admissible strata for {where}: {count}", records,
-        {"genus": config.genus}, _strata_row,
-    )
+        hn, family = format_hn_type(stratum.hn), stratum.case_family
+        mu = map(slopes.__getitem__, stratum.mu6_vector)
+        if as_json:
+            record = "{" + _FIELD
+            if family is not None:
+                feasible = f",{_ITEM}".join(map(str, stratum.feasible_integers))
+                feasible = f"[{_ITEM}{feasible}{_FIELD}]" if feasible else "[]"
+                record += f'"case_family": "{family.value}",{_FIELD}'
+                record += f'"feasible_set": {feasible},{_FIELD}'
+            mu = f",{_ITEM}".join(mu)
+            rows.append(f'{record}"hn": "{hn}",{_FIELD}"mu_vector": [{_ITEM}{mu}{_FIELD}]{_RECORD}}}')
+        else:
+            line = f"  {hn:<16} mu=({', '.join(mu)})"
+            if family is not None:
+                line += f"  family={family.value}  feasible={list(stratum.feasible_integers)}"
+            rows.append(line)
+    if as_json:  # every query has the semistable stratum, so rows is never empty
+        rows = "[" + _RECORD + f",{_RECORD}".join(rows) + "\n  ]"
+    header = "admissible strata for {where}: {count}"
+    return 0, _render_grid(config, header, rows, {"genus": config.genus}, str)
 
 
 def _run_fixed(config: RunConfig) -> tuple[int, str]:

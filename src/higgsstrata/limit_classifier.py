@@ -163,9 +163,11 @@ def _slope_runs(
     for v in values[below:]:
         v6 = 6 * v
         if v6 > gap_low6:
-            # The isolated point: I = E2/E1 in family 1, N = E1 in
-            # family 2, so the limit keeps the HN filtration.
-            component = _hodge_bundle((1, 1, 1), tuple(m // 6 for m in stratum.mu6_vector))
+            # The isolated point v = gap_high: I = E2/E1 in family 1 (v =
+            # mu2), N = E1 in family 2 (v = mu1), so the limit keeps the HN
+            # filtration.  Only three-line strata have one, so the x.3
+            # graded degrees at v are the HN degrees (d1, d2, d3).
+            component = _hodge_bundle((1, 1, 1), before + (v, refined - v) + after)
             runs.append(((v,), _limit_outcome(fam.tags[3], component, stratum.hn)))
             continue
         at_threshold = v6 == thresh6

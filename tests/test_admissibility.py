@@ -1,6 +1,7 @@
 """Slope bounds, stratum enumeration and invariant ranges."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor
 
 import pytest
@@ -124,6 +125,19 @@ class TestEnumerateStrata:
     def test_unsupported_rank(self):
         with pytest.raises(RankUnsupported):
             enumerate_strata(4, 0, Genus(2))
+
+    @pytest.mark.parametrize("rank", (2, 3))
+    def test_order_is_the_polygon_height_order(self, rank):
+        # The heights of the HN polygon above ranks 1 .. rank-1, from the
+        # HN type's Fraction slopes, with the step tuples as tie-break.
+        def heights(stratum):
+            return tuple(accumulate(stratum.hn.mu_vector[:-1])), stratum.hn.steps
+
+        for g in range(2, 13):
+            for d in range(-9, 10):
+                strata = enumerate_strata(rank, d, Genus(g))
+                assert strata == sorted(strata, key=heights), (g, d)
+                assert len({heights(s)[0] for s in strata}) == len(strata), (g, d)
 
 
 class TestInvariantRange:

@@ -125,6 +125,77 @@ class TestStrataCommand:
         assert len(doc["results"]) == 5
         assert doc["results"][0]["hn"] == "3:0"
 
+    @staticmethod
+    def reference(rank, degree, g, fmt):
+        """The output as it was written from one record dict per stratum,
+        with slope texts from the HN type's Fractions."""
+        records = []
+        for stratum in cli.enumerate_strata(rank, degree, cli.Genus(g)):
+            record = {
+                "hn": cli.format_hn_type(stratum.hn),
+                "mu_vector": [str(mu) for mu in stratum.hn.mu_vector],
+            }
+            if rank == 3:
+                record["case_family"] = stratum.case_family.value
+                record["feasible_set"] = list(stratum.feasible_integers)
+            records.append(record)
+        if fmt == "json":
+            doc = {
+                "meta": {"genus": g},
+                "query": {"command": "strata", "degree": degree, "genus": g, "rank": rank},
+                "results": records,
+            }
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        lines = [f"admissible strata for rank {rank}, degree {degree}, genus {g}: {len(records)}"]
+        for record in records:
+            line = f"  {record['hn']:<16} mu=({', '.join(record['mu_vector'])})"
+            if "case_family" in record:
+                line += f"  family={record['case_family']}  feasible={record['feasible_set']}"
+            lines.append(line)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_output_matches_a_reference_from_record_dicts(self, rank, fmt):
+        for g in range(2, 13):
+            for degree in range(-7, 8):
+                config = cli.RunConfig("strata", g, rank, degree, format=fmt)
+                assert cli.run(config) == (0, self.reference(rank, degree, g, fmt)), (g, degree)
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_each_slope_text_is_written_once_a_query(self, fmt, monkeypatch):
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return ratio(p, q)
+
+        ratio = cli._ratio
+        monkeypatch.setattr(cli, "_ratio", counting)
+        for rank, degree, g in ((3, -5, 12), (3, 0, 4), (2, 1, 2), (2, -7, 9)):
+            calls.clear()
+            config = cli.RunConfig("strata", g, rank, degree, format=fmt)
+            cli.run(config)
+            values = {m for s in cli.enumerate_strata(rank, degree, cli.Genus(g)) for m in s.mu6_vector}
+            assert sorted(calls) == sorted((m, 6) for m in values)
+
+    def test_results_reach_the_envelope_writer_as_text(self, monkeypatch):
+        documents = []
+
+        def recording(value):
+            documents.append(value)
+            return to_json(value)
+
+        to_json = incidence.to_json
+        monkeypatch.setattr(incidence, "to_json", recording)
+        for rank, degree, g in ((3, -5, 12), (2, 1, 2)):
+            documents.clear()
+            code, text = cli.run(cli.RunConfig("strata", g, rank, degree, format="json"))
+            assert code == 0
+            assert text == self.reference(rank, degree, g, "json")
+            assert len(documents) == 1
+            assert "results" not in documents[0]
+
 
 class TestFixedCommand:
     def test_rank2_components(self, capsys):
