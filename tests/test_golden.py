@@ -77,6 +77,8 @@ TABLE_CASES = [
     ("fixed", 3, -2, 7),
     ("incidence", 3, 0, 3),
     ("incidence", 3, 1, 3),
+    ("incidence", 3, 2, 5),
+    ("incidence", 2, 1, 2),
 ]
 
 
