@@ -37,6 +37,7 @@ from .core import (
     parse_hn_steps,
 )
 from .fixed_points import enumerate_fixed_components
+from .incidence import _FIELD, _ITEM, _RECORD
 from .limit_classifier import ClassifierInput, Invariant, classify
 
 
@@ -66,23 +67,17 @@ def _render(config: RunConfig, query: dict, records: list | str, meta: dict, tex
     return "\n".join(text()) + "\n"
 
 
-def _render_grid(config: RunConfig, header: str, records: list, meta: dict, row) -> str:
+def _render_grid(config: RunConfig, header: str | None, records, meta: dict, row) -> str:
     """Render a strata, fixed or incidence run: the query is its (rank,
     degree, genus) point, the text a header line over one ``row`` per
-    record.  ``header`` names the point ``{where}`` and the count ``{count}``."""
+    record.  ``header`` names the point ``{where}`` and the count ``{count}``;
+    incidence writes its text format itself and passes neither."""
     query = {"genus": config.genus, "rank": config.rank, "degree": config.degree}
     where = f"rank {config.rank}, degree {config.degree}, genus {config.genus}"
     return _render(
         config, query, records, meta,
         lambda: [header.format(where=where, count=len(records)), *map(row, records)],
     )
-
-
-# Line breaks with the indent of a record's braces, fields and list items
-# in an envelope's results.
-_RECORD = "\n    "
-_FIELD = _RECORD + "  "
-_ITEM = _FIELD + "  "
 
 
 def _run_strata(config: RunConfig) -> tuple[int, str]:
@@ -185,32 +180,16 @@ def _run_limit(config: RunConfig) -> tuple[int, str]:
     ])
 
 
-def _incidence_row(record: dict) -> str:
-    inv = record["invariant"]
-    inv_text = "-" if inv is None else str(inv).lower()
-    return (
-        f"  {record['stratum']:<16} inv={inv_text:<6} case={record['case']:<4} "
-        f"-> {record['component']}"
-    )
-
-
 def _run_incidence(config: RunConfig) -> tuple[int, str]:
     genus = Genus(config.genus)
     table = incidence_mod.build_table(config.rank, config.degree, genus)
-    if config.format == "csv":
-        return 0, incidence_mod.table_to_csv(table)
-    if config.format == "dot":
-        return 0, incidence_mod.table_to_dot(table)
-    meta = {
-        "genus": config.genus,
-        "case_tags": incidence_mod.table_case_tags(table),
-        "realizability": "assumed",
-    }
-    if config.format == "json":
-        records = incidence_mod.records_json(table)
-    else:
-        records = incidence_mod.table_to_records(table)
-    return 0, _render_grid(config, "incidence for {where}", records, meta, _incidence_row)
+    if config.format != "json":
+        write = {"table": incidence_mod.table_to_text, "csv": incidence_mod.table_to_csv,
+                 "dot": incidence_mod.table_to_dot}[config.format]
+        return 0, write(table)
+    meta = {"genus": config.genus, "case_tags": incidence_mod.table_case_tags(table),
+            "realizability": "assumed"}
+    return 0, _render_grid(config, None, incidence_mod.records_json(table), meta, None)
 
 
 def _run_verify(config: RunConfig) -> tuple[int, str]:

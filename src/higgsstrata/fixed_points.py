@@ -110,17 +110,21 @@ def _m_pairs(degree: int, genus: Genus):
     """
     bound = 6 * genus.g - 6
     shift = degree % 3  # m2 = shift + m1 (mod 3), since -2 = 1 (mod 3)
-    if shift not in (0, 1, 2):  # a degree that is no integer
-        return
-    shift = int(shift)
     # 2*m1 + m2 < bound and m1 + 2*m2 < bound, with m2 >= 0.
     for m1 in range((bound + 1) // 2):
         for m2 in range((shift + m1) % 3, min(bound - 2 * m1, (bound - m1 + 1) // 2), 3):
             yield m1, m2
 
 
+def _int_degree(rank: int, degree: int) -> int:
+    """An integral degree, such as Fraction(3), as an int; the checked
+    constructor of the rank's minimal component refuses any other by name."""
+    return degree if type(degree) is int else HodgeBundle((rank,), (degree,)).degrees[0]
+
+
 def enumerate_m_invariants(degree: int, genus: Genus) -> list[MInvariants]:
     """All (m1, m2) in the constraint region for this degree, sorted."""
+    degree = _int_degree(3, degree)
     return [MInvariants(m1, m2, genus, degree) for m1, m2 in _m_pairs(degree, genus)]
 
 
@@ -131,7 +135,7 @@ def enumerate_fixed_111(degree: int, genus: Genus) -> list[HodgeBundle]:
     pairs directly: the region's mod-3 condition makes every solution
     integer, so each is built with the trusted constructor.
     """
-    k = genus.canonical_degree
+    k, degree = genus.canonical_degree, _int_degree(3, degree)
     labels = [
         _hodge_bundle((1, 1, 1), _line_degrees(m1, m2, degree, k))
         for m1, m2 in _m_pairs(degree, genus)
@@ -164,23 +168,14 @@ def enumerate_fixed_components(
     passing validate_fixed_111.  Strictly polystable limits keep their
     own PolystableSum labels and are not folded into any component here.
     """
-    k = genus.canonical_degree
+    if rank not in (2, 3):
+        raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
+    minimal = HodgeBundle((rank,), (degree,))
+    degree, k = minimal.degrees[0], genus.canonical_degree  # checked: an int from here on
     if rank == 2:
-        labels: list[FixedComponentLabel] = [HodgeBundle((2,), (degree,))]
-        labels.extend(
-            HodgeBundle((1, 1), (d1, degree - d1))
-            for d1 in range(degree // 2 + 1, (degree + k) // 2 + 1)
-        )
-        return labels
-    if rank == 3:
-        minimal = HodgeBundle((3,), (degree,))
-        degree = minimal.degrees[0]  # checked: an int from here on
-        return [
-            minimal,
-            *_reachable_pair_labels(degree, genus),
-            *enumerate_fixed_111(degree, genus),
-        ]
-    raise RankUnsupported(f"only ranks 2 and 3 are supported, got {rank}")
+        d1s = range(degree // 2 + 1, (degree + k) // 2 + 1)
+        return [minimal, *(HodgeBundle((1, 1), (d1, degree - d1)) for d1 in d1s)]
+    return [minimal, *_reachable_pair_labels(degree, genus), *enumerate_fixed_111(degree, genus)]
 
 
 def validate_component_label(

@@ -134,8 +134,7 @@ def build_table(rank: int, degree: int, genus: Genus) -> IncidenceTable:
 def outcome_record(
     hn: HNType, invariant: Invariant, outcome: LimitOutcome, feasible: list
 ) -> dict:
-    """The output record of one classified limit, for ``limit`` and
-    ``incidence`` alike."""
+    """The output record of one classified limit, as ``limit`` writes it."""
     return {
         "stratum": format_hn_type(hn),
         "invariant": invariant,
@@ -149,14 +148,12 @@ def outcome_record(
 
 
 def table_to_records(table: IncidenceTable) -> list[dict]:
-    """Flat outcome records, one per (stratum, invariant) pair."""
-    records = []
-    for row in table.rows:
-        feasible = [k for k in row.feasible_set if k is not None]
-        for values, outcome in row.runs:
-            for key in values:
-                records.append(outcome_record(row.stratum.hn, key, outcome, feasible))
-    return records
+    """Flat outcome records, one per (stratum, invariant) pair: the byte
+    reference of ``records_json`` and ``table_to_text``; no command calls it."""
+    return [
+        outcome_record(row.stratum.hn, key, outcome, [k for k in row.feasible_set if k is not None])
+        for row in table.rows for values, outcome in row.runs for key in values
+    ]
 
 
 def to_json(value) -> str:
@@ -212,53 +209,68 @@ def _json(value, line: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+#: Line breaks with the indent of a record's braces, fields and list items
+#: in an envelope's results.
+_RECORD = "\n    "
+_FIELD = _RECORD + "  "
+_ITEM = _FIELD + "  "
+
+
+def _write_rows(
+    table: IncidenceTable, parts: list, row_fragments, outcome_fragments, invariants
+) -> list:
+    """``parts`` extended by six fragments per (stratum, invariant) entry: an
+    outcome's, a row's, the outcome's, the invariant's text, the row's and
+    the outcome's.  ``row_fragments`` runs once per row, ``outcome_fragments``
+    once per outcome object (equal outcomes of a table are one object)."""
+    made: dict[int, tuple[str, str, str]] = {}  # outcome fragments by outcome id
+    for row in table.rows:
+        row_head, row_tail = row_fragments(row)
+        for values, outcome in row.runs:
+            fragments = made.get(id(outcome))
+            if fragments is None:
+                fragments = made[id(outcome)] = outcome_fragments(outcome)
+            first, second, third = fragments
+            for text in map(invariants[type(values[0])], values):  # one type a run
+                parts += (first, row_head, second, text, row_tail, third)
+    return parts
+
+
+def _json_row(row: IncidenceRow) -> tuple[str, str]:
+    """The row's feasible set, then its stratum, each with the key after it."""
+    keys = [k for k in row.feasible_set if k is not None]  # all ints or all bools
+    feasible = "[" + _ITEM + ("," + _ITEM).join(
+        map(_JSON_SCALARS[type(keys[0])], keys)
+    ) + _FIELD + "]" if keys else "[]"
+    stratum = _json_string(format_hn_type(row.stratum.hn))
+    return (
+        f'{feasible},{_FIELD}"graded_degrees": ',
+        f',{_FIELD}"stratum": {stratum},{_FIELD}"strictly_polystable": ',
+    )
+
+
+def _json_outcome(outcome: LimitOutcome) -> tuple[str, str, str]:
+    """The record's opening, case and component; graded degrees and HN type;
+    polystability and closing brace: each with the key after it."""
+    return (
+        f',{_RECORD}{{{_FIELD}"case": {_json_string(outcome.case_tag.value)},'
+        f'{_FIELD}"component": {_json_string(format_label(outcome.component))},'
+        f'{_FIELD}"feasible_set": ',
+        f"{_json(outcome.graded_degrees, _FIELD)},"
+        f'{_FIELD}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
+        f'{_FIELD}"invariant": ',
+        ("true" if outcome.strictly_polystable else "false") + _RECORD + "}",
+    )
+
+
 def records_json(table: IncidenceTable) -> str:
     """``json.dumps(table_to_records(table), indent=2, sort_keys=True)``
     as the ``results`` of an output envelope: one level deeper, so every
-    line after the first is indented by two more spaces.
-
-    A record is written as six fragments between its sorted keys: the
-    outcome's case and component, the row's feasible set, the outcome's
-    graded degrees and HN type, the invariant, the row's stratum, and the
-    outcome's polystability.  Outcome fragments are formatted once per
-    outcome object (equal outcomes of a table are one object), row
-    fragments once per row; per value only the invariant is written.
-    """
-    # Line breaks with the indent of a record's braces, fields and list items.
-    record_line = "\n    "
-    field_line = record_line + "  "
-    item_line = field_line + "  "
-    separator = "," + record_line
-    parts = ["["]
-    fragments: dict[int, tuple[str, str, str]] = {}  # by outcome id
-    for row in table.rows:
-        keys = [k for k in row.feasible_set if k is not None]  # all ints or all bools
-        feasible = "[" + item_line + ("," + item_line).join(
-            map(_JSON_SCALARS[type(keys[0])], keys)
-        ) + field_line + "]" if keys else "[]"
-        row_feasible = f'{feasible},{field_line}"graded_degrees": '
-        row_stratum = (
-            f',{field_line}"stratum": {_json_string(format_hn_type(row.stratum.hn))},'
-            f'{field_line}"strictly_polystable": '
-        )
-        for values, outcome in row.runs:
-            outcome_parts = fragments.get(id(outcome))
-            if outcome_parts is None:
-                outcome_parts = fragments[id(outcome)] = (
-                    f'{{{field_line}"case": {_json_string(outcome.case_tag.value)},'
-                    f'{field_line}"component": {_json_string(format_label(outcome.component))},'
-                    f'{field_line}"feasible_set": ',
-                    f"{_json(outcome.graded_degrees, field_line)},"
-                    f'{field_line}"hnt_limit": {_json_string(format_hn_type(outcome.hnt_limit))},'
-                    f'{field_line}"invariant": ',
-                    ("true" if outcome.strictly_polystable else "false") + record_line + "}",
-                )
-            head, middle, tail = outcome_parts
-            for text in map(_JSON_SCALARS[type(values[0])], values):  # one type a run
-                parts += (separator, head, row_feasible, middle, text, row_stratum, tail)
+    line after the first is indented by two more spaces."""
+    parts = _write_rows(table, ["["], _json_row, _json_outcome, _JSON_SCALARS)
     if len(parts) == 1:
         return "[]"
-    parts[1] = record_line  # the first record follows "[" without a comma
+    parts[1] = parts[1][1:]  # the first record follows "[" without a comma
     parts.append("\n  ]")
     return "".join(parts)
 
@@ -276,18 +288,30 @@ def table_to_csv(table: IncidenceTable) -> str:
 
     # writerow returns what the file's write returns: here, the line.
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    parts = [line(CSV_HEADER)]
-    tails: dict[int, str] = {}  # ",case,component,hnt_limit\n" by outcome id
-    for row in table.rows:
-        head = line((format_hn_type(row.stratum.hn), ""))[:-1]  # "stratum,"
-        for values, outcome in row.runs:
-            tail = tails.get(id(outcome))
-            if tail is None:
-                case, label = outcome.case_tag.value, format_label(outcome.component)
-                tail = tails[id(outcome)] = line(("", case, label, format_hn_type(outcome.hnt_limit)))
-            for text in map(_CSV_INVARIANTS[type(values[0])], values):  # one type a run
-                parts += (head, text, tail)
-    return "".join(parts)
+    return "".join(_write_rows(
+        table, [line(CSV_HEADER)],
+        lambda row: (line((format_hn_type(row.stratum.hn), ""))[:-1], ""),  # "stratum,"
+        lambda o: ("", "", line(
+            ("", o.case_tag.value, format_label(o.component), format_hn_type(o.hnt_limit))
+        )),
+        _CSV_INVARIANTS,
+    ))
+
+
+#: The text format's invariant column by the invariant's exact type.
+_TEXT_INVARIANTS = {int: "{:<6}".format, bool: {False: "false ", True: "true  "}.__getitem__,
+                    type(None): lambda _: "-     "}
+
+
+def table_to_text(table: IncidenceTable) -> str:
+    """``incidence``'s text format: a header over one line per entry."""
+    where = f"rank {table.rank}, degree {table.degree}, genus {table.genus.g}"
+    return "".join(_write_rows(
+        table, [f"incidence for {where}\n"],
+        lambda row: (f"  {format_hn_type(row.stratum.hn):<16} inv=", ""),
+        lambda o: ("", "", f" case={o.case_tag.value:<4} -> {format_label(o.component)}\n"),
+        _TEXT_INVARIANTS,
+    ))
 
 
 def table_to_dot(table: IncidenceTable) -> str:

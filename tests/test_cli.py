@@ -74,7 +74,8 @@ class TestLimitCommand:
         assert result["component"] == "min"
 
     def test_record_is_the_incidence_record(self, capsys):
-        # Both commands build their records with incidence.outcome_record.
+        # limit builds its record with incidence.outcome_record; incidence
+        # writes the same fields from fragments, with no record built.
         _, out, _ = run_cli(
             ["limit", "--genus", "3", "--hn", "1:1,2:0", "--inv", "0",
              "--format", "json"],

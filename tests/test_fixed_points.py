@@ -26,6 +26,20 @@ from higgsstrata.fixed_points import validate_component_label
 from higgsstrata.incidence import build_table
 
 PAIR_TYPES = ((1, 2), (2, 1))
+#: The rank and a genus-3 call of each public entry that takes a degree.
+DEGREE_ENTRIES = (
+    (2, lambda degree: enumerate_fixed_components(2, degree, Genus(3))),
+    (3, lambda degree: enumerate_fixed_components(3, degree, Genus(3))),
+    (3, lambda degree: enumerate_fixed_111(degree, Genus(3))),
+    (3, lambda degree: enumerate_m_invariants(degree, Genus(3))),
+)
+
+
+def int_fields(item):
+    """The integer fields of a label or of an (m1, m2) pair."""
+    if isinstance(item, MInvariants):
+        return item.m1, item.m2, item.degree
+    return item.degrees
 
 
 def validate_m_invariants(m: MInvariants) -> bool:
@@ -252,18 +266,24 @@ class TestEnumeration:
         config = cli.RunConfig(command="fixed", genus=12, rank=3, degree=-2, format="json")
         assert run_counted(lambda: cli.run(config)) == [0] * 4
 
-    @pytest.mark.parametrize("degree", [Fraction(1), True])
+    @pytest.mark.parametrize("degree", [Fraction(1), True, 1.0])
     def test_rank3_integral_degree_gives_int_labels(self, degree):
-        got = enumerate_fixed_components(3, degree, Genus(3))
-        assert got == enumerate_fixed_components(3, int(degree), Genus(3))
-        assert {type(x) for label in got for x in label.degrees} == {int}
+        # Each public entry that takes a degree, rank 2 included.
+        for rank, enumerate_ in DEGREE_ENTRIES:
+            got = enumerate_(degree)
+            assert got and got == enumerate_(int(degree)), (rank, enumerate_)
+            numbers = [x for item in got for x in int_fields(item)]
+            assert {type(x) for x in numbers} == {int}, (rank, enumerate_)
 
     @pytest.mark.parametrize("degree", [1.5, Fraction(1, 2), "3"])
     def test_rank3_non_integer_degree_is_refused(self, degree):
-        message = f"a Hodge bundle of type (3,) needs 1 integer degrees, got ({degree!r},)"
-        with pytest.raises(ValueError) as exc:
-            enumerate_fixed_components(3, degree, Genus(3))
-        assert str(exc.value) == message
+        # Each public entry that takes a degree, rank 2 included, refuses
+        # it by name, as the checked constructor of its minimal component.
+        for rank, enumerate_ in DEGREE_ENTRIES:
+            message = f"a Hodge bundle of type ({rank},) needs 1 integer degrees, got ({degree!r},)"
+            with pytest.raises(ValueError) as exc:
+                enumerate_(degree)
+            assert str(exc.value) == message, (rank, enumerate_)
 
 
 class TestValidateComponentLabel:

@@ -24,7 +24,7 @@ from higgsstrata import (
 )
 from higgsstrata import cli, fixed_points, incidence, matrix_oracle, verification
 from higgsstrata.core import CaseTag, format_hn_type
-from higgsstrata.incidence import CSV_HEADER, records_json, table_case_tags
+from higgsstrata.incidence import CSV_HEADER, records_json, table_case_tags, table_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
 X1_TAGS = (CaseTag.C1_1, CaseTag.C2_1)
@@ -316,6 +316,55 @@ class TestRecordsJson:
         assert records_json(empty) == json.dumps([], indent=2) == "[]"
 
 
+def reference_text(table):
+    """The text format from table_to_records: a header over one line per
+    record, its invariant "-" when absent and lower-cased otherwise."""
+    lines = [f"incidence for rank {table.rank}, degree {table.degree}, genus {table.genus.g}"]
+    for record in table_to_records(table):
+        inv = record["invariant"]
+        inv_text = "-" if inv is None else str(inv).lower()
+        lines.append(
+            f"  {record['stratum']:<16} inv={inv_text:<6} case={record['case']:<4} "
+            f"-> {record['component']}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestText:
+    """The row loop gives the text format that table_to_records gives."""
+
+    @pytest.mark.parametrize("rank", (2, 3))
+    def test_small_grid(self, rank):
+        balanced = 0
+        for g in range(2, 7):
+            for d in range(-6, 7):
+                table = build_table(rank, d, Genus(g))
+                text = table_to_text(table)
+                assert text == reference_text(table), (g, d)
+                balanced += text.count(" inv=true ")
+        assert balanced > 0 or rank == 2
+
+    def test_empty_table(self):
+        table = build_table(3, 0, Genus(2))
+        empty = type(table)(table.rank, table.degree, table.genus, ())
+        header = "incidence for rank 3, degree 0, genus 2\n"
+        assert table_to_text(empty) == reference_text(empty) == header
+
+    @pytest.mark.parametrize("fmt", ("table", "json", "csv", "dot"))
+    def test_no_format_builds_a_record(self, fmt, monkeypatch):
+        # table_to_records and outcome_record are the byte reference and
+        # limit's record; no incidence format calls either.
+        def refuse(*args):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(incidence, "table_to_records", refuse)
+        monkeypatch.setattr(incidence, "outcome_record", refuse)
+        config = cli.RunConfig(command="incidence", genus=3, rank=3, degree=1, format=fmt)
+        code, text = cli.run(config)
+        assert code == 0
+        assert text.encode("utf-8") == (GOLDEN / f"incidence_r3_d1_g3.{fmt}").read_bytes()
+
+
 class TestSharedOutcomes:
     def test_x1_entries_of_a_row_share_one_object(self):
         table = build_table(3, 0, Genus(10))
@@ -410,6 +459,7 @@ class TestSharedOutcomes:
         for write, bound in (
             (records_json, len(outcomes)),
             (table_to_csv, len(outcomes)),
+            (table_to_text, len(outcomes)),
             (table_to_dot, len(components) + len(outcomes)),
         ):
             calls.clear()
@@ -427,6 +477,7 @@ class TestSharedOutcomes:
         assert table_to_csv(unshared) == table_to_csv(table)
         assert table_to_dot(unshared) == table_to_dot(table)
         assert records_json(unshared) == records_json(table)
+        assert table_to_text(unshared) == table_to_text(table)
 
 
 def reference_bb_index(table):
