@@ -222,7 +222,8 @@ def _write_rows(
     """``parts`` extended by six fragments per (stratum, invariant) entry: an
     outcome's, a row's, the outcome's, the invariant's text, the row's and
     the outcome's.  ``row_fragments`` runs once per row, ``outcome_fragments``
-    once per outcome object (equal outcomes of a table are one object)."""
+    once per outcome object (equal outcomes of a table are one object), and
+    ``invariants`` maps an invariant's exact type to its text function."""
     made: dict[int, tuple[str, str, str]] = {}  # outcome fragments by outcome id
     for row in table.rows:
         row_head, row_tail = row_fragments(row)
